@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from _oracles import basis_pursuit_dual
 
+from gradpce import harness, l1solver
 from gradpce.harness import (
     MATRIX_IDS,
     SUCCESS_TOL,
@@ -174,6 +176,42 @@ class TestRecoveryBenchmark:
         fractions = {row[0]: row[2] for row in table.rows}
         assert fractions["gradient-enhanced"] >= 0.9
         assert fractions["gradient-enhanced"] >= fractions["standard"]
+
+    def test_criterion07_solves_match_dual_oracle(self, monkeypatch):
+        # The first trials of acceptance criterion 07 (231 columns, s=8) at the
+        # sample counts where recovery switches on: standard mode at N=35,
+        # gradient-enhanced at N=20. Each solve must agree with the dual-LP
+        # oracle, and each counted success must be exact, not just under
+        # SUCCESS_TOL, so that success fractions do not measure solver slack.
+        config = ExperimentConfig(
+            kind="recovery-vs-N", dim=2, degree=20, sparsity=8, sample_grid=(20, 35), trials=12
+        )
+        basis = PceBasis.from_measure(Measure.uniform(), 2, 20)
+        assert basis.size == 231
+        solves = []
+
+        def recording_solve(spec):
+            result = l1solver.solve(spec)
+            solves.append((spec, result))
+            return result
+
+        monkeypatch.setattr(harness, "solve", recording_solve)
+        outcomes = [o for t in range(config.effective_trials)
+                    for o in harness._recovery_trial(config, basis, config.sample_grid, t)]
+        assert len(solves) == len(outcomes)
+        for spec, result in solves:
+            oracle = basis_pursuit_dual(spec.matrix, spec.rhs)
+            l1 = np.abs(oracle).sum()
+            assert result.converged
+            assert abs(np.abs(result.coefficients).sum() - l1) <= 1e-10 * l1
+            np.testing.assert_allclose(
+                result.coefficients, oracle, rtol=0, atol=1e-9 * np.abs(oracle).max()
+            )
+        for outcome in outcomes:
+            if outcome.success:
+                assert outcome.error_inf <= 1e-8
+        for mode, n in (("standard", 35), ("gradient-enhanced", 20)):
+            assert any(o.success for o in outcomes if (o.mode, o.n_samples) == (mode, n))
 
     def test_sparsity_grid_variant(self):
         config = ExperimentConfig(

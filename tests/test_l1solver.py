@@ -1,9 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from _oracles import basis_pursuit_dual
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import linprog
 
+import gradpce
 from gradpce.design import mic, recovery_guarantee
 from gradpce.l1solver import (
     NoSparseFit,
@@ -12,18 +18,9 @@ from gradpce.l1solver import (
     brute_force_l0,
     project_l1_ball,
     solve,
+    solve_pareto,
     write_telemetry_csv,
 )
-
-
-def lp_basis_pursuit(a, b):
-    """Independent equality-constrained l1 oracle via linear programming."""
-    n, m = a.shape
-    c = np.ones(2 * m)
-    a_eq = np.hstack([a, -a])
-    res = linprog(c, A_eq=a_eq, b_eq=b, bounds=[(0, None)] * 2 * m, method="highs")
-    assert res.status == 0
-    return res.x[:m] - res.x[m:]
 
 
 def incoherent_instance(rng, s, m=12):
@@ -73,7 +70,7 @@ class TestSolve:
         result = solve(SolveSpec(a, b, opt_tol=1e-10))
         assert result.converged
         np.testing.assert_allclose(result.coefficients, [1.0, 0.0, 0.0], atol=1e-8)
-        np.testing.assert_allclose(result.coefficients, lp_basis_pursuit(a, b), atol=1e-8)
+        np.testing.assert_allclose(result.coefficients, basis_pursuit_dual(a, b), atol=1e-8)
 
     def test_zero_rhs(self):
         result = solve(SolveSpec(np.eye(3), np.zeros(3)))
@@ -100,17 +97,20 @@ class TestSolve:
             np.testing.assert_allclose(oracle, coeffs, atol=1e-8)
 
     def test_matches_lp_oracle_on_underdetermined_systems(self):
+        # solve_pareto keeps the SPG root finder, which solve no longer uses
+        # at epsilon == 0, under the same accuracy check.
         rng = np.random.default_rng(7)
         for _ in range(5):
             a = rng.standard_normal((15, 40))
             coeffs = np.zeros(40)
             coeffs[rng.choice(40, 3, replace=False)] = rng.standard_normal(3)
             b = a @ coeffs
-            result = solve(SolveSpec(a, b, opt_tol=1e-9))
-            lp = lp_basis_pursuit(a, b)
-            assert result.converged
-            assert np.abs(result.coefficients).sum() <= np.abs(lp).sum() + 1e-6
-            np.testing.assert_allclose(result.coefficients, lp, atol=2e-5)
+            spec = SolveSpec(a, b, opt_tol=1e-9)
+            lp = basis_pursuit_dual(a, b)
+            for result in (solve(spec), solve_pareto(spec, spec.max_iters)):
+                assert result.converged
+                assert np.abs(result.coefficients).sum() <= np.abs(lp).sum() + 1e-6
+                np.testing.assert_allclose(result.coefficients, lp, atol=2e-5)
 
     def test_residual_contract_on_convergence(self):
         rng = np.random.default_rng(42)
@@ -137,11 +137,12 @@ class TestSolve:
         assert np.abs(relaxed.coefficients).sum() < np.abs(exact.coefficients).sum()
 
     def test_pareto_trace_monotone(self):
+        # A positive epsilon keeps the instance on the Pareto root finder.
         rng = np.random.default_rng(11)
         for _ in range(10):
             a = rng.standard_normal((10, 25))
             b = rng.standard_normal(10)
-            result = solve(SolveSpec(a, b, opt_tol=1e-8))
+            result = solve(SolveSpec(a, b, epsilon=1e-6 * np.linalg.norm(b), opt_tol=1e-8))
             taus = [t for t, _ in result.curve_trace]
             phis = [p for _, p in result.curve_trace]
             assert taus == sorted(taus)
@@ -166,6 +167,44 @@ class TestSolve:
         assert not result.converged
         assert result.iterations <= 3
 
+    def test_exact_instance_reports_lp_telemetry(self):
+        rng = np.random.default_rng(31)
+        a = rng.standard_normal((15, 40))
+        b = a @ project_l1_ball(rng.standard_normal(40), 2.0)
+        result = solve(SolveSpec(a, b))
+        l1 = float(np.abs(result.coefficients).sum())
+        assert result.converged
+        assert 0 < result.iterations <= 10_000
+        assert result.tau_final == l1
+        assert result.curve_trace == ((l1, result.residual_norm),)
+
+    def test_lp_optimum_missing_residual_bound_is_handed_off(self):
+        # converged follows the measured residual, not the LP status: no
+        # floating-point residual meets 1e-30 * ||b||, so the Pareto root
+        # finder spends the rest of the budget, and the LP vertex, whose
+        # residual is smaller than the Pareto answer's, is returned.
+        rng = np.random.default_rng(41)
+        a = rng.standard_normal((10, 30))
+        b = rng.standard_normal(10)
+        lp_iterations = solve(SolveSpec(a, b)).iterations
+        result = solve(SolveSpec(a, b, opt_tol=1e-30, max_iters=200))
+        assert not result.converged
+        assert lp_iterations < result.iterations <= 200
+        assert result.residual_norm <= 1e-12 * np.linalg.norm(b)
+
+    def test_inconsistent_system_hands_off_unconverged(self):
+        rng = np.random.default_rng(37)
+        a = rng.standard_normal((40, 10))
+        b = rng.standard_normal(40)
+        result = solve(SolveSpec(a, b))
+        assert not result.converged
+        assert np.isfinite(result.residual_norm)
+        np.testing.assert_allclose(
+            np.linalg.norm(a @ result.coefficients - b), result.residual_norm, atol=1e-12
+        )
+        least_squares = np.linalg.lstsq(a, b, rcond=None)[0]
+        assert result.residual_norm <= np.linalg.norm(a @ least_squares - b) * (1 + 1e-6)
+
     def test_validation_errors(self):
         with pytest.raises(ValueError, match="finite"):
             SolveSpec(np.array([[np.nan, 1.0]]), np.array([1.0]))
@@ -180,7 +219,8 @@ class TestSolve:
         rng = np.random.default_rng(29)
         a = rng.standard_normal((10, 20))
         b = rng.standard_normal(10)
-        result = solve(SolveSpec(a, b, debug=True))
+        # The inner trace records SPG iterations, which epsilon > 0 runs.
+        result = solve(SolveSpec(a, b, epsilon=1e-6 * np.linalg.norm(b), debug=True))
         assert len(result.inner_trace) > 0
         path = tmp_path / "telemetry.csv"
         write_telemetry_csv(result, path)
@@ -192,6 +232,16 @@ class TestSolve:
     def test_no_debug_no_inner_trace(self):
         result = solve(SolveSpec(np.eye(2), np.array([1.0, 2.0])))
         assert result.inner_trace == ()
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # linprog is imported on the first exact solve; importing scipy.optimize
+    # with the package would add its load time to every run's setup.
+    src = str(Path(gradpce.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = "import sys, gradpce; sys.exit(int('scipy.optimize' in sys.modules))"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
 
 class TestBruteForce:
