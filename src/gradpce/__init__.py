@@ -32,7 +32,7 @@ from .harness import (
 )
 from .l1solver import RecoveryResult, SolveSpec, brute_force_l0, project_l1_ball, solve
 from .pce import MultiIndexSet, PceBasis, total_degree_set
-from .polynomials import JacobiParams, Measure, PolynomialFamily, gauss_quadrature
+from .polynomials import JacobiParams, Measure, PolynomialFamily
 from .sampling import SampleBatch, sample, split_stream
 
 __version__ = "0.1.0"
@@ -60,7 +60,6 @@ __all__ = [
     "coherence_suprema",
     "expected_gram",
     "fit_sparse_expansion",
-    "gauss_quadrature",
     "isotropy_gap",
     "mic",
     "nullspace_containment",

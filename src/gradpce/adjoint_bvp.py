@@ -11,14 +11,14 @@ which feeds the gradient-enhanced recovery pipeline.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
-from .harness import ResultTable, fit_sparse_expansion, sampling_measure
+from .harness import ResultTable, check_modes, fit_sparse_expansion, mode_data, sampling_measure
 from .pce import PceBasis
 from .polynomials import Measure, PolynomialFamily
 from .sampling import sample, split_stream
@@ -211,24 +211,16 @@ class SurrogateResult:
     mode: str
 
 
-def _evaluate_batch(model: DiffusionModel, points: np.ndarray, threads: int = 1,
-                    gradients: bool = True):
-    def one(row):
-        solution = solve_bvp(model, row)
-        return solution.qoi, solution.gradient
-    if threads <= 1:
-        results = [one(row) for row in points]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, points))
+def _evaluate_batch(model: DiffusionModel, points: np.ndarray, directions=()):
+    """QoI values at the points and, for non-empty directions, their gradients."""
+    results = [qoi_and_gradient(model, row) for row in points]
     values = np.array([q for q, _ in results])
-    grads = np.array([g for _, g in results]) if gradients else None
+    grads = np.array([g for _, g in results]) if directions else None
     return values, grads
 
 
 def build_surrogate(model: DiffusionModel, degree: int, n_samples: int,
-                    mode: str = "gradient-enhanced", seed: int = 0,
-                    threads: int = 1) -> SurrogateResult:
+                    mode: str = "gradient-enhanced", seed: int = 0) -> SurrogateResult:
     """Fit a sparse expansion of the QoI from sampled solves.
 
     The parameters are uniform on [-1, 1], so the expansion uses the
@@ -236,38 +228,29 @@ def build_surrogate(model: DiffusionModel, degree: int, n_samples: int,
     ``standard-double`` spends the gradient budget on extra value samples:
     (1 + dim) times as many solves without adjoint data.
     """
-    if mode not in ("standard", "gradient-enhanced", "standard-double"):
-        raise ValueError(f"unknown mode {mode!r}")
     basis = PceBasis.legendre(model.dim, degree)
     measure = sampling_measure(Measure.uniform())
-    count = n_samples * (1 + model.dim) if mode == "standard-double" else n_samples
-    batch = sample(measure, model.dim, count, seed)
-    if mode == "gradient-enhanced":
-        values, grads = _evaluate_batch(model, batch.points, threads)
-        coeffs = fit_sparse_expansion(
-            basis, batch, values, grads, tuple(range(model.dim)),
-            epsilon=None, opt_tol=1e-8,
-        )
-    else:
-        values, _ = _evaluate_batch(model, batch.points, threads, gradients=False)
-        coeffs = fit_sparse_expansion(basis, batch, values, epsilon=None, opt_tol=1e-8)
+    full = sample(measure, model.dim, (1 + model.dim) * n_samples, seed)
+    fit = mode_data(mode, full, n_samples, range(model.dim), partial(_evaluate_batch, model))
+    coeffs = fit_sparse_expansion(basis, *fit, epsilon=None, opt_tol=1e-8)
     mean = float(coeffs[0])
     std = math.sqrt(max(float(coeffs[1:] @ coeffs[1:]), 0.0))
     return SurrogateResult(coeffs, mean, std, n_samples, mode)
 
 
-def reference_moments(model: DiffusionModel, threads: int = 1) -> tuple[float, float]:
+def reference_moments(model: DiffusionModel) -> tuple[float, float]:
     """Mean and standard deviation of the QoI by tensor Gauss quadrature."""
     if model.dim > _QUADRATURE_DIM_CAP:
         raise ValueError(f"quadrature reference capped at dim {_QUADRATURE_DIM_CAP}")
-    points_1d, weights_1d = PolynomialFamily.legendre().gauss_quadrature(_QUADRATURE_POINTS)
+    family = PolynomialFamily.legendre(_QUADRATURE_POINTS - 1)
+    points_1d, weights_1d = family.gauss_quadrature(_QUADRATURE_POINTS)
     grids = np.meshgrid(*([points_1d] * model.dim), indexing="ij")
     nodes = np.column_stack([g.reshape(-1) for g in grids])
     weights = weights_1d
     for _ in range(model.dim - 1):
         weights = np.multiply.outer(weights, weights_1d)
     weights = weights.reshape(-1)
-    values, _ = _evaluate_batch(model, nodes, threads, gradients=False)
+    values, _ = _evaluate_batch(model, nodes)
     mean = float(weights @ values)
     second = float(weights @ (values * values))
     return mean, math.sqrt(max(second - mean * mean, 0.0))
@@ -275,14 +258,16 @@ def reference_moments(model: DiffusionModel, threads: int = 1) -> tuple[float, f
 
 def run_bvp_benchmark(model: DiffusionModel, degree: int, sample_grid,
                       modes=("standard", "gradient-enhanced"), seed: int = 0,
-                      trials: int = 1, threads: int = 1) -> ResultTable:
+                      trials: int = 1) -> ResultTable:
     """Surrogate moment errors against the quadrature reference per (mode, N)."""
+    modes = tuple(modes)
+    check_modes(modes)
     sample_grid = tuple(int(n) for n in sample_grid)
     if not sample_grid or any(n < 1 for n in sample_grid):
         raise ValueError("sample_grid must be non-empty with positive entries")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    ref_mean, ref_std = reference_moments(model, threads)
+    ref_mean, ref_std = reference_moments(model)
     rows = []
     for mode in modes:
         for gi, n in enumerate(sample_grid):
@@ -290,7 +275,7 @@ def run_bvp_benchmark(model: DiffusionModel, degree: int, sample_grid,
             std_errors = []
             for trial in range(trials):
                 run_seed = split_stream(split_stream(seed, trial), gi + 1)
-                result = build_surrogate(model, degree, n, mode, run_seed, threads)
+                result = build_surrogate(model, degree, n, mode, run_seed)
                 mean_errors.append(abs(result.mean - ref_mean))
                 std_errors.append(abs(result.std - ref_std))
             rows.append((mode, n, float(np.median(mean_errors)),

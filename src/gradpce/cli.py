@@ -78,8 +78,7 @@ def _run_bvp(args) -> int:
     grid = tuple(int(n) for n in args.n_grid.split(","))
     modes = tuple(args.mode.split(","))
     table = run_bvp_benchmark(
-        model, args.n, grid, modes=modes, seed=args.seed,
-        trials=args.trials, threads=args.threads,
+        model, args.n, grid, modes=modes, seed=args.seed, trials=args.trials,
     )
     _emit(table, args.out, "bvp", args.format)
     return 0
@@ -137,7 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
     bvp.add_argument("--trials", type=int, default=1)
     bvp.add_argument("--seed", type=int, default=0)
     bvp.add_argument("--out", type=Path, default=Path("."))
-    bvp.add_argument("--threads", type=int, default=1)
     bvp.add_argument("--format", choices=("csv", "json"), default="csv")
 
     diagnose = sub.add_parser("diagnose", help="print coherence diagnostics")

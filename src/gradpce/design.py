@@ -11,17 +11,13 @@ bases under Gaussian sampling W is the identity and only P acts.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .pce import PceBasis
 from .polynomials import JacobiParams, Measure, density_ratio_to_chebyshev
 from .sampling import SampleBatch, sample, split_stream
-
-_MATRIX_MAGIC = b"GEPCMAT1"
 
 # Guard for exact second-moment computation: tensor rules grow as (n+1)^d.
 _QUADRATURE_DIM_CAP = 4
@@ -33,7 +29,7 @@ def _check_pairing(basis: PceBasis, batch: SampleBatch) -> None:
     if basis.kind == "jacobi":
         if batch.measure != Measure.chebyshev():
             raise ValueError(
-                "gradient-enhanced Jacobi designs require Chebyshev sampling, "
+                "Jacobi designs require Chebyshev sampling, "
                 f"got {batch.measure.label}"
             )
     elif batch.measure != Measure.gaussian():
@@ -110,7 +106,6 @@ class GradientDesign:
     basis: PceBasis
     batch: SampleBatch
     directions: tuple[int, ...]
-    phi: np.ndarray = field(repr=False)        # (N, M) raw basis values
     phi_tilde: np.ndarray = field(repr=False)  # (N*(1+q), M) stacked raw system
     w: np.ndarray = field(repr=False)          # stacked diagonal of W
     p: np.ndarray = field(repr=False)          # diagonal of P
@@ -152,10 +147,11 @@ def assemble_gradient_enhanced(
 
     ``gradients`` holds one column per basis dimension (columns of excluded
     directions are ignored); it may be omitted only when no directions are
-    included.
+    included.  With no directions this is the value-only system: W keeps its
+    value block and P is 1.
     """
     dirs = _normalize_directions(basis.dim, directions)
-    phi, phi_tilde, w, p = design_matrices(basis, batch, dirs)
+    _, phi_tilde, w, p = design_matrices(basis, batch, dirs)
     values = np.asarray(values, dtype=float).reshape(-1)
     if values.shape[0] != len(batch):
         raise ValueError("one value per sample required")
@@ -169,29 +165,17 @@ def assemble_gradient_enhanced(
     else:
         f_tilde = values
     phi_hat = (w[:, None] * phi_tilde) * p[None, :]
-    return GradientDesign(basis, batch, dirs, phi, phi_tilde, w, p, phi_hat, f_tilde)
+    return GradientDesign(basis, batch, dirs, phi_tilde, w, p, phi_hat, f_tilde)
 
 
-def assemble_standard(
-    basis: PceBasis, batch: SampleBatch, precondition: bool = True
-) -> tuple[np.ndarray, np.ndarray]:
-    """Value-only design matrix and its diagonal row weights.
+def assemble_standard(basis: PceBasis, batch: SampleBatch) -> tuple[np.ndarray, np.ndarray]:
+    """Value-only preconditioned design W phi and the diagonal of W.
 
-    With ``precondition`` the rows are scaled by the square root of the ratio
-    between the basis measure's density and the sampling density, making the
-    expected Gram matrix the identity.  The sampling measure must share the
-    basis support.
+    The stacked design with no gradient directions: its rows are scaled by
+    the square root of the ratio between the basis measure's density and the
+    sampling density, making the expected Gram matrix the identity.
     """
-    if basis.dim != batch.dim:
-        raise ValueError("basis and sample batch dimensions differ")
-    if (basis.kind == "jacobi") != (batch.measure.kind == "jacobi"):
-        raise ValueError("sample support does not match the basis support")
-    phi = basis.matrix(batch.points)
-    if not precondition or basis.kind != "jacobi":
-        return phi, np.ones(len(batch))
-    if batch.measure != Measure.chebyshev():
-        raise ValueError("preconditioning is defined for Chebyshev sampling")
-    w = _row_weights(basis, batch.points, ())
+    _, phi, w, _ = design_matrices(basis, batch, ())
     return w[:, None] * phi, w
 
 
@@ -481,36 +465,3 @@ def nullspace_containment(phi: np.ndarray, phi_hat: np.ndarray, tol: float = 1e-
     phi_norm = np.linalg.norm(phi, 2)
     images = phi @ basis_vectors.T
     return bool(np.all(np.linalg.norm(images, axis=0) <= tol * phi_norm))
-
-
-# -- matrix serialization ----------------------------------------------------
-
-
-def save_matrix(matrix: np.ndarray, path) -> None:
-    """Dense binary layout: 8-byte magic, uint32 rows, uint32 cols, then
-    row-major float64 payload, all little-endian."""
-    m = np.ascontiguousarray(np.asarray(matrix, dtype="<f8"))
-    if m.ndim != 2:
-        raise ValueError("only 2-d matrices are serialized")
-    with Path(path).open("wb") as fh:
-        fh.write(_MATRIX_MAGIC)
-        fh.write(struct.pack("<II", m.shape[0], m.shape[1]))
-        fh.write(m.tobytes(order="C"))
-
-
-def load_matrix(path) -> np.ndarray:
-    raw = Path(path).read_bytes()
-    if raw[:8] != _MATRIX_MAGIC:
-        raise ValueError("not a recognized matrix file")
-    rows, cols = struct.unpack("<II", raw[8:16])
-    payload = np.frombuffer(raw[16:], dtype="<f8")
-    if payload.size != rows * cols:
-        raise ValueError("matrix payload size mismatch")
-    return payload.reshape(rows, cols).copy()
-
-
-def save_matrix_csv(matrix: np.ndarray, path) -> None:
-    m = np.asarray(matrix, dtype=float)
-    with Path(path).open("w") as fh:
-        for row in np.atleast_2d(m):
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")

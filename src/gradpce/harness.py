@@ -11,15 +11,16 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from .design import assemble_gradient_enhanced, assemble_standard, design_matrices, mic
+from .design import assemble_gradient_enhanced, design_matrices, mic
 from .l1solver import SolveSpec, solve
 from .pce import PceBasis
 from .polynomials import Measure
-from .sampling import generator, sample, split_stream
+from .sampling import SampleBatch, generator, sample, split_stream
 
 SUCCESS_TOL = 1e-3
 MODES = ("standard", "gradient-enhanced", "standard-double")
@@ -96,6 +97,15 @@ TARGETS = {
 # -- configuration -----------------------------------------------------------
 
 
+def check_modes(modes: tuple[str, ...]) -> None:
+    """Reject an empty mode list, unknown modes and duplicates."""
+    if not modes or len(set(modes)) != len(modes):
+        raise ValueError("modes must be non-empty and free of duplicates")
+    for mode in modes:
+        if mode not in MODES:
+            raise ValueError(f"unknown mode {mode!r}")
+
+
 def direction_count(fraction: float, dim: int) -> int:
     """Number of gradient directions for a fraction of the dimensions.
 
@@ -148,11 +158,7 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if not 0.0 <= self.gradient_fraction <= 1.0:
             raise ValueError("gradient_fraction must lie in [0, 1]")
-        if not self.modes or len(set(self.modes)) != len(self.modes):
-            raise ValueError("modes must be non-empty and free of duplicates")
-        for mode in self.modes:
-            if mode not in MODES:
-                raise ValueError(f"unknown mode {mode!r}")
+        check_modes(self.modes)
         if self.kind == "rmse" and self.target not in TARGETS:
             raise ValueError(f"unknown target {self.target!r}")
         if self.epsilon is not None and self.epsilon < 0.0:
@@ -275,24 +281,36 @@ def fit_sparse_expansion(
 ) -> np.ndarray:
     """Recover expansion coefficients from sampled data by l1 minimization.
 
-    With directions the weighted stacked system is solved and the result
-    mapped back through the column normalizer; otherwise the value-only
-    preconditioned system is used. ``epsilon=None`` applies the default
-    denoising level of 1e-8 times the norm of the raw stacked data.
+    Solves the weighted stacked system of the values and the gradients along
+    ``directions`` and maps the result back through the column normalizer;
+    with no directions that system is the value-only preconditioned one.
+    ``epsilon=None`` applies the default denoising level of 1e-8 times the
+    norm of the raw stacked data.
     """
-    dirs = tuple(directions)
-    if dirs:
-        design = assemble_gradient_enhanced(basis, batch, values, gradients, dirs)
-        matrix, rhs, raw = design.phi_hat, design.rhs, design.f_tilde
-    else:
-        matrix, w = assemble_standard(basis, batch)
-        raw = np.asarray(values, dtype=float).reshape(-1)
-        rhs = w * raw
-    eps = _RELATIVE_EPSILON * float(np.linalg.norm(raw)) if epsilon is None else float(epsilon)
-    result = solve(SolveSpec(matrix, rhs, epsilon=eps, opt_tol=opt_tol, max_iters=max_iters))
-    if dirs:
-        return design.unscale(result.coefficients)
-    return result.coefficients
+    design = assemble_gradient_enhanced(basis, batch, values, gradients, tuple(directions))
+    if epsilon is None:
+        epsilon = _RELATIVE_EPSILON * float(np.linalg.norm(design.f_tilde))
+    result = solve(SolveSpec(design.phi_hat, design.rhs, epsilon=float(epsilon),
+                             opt_tol=opt_tol, max_iters=max_iters))
+    return design.unscale(result.coefficients)
+
+
+def mode_data(mode: str, full: SampleBatch, n: int, directions, evaluate):
+    """The (batch, values, gradients, directions) one mode fits.
+
+    ``full`` holds the (1 + q) * n points drawn for one grid point, where q is
+    the number of gradient directions. ``standard`` fits the values at the
+    first n points, ``gradient-enhanced`` adds the gradients along
+    ``directions`` there, and ``standard-double`` spends the gradient budget
+    on values at all (1 + q) * n points. ``evaluate(points, directions)``
+    returns the values and, for non-empty directions, an (N, dim) gradient
+    array (else None).
+    """
+    check_modes((mode,))
+    batch = full if mode == "standard-double" else full.subset(n)
+    dirs = tuple(directions) if mode == "gradient-enhanced" else ()
+    values, gradients = evaluate(batch.points, dirs)
+    return batch, values, gradients, dirs
 
 
 # -- recovery benchmarks -----------------------------------------------------
@@ -304,11 +322,14 @@ def _choose_directions(rng: np.random.Generator, dim: int, count: int) -> tuple[
     return tuple(sorted(int(a) for a in rng.choice(dim, size=count, replace=False)))
 
 
-def _synthetic_gradients(basis: PceBasis, points, coefficients, directions) -> np.ndarray:
-    out = np.zeros((points.shape[0], basis.dim))
+def _synthetic_data(basis: PceBasis, coefficients, points, directions):
+    values = basis.matrix(points) @ coefficients
+    if not directions:
+        return values, None
+    gradients = np.zeros((points.shape[0], basis.dim))
     for axis in directions:
-        out[:, axis] = basis.gradient_matrix(points, axis) @ coefficients
-    return out
+        gradients[:, axis] = basis.gradient_matrix(points, axis) @ coefficients
+    return values, gradients
 
 
 def _recovery_trial(config: ExperimentConfig, basis: PceBasis, grid, trial: int):
@@ -329,25 +350,13 @@ def _recovery_trial(config: ExperimentConfig, basis: PceBasis, grid, trial: int)
         coeffs = np.zeros(basis.size)
         coeffs[support[:s]] = spikes[:s]
         full = sample(measure, config.dim, (1 + q) * n, split_stream(trial_seed, gi + 1))
-        train = full.subset(n)
-        values = basis.matrix(train.points) @ coeffs
-        grads = _synthetic_gradients(basis, train.points, coeffs, dirs) if dirs else None
+        evaluate = partial(_synthetic_data, basis, coeffs)
         for mode in config.modes:
             try:
-                if mode == "standard":
-                    estimate = fit_sparse_expansion(
-                        basis, train, values, epsilon=epsilon, opt_tol=_RECOVERY_OPT_TOL
-                    )
-                elif mode == "gradient-enhanced":
-                    estimate = fit_sparse_expansion(
-                        basis, train, values, grads, dirs,
-                        epsilon=epsilon, opt_tol=_RECOVERY_OPT_TOL,
-                    )
-                else:
-                    doubled = basis.matrix(full.points) @ coeffs
-                    estimate = fit_sparse_expansion(
-                        basis, full, doubled, epsilon=epsilon, opt_tol=_RECOVERY_OPT_TOL
-                    )
+                fit = mode_data(mode, full, n, dirs, evaluate)
+                estimate = fit_sparse_expansion(
+                    basis, *fit, epsilon=epsilon, opt_tol=_RECOVERY_OPT_TOL
+                )
                 error = float(np.abs(estimate - coeffs).max())
             except (ValueError, FloatingPointError):
                 error = math.inf
@@ -429,29 +438,19 @@ def _rmse_trial(config, basis, target: TargetFunction, val_matrix, val_truth, tr
     q = config.direction_count
     dirs = _choose_directions(rng, config.dim, q)
     scale = math.sqrt(val_matrix.shape[0])
+
+    def evaluate(points, directions):
+        return target.values(points), target.gradients(points) if directions else None
+
     out = []
     for gi, n in enumerate(config.sample_grid):
         full = sample(measure, config.dim, (1 + q) * n, split_stream(trial_seed, gi + 1))
-        train = full.subset(n)
-        values = target.values(train.points)
-        grads = target.gradients(train.points) if dirs else None
         for mode in config.modes:
             try:
-                if mode == "standard":
-                    estimate = fit_sparse_expansion(
-                        basis, train, values,
-                        epsilon=config.epsilon, opt_tol=_RMSE_OPT_TOL,
-                    )
-                elif mode == "gradient-enhanced":
-                    estimate = fit_sparse_expansion(
-                        basis, train, values, grads, dirs,
-                        epsilon=config.epsilon, opt_tol=_RMSE_OPT_TOL,
-                    )
-                else:
-                    estimate = fit_sparse_expansion(
-                        basis, full, target.values(full.points),
-                        epsilon=config.epsilon, opt_tol=_RMSE_OPT_TOL,
-                    )
+                fit = mode_data(mode, full, n, dirs, evaluate)
+                estimate = fit_sparse_expansion(
+                    basis, *fit, epsilon=config.epsilon, opt_tol=_RMSE_OPT_TOL
+                )
                 rmse = float(np.linalg.norm(val_matrix @ estimate - val_truth)) / scale
             except (ValueError, FloatingPointError):
                 rmse = math.inf

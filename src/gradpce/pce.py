@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
@@ -66,23 +65,6 @@ class MultiIndexSet:
 
     def __contains__(self, index) -> bool:
         return tuple(int(v) for v in index) in self._positions
-
-    def to_text(self, path) -> None:
-        """Write one space-separated index per line."""
-        lines = (" ".join(str(int(v)) for v in row) for row in self.indices)
-        Path(path).write_text("\n".join(lines) + "\n")
-
-    @staticmethod
-    def from_text(path, dim: int | None = None) -> "MultiIndexSet":
-        rows = [
-            [int(tok) for tok in line.split()]
-            for line in Path(path).read_text().splitlines()
-            if line.strip()
-        ]
-        arr = np.asarray(rows, dtype=np.int32)
-        if dim is not None and arr.shape[1] != dim:
-            raise ValueError(f"expected dimension {dim}, file has {arr.shape[1]}")
-        return MultiIndexSet(int(arr.shape[1]), int(arr.sum(axis=1).max()), arr)
 
 
 def total_degree_set(dim: int, degree: int, cap: int = DEFAULT_INDEX_CAP) -> MultiIndexSet:
@@ -200,12 +182,3 @@ class PceBasis:
             table = derivs[j] if j == axis else values[j]
             out *= table[:, idx[:, j]]
         return out
-
-    def evaluate(self, index, points) -> np.ndarray:
-        """Value of the basis function for one multi-index in the set."""
-        pos = self.index_set.position(index)
-        return self.matrix(points)[:, pos]
-
-    def evaluate_gradient(self, index, points, axis: int) -> np.ndarray:
-        pos = self.index_set.position(index)
-        return self.gradient_matrix(points, axis)[:, pos]

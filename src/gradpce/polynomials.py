@@ -371,8 +371,3 @@ class PolynomialFamily:
                     "derivative constant mismatch against quadrature at degree "
                     f"{n}: closed form {closed!r}, projected {projected!r}"
                 )
-
-
-def gauss_quadrature(family: PolynomialFamily, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Module-level convenience wrapper around the family method."""
-    return family.gauss_quadrature(m)

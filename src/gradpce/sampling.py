@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 from scipy.special import betainc
@@ -83,12 +82,6 @@ class SampleBatch:
         if not 0 < count <= len(self):
             raise ValueError("subset size out of range")
         return SampleBatch(self.measure, self.seed, self.points[:count])
-
-    def to_csv(self, path) -> None:
-        """One row per sample, 17 significant digits."""
-        with Path(path).open("w") as fh:
-            for row in self.points:
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
 def sample(measure: Measure, dim: int, count: int, seed: int) -> SampleBatch:

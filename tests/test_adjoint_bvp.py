@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gradpce import adjoint_bvp
 from gradpce.adjoint_bvp import (
     BvpSolution,
     DiffusionModel,
@@ -12,6 +13,7 @@ from gradpce.adjoint_bvp import (
     run_bvp_benchmark,
     solve_bvp,
 )
+from gradpce.polynomials import PolynomialFamily
 from gradpce.sampling import generator
 
 
@@ -166,6 +168,13 @@ class TestSurrogate:
         assert abs(values.mean() - mean) <= 3.0 * standard_error
         assert std == pytest.approx(values.std(ddof=1), rel=0.05)
 
+    def test_reference_rule_matches_the_degree_64_rule(self):
+        m = adjoint_bvp._QUADRATURE_POINTS
+        nodes, weights = PolynomialFamily.legendre(m - 1).gauss_quadrature(m)
+        wide_nodes, wide_weights = PolynomialFamily.legendre(64).gauss_quadrature(m)
+        np.testing.assert_array_equal(nodes, wide_nodes)
+        np.testing.assert_array_equal(weights, wide_weights)
+
     def test_reference_moments_dim_cap(self):
         with pytest.raises(ValueError, match="capped"):
             reference_moments(DiffusionModel(dim=4, cells=64))
@@ -186,6 +195,23 @@ class TestBenchmark:
             run_bvp_benchmark(model, 2, ())
         with pytest.raises(ValueError, match="trials"):
             run_bvp_benchmark(model, 2, (5,), trials=0)
+
+    def test_modes_checked_before_any_solve(self, monkeypatch):
+        solves = []
+        original = adjoint_bvp.solve_bvp
+
+        def counting(model, xi):
+            solves.append(xi)
+            return original(model, xi)
+
+        monkeypatch.setattr(adjoint_bvp, "solve_bvp", counting)
+        model = DiffusionModel(dim=1, cells=64)
+        for modes in ((), ("bogus",), ("standard", "standard")):
+            with pytest.raises(ValueError, match="mode"):
+                run_bvp_benchmark(model, 2, (5,), modes=modes)
+        assert solves == []
+        reference_moments(model)
+        assert len(solves) == adjoint_bvp._QUADRATURE_POINTS
 
     def test_deterministic(self):
         model = DiffusionModel(dim=1, cells=64)

@@ -17,14 +17,11 @@ from gradpce.design import (
     empirical_isotropy_gap,
     expected_gram,
     isotropy_gap,
-    load_matrix,
     mic,
     monte_carlo_isotropy,
     nullspace_containment,
     numeric_nullspace_dim,
     recovery_guarantee,
-    save_matrix,
-    save_matrix_csv,
 )
 from gradpce.pce import PceBasis
 from gradpce.polynomials import JacobiParams, Measure
@@ -166,10 +163,8 @@ class TestAssembly:
         basis = PceBasis.legendre(2, 4)
         batch = sample(Measure.chebyshev(), 2, 20, seed=4)
         pre, w = assemble_standard(basis, batch)
-        raw, ones = assemble_standard(basis, batch, precondition=False)
-        np.testing.assert_array_equal(ones, 1.0)
-        np.testing.assert_allclose(pre, w[:, None] * raw, rtol=0)
-        with pytest.raises(ValueError, match="support"):
+        np.testing.assert_allclose(pre, w[:, None] * basis.matrix(batch.points), rtol=0)
+        with pytest.raises(ValueError, match="Jacobi designs require Chebyshev sampling"):
             assemble_standard(basis, sample(Measure.gaussian(), 2, 5, seed=1))
 
 
@@ -374,40 +369,3 @@ class TestNullspace:
     def test_column_mismatch(self):
         with pytest.raises(ValueError):
             nullspace_containment(np.ones((2, 3)), np.ones((2, 4)))
-
-
-class TestMatrixIO:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(7)
-        m = rng.standard_normal((5, 3))
-        path = tmp_path / "matrix.bin"
-        save_matrix(m, path)
-        np.testing.assert_array_equal(load_matrix(path), m)
-
-    def test_header_layout(self, tmp_path):
-        path = tmp_path / "matrix.bin"
-        save_matrix(np.array([[1.5, -2.0]]), path)
-        raw = path.read_bytes()
-        assert raw[:8] == b"GEPCMAT1"
-        assert len(raw) == 16 + 2 * 8
-        assert raw[8:16] == (1).to_bytes(4, "little") + (2).to_bytes(4, "little")
-        assert np.frombuffer(raw[16:], dtype="<f8").tolist() == [1.5, -2.0]
-
-    def test_rejects_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.bin"
-        path.write_bytes(b"NOTAMATX" + bytes(16))
-        with pytest.raises(ValueError, match="recognized"):
-            load_matrix(path)
-
-    def test_rejects_truncated_payload(self, tmp_path):
-        path = tmp_path / "trunc.bin"
-        save_matrix(np.ones((2, 2)), path)
-        path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(ValueError, match="size"):
-            load_matrix(path)
-
-    def test_csv_export(self, tmp_path):
-        path = tmp_path / "matrix.csv"
-        save_matrix_csv(np.array([[1.0 / 3.0, 1.0], [0.0, -0.5]]), path)
-        lines = path.read_text().splitlines()
-        assert lines == ["0.33333333333333331,1", "0,-0.5"]

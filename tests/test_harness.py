@@ -140,6 +140,25 @@ class TestFit:
         np.testing.assert_allclose(standard, coeffs, atol=1e-6)
         np.testing.assert_allclose(enhanced, coeffs, atol=1e-6)
 
+    def test_hermite_gradient_fit_recovers_sparse_coefficients(self):
+        # d=2, degree 6: 28 terms; 12 Gaussian samples with both partial
+        # derivatives give 36 rows, and every 3-sparse expansion must come back.
+        basis = PceBasis.hermite(2, 6)
+        assert basis.size == 28
+        worst = 0.0
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            coeffs = np.zeros(basis.size)
+            coeffs[rng.choice(basis.size, size=3, replace=False)] = rng.standard_normal(3)
+            batch = sample(Measure.gaussian(), 2, 12, seed=seed)
+            values = basis.matrix(batch.points) @ coeffs
+            grads = np.column_stack(
+                [basis.gradient_matrix(batch.points, a) @ coeffs for a in range(2)]
+            )
+            fitted = fit_sparse_expansion(basis, batch, values, grads, (0, 1), epsilon=0.0)
+            worst = max(worst, float(np.abs(fitted - coeffs).max()))
+        assert worst <= 1e-8
+
     def test_default_epsilon_tracks_data_norm(self):
         basis = PceBasis.legendre(1, 3)
         batch = sample(Measure.chebyshev(), 1, 12, seed=1)

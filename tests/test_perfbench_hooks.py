@@ -1,0 +1,45 @@
+"""The traced benchmark run can still hook every name it wraps.
+
+``perfbench/layers.py`` rebinds public functions and methods of the package
+by name, so deleting or renaming one of them breaks ``perfbench/run.py
+--trace 1``. Installing and removing its hooks here keeps that contract in
+the main test suite.
+"""
+
+import sys
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _namespaces():
+    import gradpce  # noqa: F401  (loads every module of the package)
+    from gradpce.pce import PceBasis
+    from gradpce.polynomials import PolynomialFamily
+
+    modules = [m for key, m in sys.modules.items()
+               if key == "gradpce" or key.startswith("gradpce.")]
+    return modules + [PceBasis, PolynomialFamily]
+
+
+def _snapshot():
+    return {(id(ns), key): value for ns in _namespaces() for key, value in vars(ns).items()}
+
+
+def test_layers_install_and_uninstall_restore_every_namespace(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import layers
+    from tracing import Tracer
+
+    from gradpce import adjoint_bvp, harness
+
+    before = _snapshot()
+    tracer = Tracer()
+    try:
+        layers.install(tracer)
+        assert harness.fit_sparse_expansion.__wrapped__ is before[
+            (id(harness), "fit_sparse_expansion")]
+        assert adjoint_bvp.fit_sparse_expansion is harness.fit_sparse_expansion
+    finally:
+        tracer.uninstall()
+    assert _snapshot() == before

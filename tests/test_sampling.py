@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from gradpce.polynomials import Measure
-from gradpce.sampling import SampleBatch, sample, split_stream
+from gradpce.sampling import sample, split_stream
 
 # 0.1% significance Kolmogorov-Smirnov critical constant: sqrt(-ln(alpha/2)/2).
 KS_CRIT = math.sqrt(-math.log(0.0005) / 2.0)
@@ -109,13 +109,3 @@ class TestSample:
         assert sub.measure == batch.measure
         with pytest.raises(ValueError):
             batch.subset(31)
-
-    def test_csv_export_format(self, tmp_path):
-        batch = SampleBatch(Measure.uniform(), 0, np.array([[0.5, -0.25], [1.0 / 3.0, 0.0]]))
-        path = tmp_path / "points.csv"
-        batch.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "0.5,-0.25"
-        assert lines[1] == "0.33333333333333331,0"
-        parsed = float(lines[1].split(",")[0])
-        assert parsed == 1.0 / 3.0
