@@ -50,6 +50,8 @@ def _load_config(args, command: str) -> ExperimentConfig:
         )
     if args.seed is not None:
         data["seed"] = args.seed
+    if getattr(args, "target", None) is not None:
+        data["target"] = args.target
     return ExperimentConfig.from_dict(data)
 
 
@@ -68,7 +70,7 @@ def _run_experiment(args, command: str) -> int:
     elif command == "recover":
         table = run_recovery_benchmark(config, threads=args.threads)
     else:
-        table = run_rmse_benchmark(config, threads=args.threads, target=args.target)
+        table = run_rmse_benchmark(config, threads=args.threads)
     _emit(table, args.out, command.replace("-", "_"), args.format)
     return 0
 

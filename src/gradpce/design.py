@@ -21,6 +21,8 @@ from .sampling import SampleBatch, sample, split_stream
 
 # Guard for exact second-moment computation: tensor rules grow as (n+1)^d.
 _QUADRATURE_DIM_CAP = 4
+# Sample batch size of the Monte Carlo isotropy estimate; bounds its memory.
+_MC_CHUNK = 100_000
 
 
 def _check_pairing(basis: PceBasis, batch: SampleBatch) -> None:
@@ -361,40 +363,24 @@ def expected_gram(basis: PceBasis, directions=None) -> np.ndarray:
     return (gram * p[None, :]) * p[:, None]
 
 
-def isotropy_gap(
-    basis: PceBasis,
-    mode: str = "quadrature",
-    directions=None,
-    mc_samples: int = 100_000,
-    seed: int = 0,
-) -> float:
-    """Max-entry deviation of the expected weighted Gram matrix from identity.
-
-    ``mode`` is "quadrature" (exact tensor rule) or "monte-carlo" (empirical
-    second moment over a fresh sample batch of size ``mc_samples``).
-    """
-    if mode == "quadrature":
-        gram = expected_gram(basis, directions)
-        return float(np.abs(gram - np.eye(basis.size)).max())
-    if mode == "monte-carlo":
-        gap, _ = monte_carlo_isotropy(basis, mc_samples, seed, directions)
-        return gap
-    raise ValueError(f"unknown mode {mode!r}")
+def isotropy_gap(basis: PceBasis, directions=None) -> float:
+    """Max-entry deviation of :func:`expected_gram` from the identity."""
+    gram = expected_gram(basis, directions)
+    return float(np.abs(gram - np.eye(basis.size)).max())
 
 
 def monte_carlo_isotropy(
-    basis: PceBasis,
-    n_samples: int,
-    seed: int = 0,
-    directions=None,
-    chunk: int = 100_000,
+    basis: PceBasis, n_samples: int, seed: int = 0, directions=None
 ) -> tuple[float, float]:
     """Empirical isotropy gap and its worst entry in CLT units.
 
     Returns (gap, studentized) where gap is the max-entry deviation of the
     empirical second-moment matrix from the identity and studentized is the
-    largest |deviation| / sqrt(entry variance / N).
+    largest |deviation| / sqrt(entry variance / N). Samples are drawn in
+    chunks of ``_MC_CHUNK``, one split stream per chunk.
     """
+    if n_samples < 1:
+        raise ValueError("n_samples must be at least 1")
     measure = Measure.chebyshev() if basis.kind == "jacobi" else Measure.gaussian()
     dirs = _normalize_directions(basis.dim, directions)
     msize = basis.size
@@ -403,7 +389,7 @@ def monte_carlo_isotropy(
     done = 0
     part = 0
     while done < n_samples:
-        count = min(chunk, n_samples - done)
+        count = min(_MC_CHUNK, n_samples - done)
         batch = sample(measure, basis.dim, count, split_stream(seed, part))
         _, phi_tilde, w, p = design_matrices(basis, batch, dirs)
         weighted = (w[:, None] * phi_tilde) * p[None, :]

@@ -197,14 +197,11 @@ class TrialOutcome:
     sparsity: int
     success: bool
     error_inf: float
-    rmse: float = math.nan
 
     @staticmethod
-    def from_error(mode: str, n_samples: int, sparsity: int, error_inf: float,
-                   rmse: float = math.nan) -> "TrialOutcome":
-        return TrialOutcome(
-            mode, n_samples, sparsity, bool(error_inf <= SUCCESS_TOL), float(error_inf), rmse
-        )
+    def from_error(mode: str, n_samples: int, sparsity: int, error_inf: float) -> "TrialOutcome":
+        success = bool(error_inf <= SUCCESS_TOL)
+        return TrialOutcome(mode, n_samples, sparsity, success, float(error_inf))
 
 
 # -- result tables -----------------------------------------------------------
@@ -277,7 +274,6 @@ def fit_sparse_expansion(
     directions=(),
     epsilon: float | None = 0.0,
     opt_tol: float = 1e-6,
-    max_iters: int = 10_000,
 ) -> np.ndarray:
     """Recover expansion coefficients from sampled data by l1 minimization.
 
@@ -290,8 +286,7 @@ def fit_sparse_expansion(
     design = assemble_gradient_enhanced(basis, batch, values, gradients, tuple(directions))
     if epsilon is None:
         epsilon = _RELATIVE_EPSILON * float(np.linalg.norm(design.f_tilde))
-    result = solve(SolveSpec(design.phi_hat, design.rhs, epsilon=float(epsilon),
-                             opt_tol=opt_tol, max_iters=max_iters))
+    result = solve(SolveSpec(design.phi_hat, design.rhs, epsilon=float(epsilon), opt_tol=opt_tol))
     return design.unscale(result.coefficients)
 
 
@@ -458,15 +453,14 @@ def _rmse_trial(config, basis, target: TargetFunction, val_matrix, val_truth, tr
     return out
 
 
-def run_rmse_benchmark(config: ExperimentConfig, threads: int = 1,
-                       target: str | None = None) -> ResultTable:
+def run_rmse_benchmark(config: ExperimentConfig, threads: int = 1) -> ResultTable:
     """Median validation error per (mode, N) against a held-out uniform grid."""
     if config.kind != "rmse":
         raise ValueError("config kind must be rmse")
     basis = PceBasis.from_measure(Measure.parse(config.measure), config.dim, config.degree)
     if basis.kind != "jacobi":
         raise ValueError("approximation targets are defined on [-1, 1]^dim")
-    fn = TARGETS[target] if target is not None else TARGETS[config.target]
+    fn = TARGETS[config.target]
     validation = sample(
         Measure.uniform(), config.dim, _VALIDATION_POINTS,
         split_stream(config.seed, _VALIDATION_STREAM),

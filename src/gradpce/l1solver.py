@@ -22,7 +22,6 @@ import math
 from collections import deque
 from dataclasses import dataclass, field, replace
 from itertools import combinations
-from pathlib import Path
 
 import numpy as np
 
@@ -47,7 +46,6 @@ class SolveSpec:
     epsilon: float = 0.0
     opt_tol: float = 1e-6
     max_iters: int = 10_000
-    debug: bool = False
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=float)
@@ -78,8 +76,6 @@ class RecoveryResult:
     # One entry per outer iteration: (tau, residual norm at the inner solution);
     # a single (||c||_1, residual norm) entry for a linear-programming solve.
     curve_trace: tuple[tuple[float, float], ...] = ()
-    # Inner SPG residual norms, recorded only when the request's debug flag is set.
-    inner_trace: tuple[float, ...] = ()
 
 
 def project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
@@ -103,7 +99,7 @@ def project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
     return np.sign(v) * np.maximum(a - theta, 0.0)
 
 
-def _spg_lasso(a, b, radius, x0, gap_tol, res_floor, target, max_iters, inner_log):
+def _spg_lasso(a, b, radius, x0, gap_tol, target, max_iters):
     """Minimize 0.5||a x - b||^2 over the l1 ball of the given radius.
 
     Returns (x, residual, ||residual||, ||a^T residual||_inf, lower, iters)
@@ -111,8 +107,7 @@ def _spg_lasso(a, b, radius, x0, gap_tol, res_floor, target, max_iters, inner_lo
     this ball, obtained from the dual of the constrained least-squares
     problem. Terminates as soon as the caller's root-finding question is
     decided (residual at or below target, or lower bound above it), on a
-    small relative duality gap, on reaching the residual floor, or on the
-    iteration budget.
+    small relative duality gap, or on the iteration budget.
     """
     x = project_l1_ball(x0, radius)
     r = b - a @ x
@@ -125,9 +120,7 @@ def _spg_lasso(a, b, radius, x0, gap_tol, res_floor, target, max_iters, inner_lo
     while True:
         rnorm = np.linalg.norm(r)
         dual_inf = float(np.abs(g).max())
-        if inner_log is not None:
-            inner_log.append(rnorm)
-        if rnorm <= res_floor or rnorm <= target:
+        if rnorm <= target:
             break
         slack = gap_tol * max(rnorm, 1.0)
         lower = max(float(b @ r) - radius * dual_inf, 0.0) / rnorm
@@ -240,7 +233,6 @@ def solve_pareto(spec: SolveSpec, max_iters: int) -> RecoveryResult:
     """
     a, b = spec.matrix, spec.rhs
     bnorm = float(np.linalg.norm(b))
-    inner_log: list[float] | None = [] if spec.debug else None
     target = spec.epsilon + spec.opt_tol * bnorm
     floor = 0.999 * target
     x = np.zeros(a.shape[1])
@@ -272,9 +264,7 @@ def solve_pareto(spec: SolveSpec, max_iters: int) -> RecoveryResult:
             bracket_done = tau_hi - tau_lo <= 1e-12 * max(1.0, tau_hi)
             if budget <= 0 or (bracket_done and witness is not None):
                 break
-            x, r, phi, dual_inf, lower, iters = _spg_lasso(
-                a, b, tau, x, gap_tol, floor, target, budget, inner_log
-            )
+            x, r, phi, dual_inf, lower, iters = _spg_lasso(a, b, tau, x, gap_tol, target, budget)
             total_iters += iters
             if phi <= target:
                 l1 = float(np.abs(x).sum())
@@ -309,15 +299,7 @@ def solve_pareto(spec: SolveSpec, max_iters: int) -> RecoveryResult:
         _, phi, x, r, tau = witness
         trace.append((tau, phi))
         converged = True
-    return RecoveryResult(
-        x,
-        phi,
-        total_iters,
-        bool(converged),
-        tau,
-        tuple(trace),
-        tuple(inner_log) if inner_log else (),
-    )
+    return RecoveryResult(x, phi, total_iters, bool(converged), tau, tuple(trace))
 
 
 def brute_force_l0(matrix: np.ndarray, rhs: np.ndarray, s_max: int, tol: float = 1e-10) -> np.ndarray:
@@ -351,13 +333,3 @@ def brute_force_l0(matrix: np.ndarray, rhs: np.ndarray, s_max: int, tol: float =
         if best is not None:
             return best
     raise NoSparseFit(f"no support of size <= {s_max} fits the data at tol {tol}")
-
-
-def write_telemetry_csv(result: RecoveryResult, path) -> None:
-    """Outer-curve and inner-residual traces as CSV for debugging runs."""
-    with Path(path).open("w") as fh:
-        fh.write("kind,step,tau,residual_norm\n")
-        for i, (tau, res) in enumerate(result.curve_trace):
-            fh.write(f"outer,{i},{tau:.17g},{res:.17g}\n")
-        for i, res in enumerate(result.inner_trace):
-            fh.write(f"inner,{i},,{res:.17g}\n")

@@ -104,25 +104,25 @@ class PceBasis:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def from_measure(measure: Measure, dim: int, degree: int, cap: int = DEFAULT_INDEX_CAP) -> "PceBasis":
+    def from_measure(measure: Measure, dim: int, degree: int) -> "PceBasis":
         fam = PolynomialFamily.from_measure(measure, max(degree, 1))
-        return PceBasis(total_degree_set(dim, degree, cap), (fam,) * dim)
+        return PceBasis(total_degree_set(dim, degree), (fam,) * dim)
 
     @staticmethod
-    def legendre(dim: int, degree: int, **kw) -> "PceBasis":
-        return PceBasis.from_measure(Measure.uniform(), dim, degree, **kw)
+    def legendre(dim: int, degree: int) -> "PceBasis":
+        return PceBasis.from_measure(Measure.uniform(), dim, degree)
 
     @staticmethod
-    def chebyshev(dim: int, degree: int, **kw) -> "PceBasis":
-        return PceBasis.from_measure(Measure.chebyshev(), dim, degree, **kw)
+    def chebyshev(dim: int, degree: int) -> "PceBasis":
+        return PceBasis.from_measure(Measure.chebyshev(), dim, degree)
 
     @staticmethod
-    def jacobi(alpha: float, beta: float, dim: int, degree: int, **kw) -> "PceBasis":
-        return PceBasis.from_measure(Measure.jacobi(alpha, beta), dim, degree, **kw)
+    def jacobi(alpha: float, beta: float, dim: int, degree: int) -> "PceBasis":
+        return PceBasis.from_measure(Measure.jacobi(alpha, beta), dim, degree)
 
     @staticmethod
-    def hermite(dim: int, degree: int, **kw) -> "PceBasis":
-        return PceBasis.from_measure(Measure.gaussian(), dim, degree, **kw)
+    def hermite(dim: int, degree: int) -> "PceBasis":
+        return PceBasis.from_measure(Measure.gaussian(), dim, degree)
 
     # -- properties --------------------------------------------------------
 

@@ -3,8 +3,8 @@
 All draws go through numpy's counter-based Philox generator keyed by a 64-bit
 seed, so a (seed, trial) pair pins every sample exactly, independent of
 execution order or thread count.  Chebyshev points use the exact inverse CDF
-z = cos(pi*u); general Jacobi/Beta points invert the regularized incomplete
-beta function by bisection.
+z = cos(pi*u); general Jacobi points use the Beta inverse CDF, scipy's
+inverse of the regularized incomplete beta function.
 """
 
 from __future__ import annotations
@@ -13,12 +13,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import betainc
+from scipy.special import betaincinv
 
 from .polynomials import Measure
 
 _MASK64 = (1 << 64) - 1
-_BETA_BISECT_TOL = 1e-12
 
 
 def _splitmix64(z: int) -> int:
@@ -42,20 +41,6 @@ def split_stream(seed: int, trial: int) -> int:
 def generator(seed: int) -> np.random.Generator:
     """Philox generator keyed by a 64-bit seed."""
     return np.random.Generator(np.random.Philox(key=seed & _MASK64))
-
-
-def _beta_inverse_cdf(u: np.ndarray, a: float, b: float) -> np.ndarray:
-    """Invert I_t(a, b) = u on [0, 1] by bisection."""
-    lo = np.zeros_like(u)
-    hi = np.ones_like(u)
-    # Each step halves the bracket; stop below the absolute tolerance.
-    steps = int(math.ceil(-math.log2(_BETA_BISECT_TOL))) + 2
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        below = betainc(a, b, mid) < u
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
 
 
 @dataclass(frozen=True)
@@ -106,5 +91,5 @@ def sample(measure: Measure, dim: int, count: int, seed: int) -> SampleBatch:
             pts = 2.0 * u - 1.0
         else:
             # x = 2t - 1 maps Beta(beta+1, alpha+1) in t to the Jacobi density in x.
-            pts = 2.0 * _beta_inverse_cdf(u, p.beta + 1.0, p.alpha + 1.0) - 1.0
+            pts = 2.0 * betaincinv(p.beta + 1.0, p.alpha + 1.0, u) - 1.0
     return SampleBatch(measure, seed, pts)

@@ -291,6 +291,11 @@ class TestIsotropy:
         assert gap > 0.0
         assert studentized <= 5.0
 
+    @pytest.mark.parametrize("n_samples", [0, -5])
+    def test_monte_carlo_rejects_empty_sample(self, n_samples):
+        with pytest.raises(ValueError, match="n_samples"):
+            monte_carlo_isotropy(PceBasis.legendre(2, 2), n_samples)
+
     def test_column_energy_clt(self):
         basis = PceBasis.legendre(2, 4)
         n = 100_000

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -302,8 +303,11 @@ class TestRmseBenchmark:
 
     def test_target_override_and_guards(self):
         config = ExperimentConfig("rmse", dim=1, degree=4, sample_grid=(30,), trials=2)
-        table = run_rmse_benchmark(config, target="f3")
+        table = run_rmse_benchmark(dataclasses.replace(config, target="f3"))
         assert all(math.isfinite(row[2]) for row in table.rows)
+        assert table.to_csv() != run_rmse_benchmark(config).to_csv()
+        with pytest.raises(ValueError, match="target"):
+            dataclasses.replace(config, target="f9")
         with pytest.raises(ValueError, match="kind"):
             run_rmse_benchmark(ExperimentConfig("mic-sweep"))
         with pytest.raises(ValueError, match="defined on"):

@@ -19,7 +19,6 @@ from gradpce.l1solver import (
     project_l1_ball,
     solve,
     solve_pareto,
-    write_telemetry_csv,
 )
 
 
@@ -214,24 +213,6 @@ class TestSolve:
             SolveSpec(np.eye(3), np.ones(2))
         with pytest.raises(ValueError, match="epsilon"):
             SolveSpec(np.eye(2), np.ones(2), epsilon=-1.0)
-
-    def test_debug_records_inner_trace(self, tmp_path):
-        rng = np.random.default_rng(29)
-        a = rng.standard_normal((10, 20))
-        b = rng.standard_normal(10)
-        # The inner trace records SPG iterations, which epsilon > 0 runs.
-        result = solve(SolveSpec(a, b, epsilon=1e-6 * np.linalg.norm(b), debug=True))
-        assert len(result.inner_trace) > 0
-        path = tmp_path / "telemetry.csv"
-        write_telemetry_csv(result, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "kind,step,tau,residual_norm"
-        assert any(line.startswith("outer,") for line in lines[1:])
-        assert any(line.startswith("inner,") for line in lines[1:])
-
-    def test_no_debug_no_inner_trace(self):
-        result = solve(SolveSpec(np.eye(2), np.array([1.0, 2.0])))
-        assert result.inner_trace == ()
 
 
 def test_import_leaves_scipy_optimize_unloaded():
