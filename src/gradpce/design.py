@@ -17,12 +17,10 @@ import numpy as np
 
 from .pce import PceBasis
 from .polynomials import JacobiParams, Measure, density_ratio_to_chebyshev
-from .sampling import SampleBatch, sample, split_stream
+from .sampling import SampleBatch
 
 # Guard for exact second-moment computation: tensor rules grow as (n+1)^d.
 _QUADRATURE_DIM_CAP = 4
-# Sample batch size of the Monte Carlo isotropy estimate; bounds its memory.
-_MC_CHUNK = 100_000
 
 
 def _check_pairing(basis: PceBasis, batch: SampleBatch) -> None:
@@ -367,57 +365,6 @@ def isotropy_gap(basis: PceBasis, directions=None) -> float:
     """Max-entry deviation of :func:`expected_gram` from the identity."""
     gram = expected_gram(basis, directions)
     return float(np.abs(gram - np.eye(basis.size)).max())
-
-
-def monte_carlo_isotropy(
-    basis: PceBasis, n_samples: int, seed: int = 0, directions=None
-) -> tuple[float, float]:
-    """Empirical isotropy gap and its worst entry in CLT units.
-
-    Returns (gap, studentized) where gap is the max-entry deviation of the
-    empirical second-moment matrix from the identity and studentized is the
-    largest |deviation| / sqrt(entry variance / N). Samples are drawn in
-    chunks of ``_MC_CHUNK``, one split stream per chunk.
-    """
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
-    measure = Measure.chebyshev() if basis.kind == "jacobi" else Measure.gaussian()
-    dirs = _normalize_directions(basis.dim, directions)
-    msize = basis.size
-    total = np.zeros((msize, msize))
-    total_sq = np.zeros((msize, msize))
-    done = 0
-    part = 0
-    while done < n_samples:
-        count = min(_MC_CHUNK, n_samples - done)
-        batch = sample(measure, basis.dim, count, split_stream(seed, part))
-        _, phi_tilde, w, p = design_matrices(basis, batch, dirs)
-        weighted = (w[:, None] * phi_tilde) * p[None, :]
-        blocks = weighted.reshape(1 + len(dirs), count, msize)
-        total += np.einsum("bnk,bnl->kl", blocks, blocks)
-        # Sum over samples of t_n(i,j)^2, with t_n the per-sample contribution,
-        # expands into Hadamard-product Gramians over block pairs.
-        for a in range(blocks.shape[0]):
-            for b in range(blocks.shape[0]):
-                prod = blocks[a] * blocks[b]
-                total_sq += prod.T @ prod
-        done += count
-        part += 1
-    mean = total / n_samples
-    second = total_sq / n_samples
-    var = np.maximum(second - mean**2, 0.0)
-    dev = np.abs(mean - np.eye(msize))
-    gap = float(dev.max())
-    stderr = np.sqrt(var / n_samples)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(stderr > 0, dev / stderr, np.where(dev > 0, np.inf, 0.0))
-    return gap, float(ratio.max())
-
-
-def empirical_isotropy_gap(design: GradientDesign) -> float:
-    """Gap of one realized design's Gram matrix from the identity."""
-    gram = design.phi_hat.T @ design.phi_hat / design.n_samples
-    return float(np.abs(gram - np.eye(design.basis.size)).max())
 
 
 # -- nullspace comparison ---------------------------------------------------

@@ -16,6 +16,8 @@ from gradpce.adjoint_bvp import (
 from gradpce.polynomials import PolynomialFamily
 from gradpce.sampling import generator
 
+from _oracles import diffusion_qoi_and_gradient
+
 
 class TestModel:
     def test_validation(self):
@@ -53,7 +55,6 @@ class TestModel:
         nodes = model.nodes()
         xi = np.array([0.3, -0.9, 0.5])
         np.testing.assert_array_equal(model.coefficient(nodes, xi), 2.5)
-        np.testing.assert_array_equal(model.coefficient_sensitivity(nodes, xi), 0.0)
 
     def test_profiles_first_parameter_constant(self):
         model = DiffusionModel(dim=3)
@@ -133,6 +134,61 @@ class TestSolve:
                 fd[axis] = (plus - minus) / (2.0 * step)
             assert np.linalg.norm(gradient - fd) <= 1e-6 * np.linalg.norm(fd)
 
+    def test_nan_load_raises(self):
+        model = DiffusionModel(dim=2, cells=64, load=lambda y: np.where(y > 0.5, np.nan, 1.0))
+        with pytest.raises(ArithmeticError, match="residual"):
+            solve_bvp(model, [0.1, 0.2])
+        with pytest.raises(ArithmeticError, match="residual"):
+            adjoint_bvp._evaluate_batch(model, np.zeros((3, 2)))
+
+    def test_zero_residual_tolerance_raises(self, monkeypatch):
+        monkeypatch.setattr(adjoint_bvp, "_RESIDUAL_TOL", 0.0)
+        model = DiffusionModel(dim=2, cells=64)
+        with pytest.raises(ArithmeticError, match="residual"):
+            solve_bvp(model, [0.1, 0.2])
+        with pytest.raises(ArithmeticError, match="residual"):
+            adjoint_bvp._evaluate_batch(model, np.zeros((3, 2)), (0,))
+
+    def test_factorization_rejects_nonpositive_pivots(self):
+        # Two 2x2 matrices per call (nodes x batch); one column is bad.
+        off = np.array([[0.5, 0.5]])
+        for bad in (0.2, np.nan):
+            diag = np.array([[1.0, bad], [1.0, 1.0]])
+            with pytest.raises(ArithmeticError, match="positive definite"):
+                adjoint_bvp._ldl_factor(diag, off)
+        adjoint_bvp._ldl_factor(np.ones((2, 2)), off)
+
+    def test_batch_parameter_validation(self):
+        model = DiffusionModel(dim=2, cells=64)
+        points = np.array([[0.1, 0.2], [0.3, -1.5], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="lie in"):
+            adjoint_bvp._evaluate_batch(model, points)
+        with pytest.raises(ValueError, match="lie in"):
+            adjoint_bvp._evaluate_batch(model, np.array([[0.1, np.nan]]))
+        with pytest.raises(ValueError, match="expected 2 parameters"):
+            adjoint_bvp._evaluate_batch(model, np.zeros((4, 3)))
+        with pytest.raises(ValueError, match="array"):
+            adjoint_bvp._evaluate_batch(model, np.zeros(2))
+
+    @pytest.mark.parametrize("qoi", ["average", "midpoint"])
+    def test_matches_banded_oracle_at_harness_scale(self, qoi):
+        model = DiffusionModel(dim=3, cells=256, qoi=qoi)
+        points = generator(41).uniform(-1.0, 1.0, size=(512, 3))
+        values, gradients = adjoint_bvp._evaluate_batch(model, points, (0, 1, 2))
+        for point, value, gradient in zip(points, values, gradients):
+            ref_value, ref_gradient = diffusion_qoi_and_gradient(model, point)
+            assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
+            assert np.linalg.norm(gradient - ref_gradient) <= 1e-12 * np.linalg.norm(ref_gradient)
+
+    def test_batch_equals_batches_of_one(self):
+        model = DiffusionModel(dim=3, cells=128, qoi="midpoint")
+        points = generator(43).uniform(-1.0, 1.0, size=(24, 3))
+        values, gradients = adjoint_bvp._evaluate_batch(model, points, (0, 1, 2))
+        for point, value, gradient in zip(points, values, gradients):
+            single = solve_bvp(model, point)
+            assert abs(single.qoi - value) <= 1e-14 * abs(value)
+            assert np.linalg.norm(single.gradient - gradient) <= 1e-14 * np.linalg.norm(gradient)
+
     def test_solution_type_guards_boundaries(self):
         with pytest.raises(ValueError, match="boundary"):
             BvpSolution(np.linspace(0, 1, 3), np.array([0.1, 0.2, 0.0]), 0.0, np.zeros(1))
@@ -163,7 +219,7 @@ class TestSurrogate:
         mean, std = reference_moments(model)
         rng = generator(123)
         points = rng.uniform(-1.0, 1.0, size=(20_000, 2))
-        values = np.array([solve_bvp(model, row).qoi for row in points])
+        values, _ = adjoint_bvp._evaluate_batch(model, points)
         standard_error = values.std(ddof=1) / math.sqrt(values.size)
         assert abs(values.mean() - mean) <= 3.0 * standard_error
         assert std == pytest.approx(values.std(ddof=1), rel=0.05)
@@ -174,6 +230,12 @@ class TestSurrogate:
         wide_nodes, wide_weights = PolynomialFamily.legendre(64).gauss_quadrature(m)
         np.testing.assert_array_equal(nodes, wide_nodes)
         np.testing.assert_array_equal(weights, wide_weights)
+
+    def test_reference_moments_pinned_at_dim3(self):
+        # Values of the per-point banded Cholesky solver this sweep replaced.
+        mean, std = reference_moments(DiffusionModel(dim=3))
+        assert mean == pytest.approx(0.009883876083098368, rel=1e-12, abs=0.0)
+        assert std == pytest.approx(0.0014842137688418687, rel=1e-12, abs=0.0)
 
     def test_reference_moments_dim_cap(self):
         with pytest.raises(ValueError, match="capped"):
@@ -198,13 +260,13 @@ class TestBenchmark:
 
     def test_modes_checked_before_any_solve(self, monkeypatch):
         solves = []
-        original = adjoint_bvp.solve_bvp
+        original = adjoint_bvp._solve_batch
 
-        def counting(model, xi):
-            solves.append(xi)
-            return original(model, xi)
+        def counting(model, points, gradients):
+            solves.extend(points)
+            return original(model, points, gradients)
 
-        monkeypatch.setattr(adjoint_bvp, "solve_bvp", counting)
+        monkeypatch.setattr(adjoint_bvp, "_solve_batch", counting)
         model = DiffusionModel(dim=1, cells=64)
         for modes in ((), ("bogus",), ("standard", "standard")):
             with pytest.raises(ValueError, match="mode"):

@@ -14,11 +14,9 @@ from gradpce.design import (
     coherence_suprema,
     column_normalizer,
     design_matrices,
-    empirical_isotropy_gap,
     expected_gram,
     isotropy_gap,
     mic,
-    monte_carlo_isotropy,
     nullspace_containment,
     numeric_nullspace_dim,
     recovery_guarantee,
@@ -286,16 +284,6 @@ class TestIsotropy:
         with pytest.raises(ValueError, match="dimension"):
             expected_gram(PceBasis.legendre(5, 1))
 
-    def test_monte_carlo_envelope(self):
-        gap, studentized = monte_carlo_isotropy(PceBasis.legendre(2, 5), 200_000, seed=17)
-        assert gap > 0.0
-        assert studentized <= 5.0
-
-    @pytest.mark.parametrize("n_samples", [0, -5])
-    def test_monte_carlo_rejects_empty_sample(self, n_samples):
-        with pytest.raises(ValueError, match="n_samples"):
-            monte_carlo_isotropy(PceBasis.legendre(2, 2), n_samples)
-
     def test_column_energy_clt(self):
         basis = PceBasis.legendre(2, 4)
         n = 100_000
@@ -306,15 +294,6 @@ class TestIsotropy:
         means = contrib.mean(axis=0)
         stderr = contrib.std(axis=0, ddof=1) / math.sqrt(n)
         assert np.all(np.abs(means - 1.0) <= 3.0 * stderr)
-
-    def test_empirical_gap_shrinks_with_samples(self):
-        basis = PceBasis.legendre(2, 3)
-        gaps = []
-        for n in (200, 20_000):
-            batch = sample(Measure.chebyshev(), 2, n, seed=29)
-            values, grads = synthesize(basis, batch, np.ones(basis.size))
-            gaps.append(empirical_isotropy_gap(assemble_gradient_enhanced(basis, batch, values, grads)))
-        assert gaps[1] < gaps[0]
 
 
 class TestMicOrdering:
