@@ -1,4 +1,4 @@
-"""Basis pursuit (denoise): exact BP as a linear program, BPDN on the Pareto curve.
+"""Basis pursuit (denoise): exact BP as a linear program, BPDN on the LASSO path.
 
 Exact basis pursuit, min ||c||_1 subject to A c = b, is a linear program
 (Chen, Donoho & Saunders, 1998) and is solved as one with HiGHS: a simplex
@@ -7,30 +7,34 @@ number of pivots, where a first-order method only approaches it to within its
 iteration budget.
 
 Basis-pursuit denoise, min ||c||_1 subject to ||A c - b||_2 <= epsilon with
-epsilon > 0, is not an LP. It is solved by Newton iteration on
-phi(tau) = min_{||c||_1 <= tau} ||A c - b||_2, whose derivative at the inner
-solution is -||A^T r||_inf / ||r||_2 (van den Berg & Friedlander, 2008).  Each
-Lasso subproblem is solved with a spectral projected-gradient method:
-Barzilai-Borwein steps, a nonmonotone line search, and exact Euclidean
-projection onto the l1 ball. The same root finder takes over an exact
-instance the LP leaves unsolved.
+epsilon > 0, is solved exactly on the LASSO path
+c(lam) = argmin 0.5 ||A c - b||^2 + lam ||c||_1, the homotopy of Osborne,
+Presnell & Turlach (2000) and Efron et al. ("Least angle regression", 2004).
+Between breakpoints the path is linear in lam: on the active set I with signs
+s, c_I(lam) = p - lam d where G = A_I^T A_I, p = G^-1 A_I^T b and d = G^-1 s.
+It starts at c = 0, lam = ||A^T b||_inf; each breakpoint adds the inactive
+column whose correlation reaches lam or drops the active coefficient that
+reaches zero. The residual norm falls along the path, and the solve stops at
+the lam where it crosses the target, the root of a scalar quadratic. A path
+that reaches lam = 0 first ends at the least-squares solution on its support:
+the target is out of reach, and that answer is returned unconverged. The same
+path takes over an exact instance the LP leaves unsolved.
 """
 
 from __future__ import annotations
 
-import math
-from collections import deque
 from dataclasses import dataclass, field, replace
 from itertools import combinations
 
 import numpy as np
 
-_BB_MIN = 1e-12
-_BB_MAX = 1e12
-_LS_WINDOW = 10
-_LS_GAMMA = 1e-4
-_LS_MAX_BACKTRACKS = 20
-_MAX_OUTER = 100
+# The path stops at epsilon + _AIM * opt_tol * ||b||, inside the residual
+# bound, so that rounding in the residual cannot push a converged answer out.
+_AIM = 0.9999
+# Optimality check at every path exit, relative to lam_0 = ||A^T b||_inf:
+# |A^T r - lam sign(c)| <= _KKT_TOL lam_0 on the support, and
+# |A^T r| <= lam + _KKT_TOL lam_0 off it, with r = b - A c.
+_KKT_TOL = 1e-9
 
 
 class NoSparseFit(ValueError):
@@ -73,15 +77,17 @@ class RecoveryResult:
     iterations: int
     converged: bool
     tau_final: float
-    # One entry per outer iteration: (tau, residual norm at the inner solution);
-    # a single (||c||_1, residual norm) entry for a linear-programming solve.
+    # One (||c||_1, residual norm) entry per breakpoint of the LASSO path,
+    # from (0, ||b||) to the exit point; a single entry for a linear-programming
+    # solve.
     curve_trace: tuple[tuple[float, float], ...] = ()
 
 
 def project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
     """Euclidean projection onto {x : ||x||_1 <= radius}.
 
-    Exact sort-and-threshold construction; cost O(n log n).
+    Exact sort-and-threshold construction; cost O(n log n). No solver calls
+    it: the benchmark's traced run still wraps it by name.
     """
     if radius < 0.0:
         raise ValueError("radius must be nonnegative")
@@ -99,87 +105,24 @@ def project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
     return np.sign(v) * np.maximum(a - theta, 0.0)
 
 
-def _spg_lasso(a, b, radius, x0, gap_tol, target, max_iters):
-    """Minimize 0.5||a x - b||^2 over the l1 ball of the given radius.
-
-    Returns (x, residual, ||residual||, ||a^T residual||_inf, lower, iters)
-    where lower is a certified lower bound on the optimal residual norm for
-    this ball, obtained from the dual of the constrained least-squares
-    problem. Terminates as soon as the caller's root-finding question is
-    decided (residual at or below target, or lower bound above it), on a
-    small relative duality gap, or on the iteration budget.
-    """
-    x = project_l1_ball(x0, radius)
-    r = b - a @ x
-    g = -(a.T @ r)
-    f = 0.5 * float(r @ r)
-    history = deque([f], maxlen=_LS_WINDOW)
-    gnorm = np.linalg.norm(g)
-    step_scale = 1.0 if gnorm == 0.0 else min(_BB_MAX, max(_BB_MIN, 1.0 / gnorm))
-    iters = 0
-    while True:
-        rnorm = np.linalg.norm(r)
-        dual_inf = float(np.abs(g).max())
-        if rnorm <= target:
-            break
-        slack = gap_tol * max(rnorm, 1.0)
-        lower = max(float(b @ r) - radius * dual_inf, 0.0) / rnorm
-        if rnorm <= target + slack and lower > target:
-            # Inside the gap test's slack band the relative stop cannot
-            # discriminate, so answer the caller's question directly.
-            break
-        gap = rnorm - (float(b @ r) - radius * dual_inf) / rnorm
-        if abs(gap) <= slack:
-            break
-        if iters >= max_iters:
-            break
-        # Nonmonotone projected backtracking along the spectral step.
-        f_limit = max(history)
-        step = 1.0
-        accepted = False
-        for _ in range(_LS_MAX_BACKTRACKS):
-            x_new = project_l1_ball(x - step * step_scale * g, radius)
-            s = x_new - x
-            descent = float(g @ s)
-            if descent >= 0.0:
-                break
-            r_new = b - a @ x_new
-            f_new = 0.5 * float(r_new @ r_new)
-            if f_new <= f_limit + _LS_GAMMA * step * descent:
-                accepted = True
-                break
-            step *= 0.5
-        iters += 1
-        if not accepted:
-            break  # stationary on this ball
-        g_new = -(a.T @ r_new)
-        y = g_new - g
-        sty = float(s @ y)
-        step_scale = (
-            min(_BB_MAX, max(_BB_MIN, float(s @ s) / sty)) if sty > 0.0 else _BB_MAX
-        )
-        x, r, g, f = x_new, r_new, g_new, f_new
-        history.append(f)
-    rnorm = float(np.linalg.norm(r))
-    dual_inf = float(np.abs(a.T @ r).max())
-    lower = 0.0 if rnorm == 0.0 else max(float(b @ r) - radius * dual_inf, 0.0) / rnorm
-    return x, r, rnorm, dual_inf, lower, iters
-
-
 def solve(spec: SolveSpec) -> RecoveryResult:
     """Minimize ||c||_1 subject to ||A c - b||_2 <= epsilon.
 
-    A converged result satisfies ||A c - b||_2 <= epsilon + opt_tol * ||b||_2.
-    If ||b||_2 <= epsilon the zero vector is optimal and returned at once.
+    A converged result satisfies ||A c - b||_2 <= epsilon + opt_tol * ||b||_2
+    and passed the path's optimality check. If ||b||_2 <= epsilon the zero
+    vector is optimal and returned at once.
 
     With epsilon == 0 the problem is a linear program and HiGHS solves it:
-    ``iterations`` counts HiGHS iterations, ``tau_final`` is ||c||_1 and
-    the curve trace holds the single point (||c||_1, residual). If HiGHS
-    stops without an optimum (iteration limit, inconsistent system) or its
-    answer misses the residual bound, the Pareto root finder takes the
-    instance with the rest of ``max_iters``; if it does not converge either,
-    the answer with the smaller residual is returned, unconverged. Every
-    epsilon > 0 goes to the Pareto root finder directly.
+    ``iterations`` counts HiGHS iterations, ``tau_final`` is ||c||_1 and the
+    curve trace holds the single point (||c||_1, residual). If HiGHS stops
+    without an optimum (iteration limit, inconsistent system) or its answer
+    misses the residual bound, the LASSO path takes the instance with the rest
+    of ``max_iters``; if it does not converge either, the answer with the
+    smaller residual is returned, unconverged. Every epsilon > 0 goes to the
+    LASSO path directly; there ``iterations`` counts path steps (at most
+    ``max_iters``) and ``tau_final`` is ||c||_1. An instance whose target
+    residual lies below the least-squares residual ends at the least-squares
+    solution, unconverged.
     """
     bnorm = float(np.linalg.norm(spec.rhs))
     if bnorm <= spec.epsilon:
@@ -187,13 +130,13 @@ def solve(spec: SolveSpec) -> RecoveryResult:
             np.zeros(spec.matrix.shape[1]), bnorm, 0, True, 0.0, ((0.0, bnorm),)
         )
     if spec.epsilon > 0.0:
-        return solve_pareto(spec, spec.max_iters)
+        return _lasso_path(spec, spec.max_iters)
     lp = _basis_pursuit_lp(spec, bnorm)
     if lp.converged:
         return lp
-    fallback = solve_pareto(spec, spec.max_iters - lp.iterations)
+    fallback = _lasso_path(spec, spec.max_iters - lp.iterations)
     # An LP vertex that misses a very tight bound can still beat an
-    # unconverged Pareto answer; return the smaller residual.
+    # unconverged path answer; return the smaller residual.
     lp_better = not fallback.converged and lp.residual_norm < fallback.residual_norm
     best = lp if lp_better else fallback
     return replace(best, iterations=lp.iterations + fallback.iterations)
@@ -224,82 +167,101 @@ def _basis_pursuit_lp(spec: SolveSpec, bnorm: float) -> RecoveryResult:
     return RecoveryResult(x, residual, nit, converged, l1, ((l1, residual),))
 
 
-def solve_pareto(spec: SolveSpec, max_iters: int) -> RecoveryResult:
-    """Pareto root finding with SPG inner solves, for any epsilon.
+def _lasso_path(spec: SolveSpec, budget: int) -> RecoveryResult:
+    """Follow the LASSO path from c = 0 until the residual crosses the target.
 
-    Same contract as ``solve``, with a budget of ``max_iters`` SPG iterations
-    in place of ``spec.max_iters``; with no budget left the result is the zero
-    vector. Called directly, it also runs exact (epsilon == 0) instances.
+    Takes at most ``budget`` path steps (none if it is not positive). Each
+    step solves the Gram system of the active set for p and d, then moves lam
+    to the next event: the residual crossing, a column joining or an active
+    coefficient reaching zero, or lam = 0. The next segment may not undo the
+    change at the same lam, where rounding would put its event: a column that
+    joined may not drop, and one that dropped may not rejoin with its old sign.
     """
     a, b = spec.matrix, spec.rhs
+    rows, cols = a.shape
     bnorm = float(np.linalg.norm(b))
-    target = spec.epsilon + spec.opt_tol * bnorm
-    floor = 0.999 * target
-    x = np.zeros(a.shape[1])
-    r = b.copy()
-    phi = bnorm
-    dual_inf = float(np.abs(a.T @ r).max())
-    tau = 0.0
-    # Bracket around the smallest tau with phi(tau) <= target. tau_lo holds
-    # a point whose residual is certifiably above target, tau_hi one whose
-    # residual already fell below the acceptance band.
-    tau_lo, tau_hi = 0.0, math.inf
-    trace = [(0.0, phi)]
-    total_iters = 0
-    converged = phi <= target
-    gap_tol = 0.1
-    tighten_left = 3
-    # Smallest-l1 point seen with residual at or below target. Adopting it
-    # when the root-finding stalls keeps the answer feasible even if inner
-    # solves stagnate at floating-point resolution near the root.
-    witness = None
-    if not converged and dual_inf > 0.0:
-        tau = phi * (phi - spec.epsilon) / dual_inf
-        # Newton from the left on the convex, decreasing Pareto curve. The
-        # inner solve certifies each new left endpoint through its duality
-        # bound; an uncertified point is re-solved with a tighter gap, and
-        # a step that lands past the band falls back to bisection.
-        for _ in range(_MAX_OUTER):
-            budget = max_iters - total_iters
-            bracket_done = tau_hi - tau_lo <= 1e-12 * max(1.0, tau_hi)
-            if budget <= 0 or (bracket_done and witness is not None):
-                break
-            x, r, phi, dual_inf, lower, iters = _spg_lasso(a, b, tau, x, gap_tol, target, budget)
-            total_iters += iters
-            if phi <= target:
-                l1 = float(np.abs(x).sum())
-                if witness is None or l1 < witness[0]:
-                    witness = (l1, phi, x.copy(), r.copy(), tau)
-                if phi >= floor or tau - tau_lo <= 1e-12 * max(1.0, tau):
-                    # In the band, or the curve drops through it almost
-                    # vertically and tau is optimal to bracket width.
-                    trace.append((tau, phi))
-                    converged = True
-                    break
-                tau_hi = tau
-                tau = 0.5 * (tau_lo + tau_hi)
-                continue
-            if lower <= target and tighten_left > 0:
-                # Not yet certified above the band; re-solve in place.
-                gap_tol = max(1e-14, 0.1 * gap_tol)
-                tighten_left -= 1
-                continue
-            trace.append((tau, phi))
-            tau_lo = tau
-            tighten_left = 3
-            if dual_inf <= 1e-15 * max(1.0, phi):
-                break
-            tau_new = tau + phi * (phi - spec.epsilon) / dual_inf
-            if not np.isfinite(tau_new) or tau_new <= tau:
-                break
-            tau = tau_new if tau_new < tau_hi else 0.5 * (tau_lo + tau_hi)
-            # Solve loosely while far from the root, tightly near it.
-            gap_tol = max(spec.opt_tol, min(0.1, 0.1 * (phi - spec.epsilon) / bnorm))
-    if not converged and witness is not None:
-        _, phi, x, r, tau = witness
-        trace.append((tau, phi))
-        converged = True
-    return RecoveryResult(x, phi, total_iters, bool(converged), tau, tuple(trace))
+    aim = spec.epsilon + _AIM * spec.opt_tol * bnorm
+    gram = a.T @ a
+    atb = a.T @ b
+    lam0 = float(np.abs(atb).max())
+    lam = lam0
+    c = np.zeros(cols)
+    trace = [(0.0, bnorm)]
+    crossed = bnorm <= aim
+    first = int(np.argmax(np.abs(atb)))
+    changed, changed_sign = first, float(np.sign(atb[first]))
+    active, signs = [first], [changed_sign]
+    steps = 0
+    while not crossed and steps < budget:
+        idx = np.array(active)
+        s = np.array(signs)
+        try:
+            sol = np.linalg.solve(gram[np.ix_(idx, idx)], np.column_stack([atb[idx], s]))
+        except np.linalg.LinAlgError:
+            break  # the active columns are linearly dependent
+        p, d = sol[:, 0], sol[:, 1]
+        # On this segment r(lam') = r_ls + lam' u and A^T r(lam') = q + lam' v.
+        a_active = a[:, idx]
+        r_ls = b - a_active @ p
+        u = a_active @ d
+        q, v = (a.T @ np.column_stack([r_ls, u])).T
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # Joins where A^T r(lam') = +lam' or -lam'; drops where c_I(lam') = 0.
+            joins = [_below(q / (1.0 - v), lam), _below(-q / (1.0 + v), lam)]
+            drops = _below(p / d, lam)
+        if changed in active:
+            drops[active.index(changed)] = -np.inf
+        else:
+            joins[0 if changed_sign > 0 else 1][changed] = -np.inf
+        events = np.maximum(*joins)
+        if len(active) >= rows:
+            events[:] = -np.inf  # as many columns as rows span b: no join
+        events[idx] = drops
+        lam_next = max(float(events.max()), 0.0)
+        # ||r(lam')||^2 = aim^2 is a quadratic in lam'; its larger root is the
+        # crossing. Beyond reach (||r_ls|| >= aim) the segment has none.
+        rr, ru, uu = float(r_ls @ r_ls), float(r_ls @ u), float(u @ u)
+        slack = aim * aim - rr
+        if slack > 0.0:
+            lam_cross = min(slack / (ru + np.sqrt(ru * ru + uu * slack)), lam)
+            crossed = lam_cross >= lam_next
+        steps += 1
+        lam = lam_cross if crossed else lam_next
+        c[idx] = p - lam * d
+        rnorm = float(np.linalg.norm(r_ls + lam * u))
+        if not crossed and lam_next > 0.0:
+            changed = int(np.argmax(events))
+            if changed in active:
+                position = active.index(changed)
+                changed_sign = signs.pop(position)
+                del active[position]
+                c[changed] = 0.0
+            else:
+                changed_sign = float(np.sign(q[changed] + lam * v[changed]))
+                active.append(changed)
+                signs.append(changed_sign)
+        trace.append((float(np.abs(c).sum()), rnorm))
+        if lam_next == 0.0 and not crossed:
+            break  # least-squares end of the path
+    r = b - a @ c
+    residual = float(np.linalg.norm(r))
+    optimal = _kkt_holds(a.T @ r, c, lam, lam0)
+    converged = optimal and crossed and residual <= spec.epsilon + spec.opt_tol * bnorm
+    l1 = float(np.abs(c).sum())
+    return RecoveryResult(c, residual, steps, bool(converged), l1, tuple(trace))
+
+
+def _below(roots, lam):
+    """The roots in [0, lam), with -inf for the rest (and for NaN)."""
+    return np.where((roots >= 0.0) & (roots < lam), roots, -np.inf)
+
+
+def _kkt_holds(correlation, c, lam, lam0) -> bool:
+    """Optimality of c for the LASSO at lam, to _KKT_TOL relative to lam0."""
+    on = c != 0.0
+    slack = _KKT_TOL * lam0
+    on_ok = np.all(np.abs(correlation[on] - lam * np.sign(c[on])) <= slack)
+    return bool(on_ok and np.all(np.abs(correlation[~on]) <= lam + slack))
 
 
 def brute_force_l0(matrix: np.ndarray, rhs: np.ndarray, s_max: int, tol: float = 1e-10) -> np.ndarray:

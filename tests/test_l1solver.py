@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gradpce
+from gradpce import adjoint_bvp, harness, l1solver
 from gradpce.design import mic, recovery_guarantee
+from gradpce.harness import ExperimentConfig
 from gradpce.l1solver import (
     NoSparseFit,
     RecoveryResult,
@@ -18,7 +20,6 @@ from gradpce.l1solver import (
     brute_force_l0,
     project_l1_ball,
     solve,
-    solve_pareto,
 )
 
 
@@ -96,17 +97,19 @@ class TestSolve:
             np.testing.assert_allclose(oracle, coeffs, atol=1e-8)
 
     def test_matches_lp_oracle_on_underdetermined_systems(self):
-        # solve_pareto keeps the SPG root finder, which solve no longer uses
-        # at epsilon == 0, under the same accuracy check.
+        # A tiny epsilon sends the instance down the LASSO path, which solve
+        # uses for every epsilon > 0 and for the LP hand-off; both paths meet
+        # the same accuracy check.
         rng = np.random.default_rng(7)
         for _ in range(5):
             a = rng.standard_normal((15, 40))
             coeffs = np.zeros(40)
             coeffs[rng.choice(40, 3, replace=False)] = rng.standard_normal(3)
             b = a @ coeffs
-            spec = SolveSpec(a, b, opt_tol=1e-9)
+            exact = SolveSpec(a, b, opt_tol=1e-9)
+            denoised = SolveSpec(a, b, epsilon=1e-12 * np.linalg.norm(b), opt_tol=1e-9)
             lp = basis_pursuit_dual(a, b)
-            for result in (solve(spec), solve_pareto(spec, spec.max_iters)):
+            for result in (solve(exact), solve(denoised)):
                 assert result.converged
                 assert np.abs(result.coefficients).sum() <= np.abs(lp).sum() + 1e-6
                 np.testing.assert_allclose(result.coefficients, lp, atol=2e-5)
@@ -136,16 +139,21 @@ class TestSolve:
         assert np.abs(relaxed.coefficients).sum() < np.abs(exact.coefficients).sum()
 
     def test_pareto_trace_monotone(self):
-        # A positive epsilon keeps the instance on the Pareto root finder.
+        # A positive epsilon keeps the instance on the LASSO path, which
+        # traces the Pareto curve: over its breakpoints ||c||_1 never falls
+        # and the residual never rises.
         rng = np.random.default_rng(11)
         for _ in range(10):
             a = rng.standard_normal((10, 25))
             b = rng.standard_normal(10)
             result = solve(SolveSpec(a, b, epsilon=1e-6 * np.linalg.norm(b), opt_tol=1e-8))
+            assert result.converged
+            assert len(result.curve_trace) == result.iterations + 1
             taus = [t for t, _ in result.curve_trace]
             phis = [p for _, p in result.curve_trace]
             assert taus == sorted(taus)
             assert all(p1 >= p2 - 1e-12 for p1, p2 in zip(phis, phis[1:]))
+            assert taus[-1] == result.tau_final
 
     def test_scaling_equivariance(self):
         rng = np.random.default_rng(19)
@@ -179,9 +187,10 @@ class TestSolve:
 
     def test_lp_optimum_missing_residual_bound_is_handed_off(self):
         # converged follows the measured residual, not the LP status: no
-        # floating-point residual meets 1e-30 * ||b||, so the Pareto root
-        # finder spends the rest of the budget, and the LP vertex, whose
-        # residual is smaller than the Pareto answer's, is returned.
+        # floating-point residual meets 1e-30 * ||b||, so the LASSO path takes
+        # the instance with the rest of the budget, and whichever of its
+        # answer and the LP vertex has the smaller residual is returned, with
+        # both solvers' iterations counted.
         rng = np.random.default_rng(41)
         a = rng.standard_normal((10, 30))
         b = rng.standard_normal(10)
@@ -203,6 +212,54 @@ class TestSolve:
         )
         least_squares = np.linalg.lstsq(a, b, rcond=None)[0]
         assert result.residual_norm <= np.linalg.norm(a @ least_squares - b) * (1 + 1e-6)
+        # The path ends at lam = 0, the least-squares solution itself.
+        deviation = np.linalg.norm(result.coefficients - least_squares)
+        assert deviation <= 1e-10 * np.linalg.norm(least_squares)
+
+    def test_unreachable_target_ends_at_min_l1_interpolant(self):
+        # Once the active set holds as many columns as there are rows it
+        # spans the data, so no column can join: a target below rounding
+        # level ends the path at lam = 0 on that set, the basis-pursuit
+        # solution, instead of adding columns that make the Gram singular.
+        rng = np.random.default_rng(47)
+        for _ in range(10):
+            a = rng.standard_normal((10, 30))
+            b = rng.standard_normal(10)
+            bnorm = np.linalg.norm(b)
+            result = solve(SolveSpec(a, b, epsilon=1e-30 * bnorm, opt_tol=1e-30))
+            l1 = np.abs(basis_pursuit_dual(a, b)).sum()
+            assert not result.converged
+            assert result.residual_norm <= 1e-12 * bnorm
+            assert abs(result.tau_final - l1) <= 1e-8 * l1
+
+    def test_every_path_exit_checks_optimality(self, monkeypatch):
+        # The path exits at the residual crossing, at the least-squares end
+        # (lam = 0) or on the step budget; each exit runs the KKT check once,
+        # and a failed check leaves the answer unconverged.
+        checks = []
+
+        def failing_check(*args):
+            checks.append(args)
+            return False
+
+        rng = np.random.default_rng(43)
+        wide = rng.standard_normal((10, 30))
+        tall = rng.standard_normal((40, 10))
+        specs = {
+            "crossing": SolveSpec(wide, rng.standard_normal(10), epsilon=1e-3),
+            "least squares": SolveSpec(tall, rng.standard_normal(40), epsilon=1e-3),
+            "budget": SolveSpec(wide, rng.standard_normal(10), epsilon=1e-3, max_iters=2),
+        }
+        passing = {name: solve(spec) for name, spec in specs.items()}
+        assert passing["crossing"].converged
+        assert passing["least squares"].iterations < 10_000
+        assert passing["budget"].iterations == 2
+        monkeypatch.setattr(l1solver, "_kkt_holds", failing_check)
+        for name, spec in specs.items():
+            result = solve(spec)
+            assert not result.converged, name
+            np.testing.assert_array_equal(result.coefficients, passing[name].coefficients)
+        assert len(checks) == len(specs)
 
     def test_validation_errors(self):
         with pytest.raises(ValueError, match="finite"):
@@ -213,6 +270,93 @@ class TestSolve:
             SolveSpec(np.eye(3), np.ones(2))
         with pytest.raises(ValueError, match="epsilon"):
             SolveSpec(np.eye(2), np.ones(2), epsilon=-1.0)
+
+
+class TestHarnessScale:
+    """The LASSO path on the epsilon > 0 and hand-off solves the drivers make."""
+
+    @staticmethod
+    def _record(monkeypatch, run):
+        solves = []
+
+        def recording_solve(spec):
+            result = l1solver.solve(spec)
+            solves.append((spec, result))
+            return result
+
+        monkeypatch.setattr(harness, "solve", recording_solve)
+        run()
+        return solves
+
+    @pytest.mark.parametrize("driver", ["bvp", "rmse"])
+    def test_bpdn_solves_certified_by_weak_duality(self, monkeypatch, driver):
+        # One bvp-adjoint operation (dim 3, degree 4: 35 columns, 10-160 rows)
+        # and the default rmse config (f2, 3 trials: 231 columns). For a
+        # feasible instance, y = r / ||A^T r||_inf is dual feasible for
+        # min ||c||_1 s.t. ||A c - b|| <= t, so b^T y - t ||y|| bounds the
+        # optimum from below, independently of the solver. The gap measured
+        # up to 4.1e-7 ||c||_1 (bvp) and 1.5e-7 ||c||_1 (rmse), from rounding
+        # in A^T r at the small lam of the crossing; an instance whose
+        # least-squares residual exceeds t must end at that residual (measured
+        # to 3.4e-11 relative).
+        if driver == "bvp":
+            solves = self._record(monkeypatch, lambda: adjoint_bvp.run_bvp_benchmark(
+                adjoint_bvp.DiffusionModel(dim=3), 4, (10, 20, 40), seed=7))
+            assert {spec.matrix.shape for spec, _ in solves} == {
+                (n, 35) for n in (10, 20, 40, 80, 160)}
+        else:
+            solves = self._record(monkeypatch, lambda: harness.run_rmse_benchmark(
+                ExperimentConfig(kind="rmse", trials=3, target="f2")))
+            assert len(solves) == 30
+            assert {spec.matrix.shape[1] for spec, _ in solves} == {231}
+        feasible = 0
+        for spec, result in solves:
+            a, b = spec.matrix, spec.rhs
+            assert spec.epsilon > 0.0
+            target = spec.epsilon + spec.opt_tol * np.linalg.norm(b)
+            least_squares = np.linalg.lstsq(a, b, rcond=None)[0]
+            floor = np.linalg.norm(a @ least_squares - b)
+            if floor < target:
+                feasible += 1
+                r = b - a @ result.coefficients
+                y = r / np.abs(a.T @ r).max()
+                l1 = np.abs(result.coefficients).sum()
+                assert result.converged
+                assert result.residual_norm <= target
+                assert l1 - (b @ y - target * np.linalg.norm(y)) <= 1e-5 * l1
+            else:
+                assert not result.converged
+                assert abs(result.residual_norm - floor) <= 1e-9 * floor
+        assert feasible >= (2 if driver == "bvp" else 30)
+
+    def test_inconsistent_exact_fits_hand_off_to_least_squares(self, monkeypatch):
+        # epsilon = 0 rmse fits (dim 2, degree 8: 45 columns) with more rows
+        # than columns are inconsistent, so HiGHS reports them infeasible and
+        # the LASSO path takes them: it must end at the least-squares residual
+        # in a bounded number of steps (47-169 measured, against a budget of
+        # ~9,900), not spend the budget.
+        handed_off = []
+        path = l1solver._lasso_path
+
+        def recording_path(spec, budget):
+            result = path(spec, budget)
+            handed_off.append((spec, result))
+            return result
+
+        monkeypatch.setattr(l1solver, "_lasso_path", recording_path)
+        solves = self._record(monkeypatch, lambda: harness.run_rmse_benchmark(ExperimentConfig(
+            kind="rmse", dim=2, degree=8, sample_grid=(20, 50), trials=2, target="f3",
+            epsilon=0.0)))
+        assert len(solves) == 8
+        assert len(handed_off) >= 4
+        for spec, result in handed_off:
+            a, b = spec.matrix, spec.rhs
+            least_squares = np.linalg.lstsq(a, b, rcond=None)[0]
+            floor = np.linalg.norm(a @ least_squares - b)
+            assert floor > spec.opt_tol * np.linalg.norm(b)
+            assert not result.converged
+            assert result.iterations <= 5 * a.shape[1]
+            assert abs(result.residual_norm - floor) <= 1e-9 * floor
 
 
 def test_import_leaves_scipy_optimize_unloaded():
