@@ -32,7 +32,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, help="JSON experiment configuration")
     parser.add_argument("--seed", type=int, help="override the configured seed")
     parser.add_argument("--out", type=Path, default=Path("."), help="output directory")
-    parser.add_argument("--threads", type=int, default=1, help="worker thread count")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
@@ -66,11 +65,11 @@ def _emit(table, out_dir: Path, stem: str, fmt: str) -> Path:
 def _run_experiment(args, command: str) -> int:
     config = _load_config(args, command)
     if command == "mic-sweep":
-        table = run_mic_sweep(config, threads=args.threads)
+        table = run_mic_sweep(config)
     elif command == "recover":
-        table = run_recovery_benchmark(config, threads=args.threads)
+        table = run_recovery_benchmark(config)
     else:
-        table = run_rmse_benchmark(config, threads=args.threads)
+        table = run_rmse_benchmark(config)
     _emit(table, args.out, command.replace("-", "_"), args.format)
     return 0
 

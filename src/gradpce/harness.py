@@ -2,14 +2,13 @@
 
 Every run is reproducible: the configuration seed is split into one stream
 per trial and, within a trial, one stream per grid point, so results do not
-depend on scheduling or on which grid points are requested together.
+depend on trial order or on which grid points are requested together.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from functools import partial
 from typing import Callable
@@ -359,14 +358,7 @@ def _recovery_trial(config: ExperimentConfig, basis: PceBasis, grid, trial: int)
     return outcomes
 
 
-def _run_trials(worker, trials: int, threads: int):
-    if threads <= 1:
-        return [worker(t) for t in range(trials)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, range(trials)))
-
-
-def run_recovery_benchmark(config: ExperimentConfig, threads: int = 1) -> ResultTable:
+def run_recovery_benchmark(config: ExperimentConfig) -> ResultTable:
     """Success fraction per (mode, grid point) over seeded random trials."""
     if config.kind not in ("recovery-vs-N", "recovery-vs-s"):
         raise ValueError("config kind must be recovery-vs-N or recovery-vs-s")
@@ -376,9 +368,7 @@ def run_recovery_benchmark(config: ExperimentConfig, threads: int = 1) -> Result
     if max_s > basis.size:
         raise ValueError("sparsity exceeds the basis size")
     trials = config.effective_trials
-    per_trial = _run_trials(
-        lambda t: _recovery_trial(config, basis, grid, t), trials, threads
-    )
+    per_trial = [_recovery_trial(config, basis, grid, t) for t in range(trials)]
     rows = []
     grid_label = "N" if config.kind == "recovery-vs-N" else "s"
     for mode in config.modes:
@@ -408,13 +398,13 @@ def _mic_trial(config: ExperimentConfig, basis: PceBasis, trial: int):
     return out
 
 
-def run_mic_sweep(config: ExperimentConfig, threads: int = 1) -> ResultTable:
+def run_mic_sweep(config: ExperimentConfig) -> ResultTable:
     """Average mutual coherence of the value, stacked, and weighted systems."""
     if config.kind != "mic-sweep":
         raise ValueError("config kind must be mic-sweep")
     basis = PceBasis.from_measure(Measure.parse(config.measure), config.dim, config.degree)
     trials = config.effective_trials
-    per_trial = _run_trials(lambda t: _mic_trial(config, basis, t), trials, threads)
+    per_trial = [_mic_trial(config, basis, t) for t in range(trials)]
     rows = []
     for which, matrix_id in enumerate(MATRIX_IDS):
         for gi, n in enumerate(config.sample_grid):
@@ -453,7 +443,7 @@ def _rmse_trial(config, basis, target: TargetFunction, val_matrix, val_truth, tr
     return out
 
 
-def run_rmse_benchmark(config: ExperimentConfig, threads: int = 1) -> ResultTable:
+def run_rmse_benchmark(config: ExperimentConfig) -> ResultTable:
     """Median validation error per (mode, N) against a held-out uniform grid."""
     if config.kind != "rmse":
         raise ValueError("config kind must be rmse")
@@ -468,9 +458,7 @@ def run_rmse_benchmark(config: ExperimentConfig, threads: int = 1) -> ResultTabl
     val_matrix = basis.matrix(validation.points)
     val_truth = fn.values(validation.points)
     trials = config.effective_trials
-    per_trial = _run_trials(
-        lambda t: _rmse_trial(config, basis, fn, val_matrix, val_truth, t), trials, threads
-    )
+    per_trial = [_rmse_trial(config, basis, fn, val_matrix, val_truth, t) for t in range(trials)]
     rows = []
     for mode in config.modes:
         for gi, n in enumerate(config.sample_grid):

@@ -1,39 +1,38 @@
-"""Basis pursuit (denoise): exact BP as a linear program, BPDN on the LASSO path.
+"""Basis pursuit (denoise) on the LASSO path.
 
-Exact basis pursuit, min ||c||_1 subject to A c = b, is a linear program
-(Chen, Donoho & Saunders, 1998) and is solved as one with HiGHS: a simplex
-solve returns a vertex, which reproduces b to rounding error in a bounded
-number of pivots, where a first-order method only approaches it to within its
-iteration budget.
+Basis pursuit, min ||c||_1 subject to ||A c - b||_2 <= epsilon, is solved
+exactly on the LASSO path c(lam) = argmin 0.5 ||A c - b||^2 + lam ||c||_1, the
+homotopy of Osborne, Presnell & Turlach (2000) and Efron et al. ("Least angle
+regression", 2004). Between breakpoints the path is linear in lam: on the
+active set I with signs s, c_I(lam) = p - lam d where G = A_I^T A_I,
+p = G^-1 A_I^T b and d = G^-1 s. It starts at c = 0, lam = ||A^T b||_inf; each
+breakpoint adds the inactive column whose correlation reaches lam or drops the
+active coefficient that reaches zero. The residual norm falls along the path.
 
-Basis-pursuit denoise, min ||c||_1 subject to ||A c - b||_2 <= epsilon with
-epsilon > 0, is solved exactly on the LASSO path
-c(lam) = argmin 0.5 ||A c - b||^2 + lam ||c||_1, the homotopy of Osborne,
-Presnell & Turlach (2000) and Efron et al. ("Least angle regression", 2004).
-Between breakpoints the path is linear in lam: on the active set I with signs
-s, c_I(lam) = p - lam d where G = A_I^T A_I, p = G^-1 A_I^T b and d = G^-1 s.
-It starts at c = 0, lam = ||A^T b||_inf; each breakpoint adds the inactive
-column whose correlation reaches lam or drops the active coefficient that
-reaches zero. The residual norm falls along the path, and the solve stops at
-the lam where it crosses the target, the root of a scalar quadratic. A path
-that reaches lam = 0 first ends at the least-squares solution on its support:
-the target is out of reach, and that answer is returned unconverged. The same
-path takes over an exact instance the LP leaves unsolved.
+With epsilon > 0 the solve stops at the lam where the residual crosses the
+target, the root of a scalar quadratic. With epsilon = 0 (exact basis pursuit)
+it stops on the first segment whose least-squares residual ||b - A_I p|| meets
+the target and whose p keeps the active signs, and returns c_I = p, the
+lam -> 0 limit of the path and the basis-pursuit minimizer. A path that
+reaches lam = 0 first ends at the least-squares solution on its support: the
+target is out of reach, and that answer is returned unconverged.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
 
-# The path stops at epsilon + _AIM * opt_tol * ||b||, inside the residual
+# The path aims at epsilon + _AIM * opt_tol * ||b||, inside the residual
 # bound, so that rounding in the residual cannot push a converged answer out.
 _AIM = 0.9999
 # Optimality check at every path exit, relative to lam_0 = ||A^T b||_inf:
 # |A^T r - lam sign(c)| <= _KKT_TOL lam_0 on the support, and
-# |A^T r| <= lam + _KKT_TOL lam_0 off it, with r = b - A c.
+# |A^T r| <= lam + _KKT_TOL lam_0 off it, with r = b - A c. At the exact
+# (epsilon = 0) exit it is also the sign tolerance on p, and the dual
+# certificate y = A_I d must satisfy ||A^T y||_inf <= 1 + _KKT_TOL.
 _KKT_TOL = 1e-9
 
 
@@ -78,8 +77,7 @@ class RecoveryResult:
     converged: bool
     tau_final: float
     # One (||c||_1, residual norm) entry per breakpoint of the LASSO path,
-    # from (0, ||b||) to the exit point; a single entry for a linear-programming
-    # solve.
+    # from (0, ||b||) to the exit point.
     curve_trace: tuple[tuple[float, float], ...] = ()
 
 
@@ -106,79 +104,38 @@ def project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
 
 
 def solve(spec: SolveSpec) -> RecoveryResult:
-    """Minimize ||c||_1 subject to ||A c - b||_2 <= epsilon.
+    """Minimize ||c||_1 subject to ||A c - b||_2 <= epsilon on the LASSO path.
 
     A converged result satisfies ||A c - b||_2 <= epsilon + opt_tol * ||b||_2
     and passed the path's optimality check. If ||b||_2 <= epsilon the zero
-    vector is optimal and returned at once.
-
-    With epsilon == 0 the problem is a linear program and HiGHS solves it:
-    ``iterations`` counts HiGHS iterations, ``tau_final`` is ||c||_1 and the
-    curve trace holds the single point (||c||_1, residual). If HiGHS stops
-    without an optimum (iteration limit, inconsistent system) or its answer
-    misses the residual bound, the LASSO path takes the instance with the rest
-    of ``max_iters``; if it does not converge either, the answer with the
-    smaller residual is returned, unconverged. Every epsilon > 0 goes to the
-    LASSO path directly; there ``iterations`` counts path steps (at most
-    ``max_iters``) and ``tau_final`` is ||c||_1. An instance whose target
-    residual lies below the least-squares residual ends at the least-squares
-    solution, unconverged.
+    vector is optimal and returned at once. ``iterations`` counts path steps
+    (at most ``max_iters``) and ``tau_final`` is ||c||_1. An instance whose
+    target residual lies below the least-squares residual, such as an
+    inconsistent system at epsilon = 0, ends at the least-squares solution,
+    unconverged.
     """
     bnorm = float(np.linalg.norm(spec.rhs))
     if bnorm <= spec.epsilon:
         return RecoveryResult(
             np.zeros(spec.matrix.shape[1]), bnorm, 0, True, 0.0, ((0.0, bnorm),)
         )
-    if spec.epsilon > 0.0:
-        return _lasso_path(spec, spec.max_iters)
-    lp = _basis_pursuit_lp(spec, bnorm)
-    if lp.converged:
-        return lp
-    fallback = _lasso_path(spec, spec.max_iters - lp.iterations)
-    # An LP vertex that misses a very tight bound can still beat an
-    # unconverged path answer; return the smaller residual.
-    lp_better = not fallback.converged and lp.residual_norm < fallback.residual_norm
-    best = lp if lp_better else fallback
-    return replace(best, iterations=lp.iterations + fallback.iterations)
+    return _lasso_path(spec)
 
 
-def _basis_pursuit_lp(spec: SolveSpec, bnorm: float) -> RecoveryResult:
-    """Exact basis pursuit as min 1^T (u + v) s.t. [A, -A][u; v] = b, u, v >= 0.
+def _lasso_path(spec: SolveSpec) -> RecoveryResult:
+    """Follow the LASSO path from c = 0 until the residual meets the target.
 
-    ``converged`` is the measured residual bound ||A c - b|| <= opt_tol * ||b||,
-    not the HiGHS status; without an optimum the result is the zero vector.
-    """
-    # Deferred: importing scipy.optimize adds ~0.15 s to ``import gradpce``.
-    from scipy.optimize import linprog
-
-    a, b = spec.matrix, spec.rhs
-    m = a.shape[1]
-    res = linprog(
-        np.ones(2 * m), A_eq=np.hstack([a, -a]), b_eq=b, bounds=(0.0, None),
-        method="highs", options={"maxiter": spec.max_iters},
-    )
-    nit = int(res.nit)
-    if res.status != 0:
-        return RecoveryResult(np.zeros(m), bnorm, nit, False, 0.0, ((0.0, bnorm),))
-    x = res.x[:m] - res.x[m:]
-    residual = float(np.linalg.norm(a @ x - b))
-    l1 = float(np.abs(x).sum())
-    converged = residual <= spec.opt_tol * bnorm
-    return RecoveryResult(x, residual, nit, converged, l1, ((l1, residual),))
-
-
-def _lasso_path(spec: SolveSpec, budget: int) -> RecoveryResult:
-    """Follow the LASSO path from c = 0 until the residual crosses the target.
-
-    Takes at most ``budget`` path steps (none if it is not positive). Each
-    step solves the Gram system of the active set for p and d, then moves lam
-    to the next event: the residual crossing, a column joining or an active
-    coefficient reaching zero, or lam = 0. The next segment may not undo the
-    change at the same lam, where rounding would put its event: a column that
-    joined may not drop, and one that dropped may not rejoin with its old sign.
+    Takes at most ``spec.max_iters`` path steps. Each step solves the Gram
+    system of the active set for p and d, then moves lam to the next event:
+    the residual crossing (epsilon > 0), the exact exit at lam = 0
+    (epsilon = 0), a column joining or an active coefficient reaching zero,
+    or lam = 0. The next segment may not undo the change at the same lam,
+    where rounding would put its event: a column that joined may not drop,
+    and one that dropped may not rejoin with its old sign.
     """
     a, b = spec.matrix, spec.rhs
     rows, cols = a.shape
+    exact = spec.epsilon == 0.0
     bnorm = float(np.linalg.norm(b))
     aim = spec.epsilon + _AIM * spec.opt_tol * bnorm
     gram = a.T @ a
@@ -192,7 +149,7 @@ def _lasso_path(spec: SolveSpec, budget: int) -> RecoveryResult:
     changed, changed_sign = first, float(np.sign(atb[first]))
     active, signs = [first], [changed_sign]
     steps = 0
-    while not crossed and steps < budget:
+    while not crossed and steps < spec.max_iters:
         idx = np.array(active)
         s = np.array(signs)
         try:
@@ -218,11 +175,17 @@ def _lasso_path(spec: SolveSpec, budget: int) -> RecoveryResult:
             events[:] = -np.inf  # as many columns as rows span b: no join
         events[idx] = drops
         lam_next = max(float(events.max()), 0.0)
-        # ||r(lam')||^2 = aim^2 is a quadratic in lam'; its larger root is the
-        # crossing. Beyond reach (||r_ls|| >= aim) the segment has none.
         rr, ru, uu = float(r_ls @ r_ls), float(r_ls @ u), float(u @ u)
         slack = aim * aim - rr
-        if slack > 0.0:
+        if exact:
+            # A segment whose least-squares fit meets the target with the
+            # active signs (near-zero entries of either sign allowed) ends at
+            # its lam -> 0 limit, c_I = p.
+            crossed = slack > 0.0 and bool(np.all(s * p >= -_KKT_TOL * np.abs(p).max()))
+            lam_cross = 0.0
+        elif slack > 0.0:
+            # ||r(lam')||^2 = aim^2 is a quadratic in lam'; its larger root is
+            # the crossing. Beyond reach (||r_ls|| >= aim) the segment has none.
             lam_cross = min(slack / (ru + np.sqrt(ru * ru + uu * slack)), lam)
             crossed = lam_cross >= lam_next
         steps += 1
@@ -245,7 +208,12 @@ def _lasso_path(spec: SolveSpec, budget: int) -> RecoveryResult:
             break  # least-squares end of the path
     r = b - a @ c
     residual = float(np.linalg.norm(r))
-    optimal = _kkt_holds(a.T @ r, c, lam, lam0)
+    if exact and crossed:
+        # At lam = 0 the KKT check accepts any interpolant; y = A_I d, with
+        # A_I^T y = s and b^T y = s^T p = ||c||_1, certifies the minimum.
+        optimal = _dual_certified(v)
+    else:
+        optimal = _kkt_holds(a.T @ r, c, lam, lam0)
     converged = optimal and crossed and residual <= spec.epsilon + spec.opt_tol * bnorm
     l1 = float(np.abs(c).sum())
     return RecoveryResult(c, residual, steps, bool(converged), l1, tuple(trace))
@@ -262,6 +230,11 @@ def _kkt_holds(correlation, c, lam, lam0) -> bool:
     slack = _KKT_TOL * lam0
     on_ok = np.all(np.abs(correlation[on] - lam * np.sign(c[on])) <= slack)
     return bool(on_ok and np.all(np.abs(correlation[~on]) <= lam + slack))
+
+
+def _dual_certified(correlation) -> bool:
+    """Dual feasibility ||A^T y||_inf <= 1 of y = A_I d, to _KKT_TOL."""
+    return bool(np.abs(correlation).max() <= 1.0 + _KKT_TOL)
 
 
 def brute_force_l0(matrix: np.ndarray, rhs: np.ndarray, s_max: int, tol: float = 1e-10) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 All draws go through numpy's counter-based Philox generator keyed by a 64-bit
 seed, so a (seed, trial) pair pins every sample exactly, independent of
-execution order or thread count.  Chebyshev points use the exact inverse CDF
+execution order.  Chebyshev points use the exact inverse CDF
 z = cos(pi*u); general Jacobi points use the Beta inverse CDF, scipy's
 inverse of the regularized incomplete beta function.
 """

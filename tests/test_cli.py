@@ -79,8 +79,7 @@ class TestMicSweep:
             tmp_path / "config.json",
             kind="mic-sweep", degree=6, sample_grid=[30, 40], trials=2,
         )
-        code = main(["mic-sweep", "--config", str(config), "--out", str(tmp_path),
-                     "--threads", "2"])
+        code = main(["mic-sweep", "--config", str(config), "--out", str(tmp_path)])
         assert code == 0
         rows = read_csv(tmp_path / "mic_sweep.csv")
         assert rows[0] == ["matrix_id", "N", "mic"]

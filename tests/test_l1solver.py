@@ -97,9 +97,8 @@ class TestSolve:
             np.testing.assert_allclose(oracle, coeffs, atol=1e-8)
 
     def test_matches_lp_oracle_on_underdetermined_systems(self):
-        # A tiny epsilon sends the instance down the LASSO path, which solve
-        # uses for every epsilon > 0 and for the LP hand-off; both paths meet
-        # the same accuracy check.
+        # Both exits of the LASSO path meet the same accuracy check: the exact
+        # one (epsilon = 0) and the residual crossing at a tiny epsilon.
         rng = np.random.default_rng(7)
         for _ in range(5):
             a = rng.standard_normal((15, 40))
@@ -174,30 +173,33 @@ class TestSolve:
         assert not result.converged
         assert result.iterations <= 3
 
-    def test_exact_instance_reports_lp_telemetry(self):
+    def test_exact_instance_reports_path_telemetry(self):
+        # An exact solve traces the path from (0, ||b||) to its exit at
+        # (||c||_1, residual), one entry per step.
         rng = np.random.default_rng(31)
         a = rng.standard_normal((15, 40))
         b = a @ project_l1_ball(rng.standard_normal(40), 2.0)
         result = solve(SolveSpec(a, b))
         l1 = float(np.abs(result.coefficients).sum())
+        bnorm = float(np.linalg.norm(b))
         assert result.converged
         assert 0 < result.iterations <= 10_000
         assert result.tau_final == l1
-        assert result.curve_trace == ((l1, result.residual_norm),)
+        assert len(result.curve_trace) == result.iterations + 1
+        assert result.curve_trace[0] == (0.0, bnorm)
+        assert result.curve_trace[-1][0] == l1
+        assert result.curve_trace[-1][1] == pytest.approx(result.residual_norm, abs=1e-14 * bnorm)
 
-    def test_lp_optimum_missing_residual_bound_is_handed_off(self):
-        # converged follows the measured residual, not the LP status: no
-        # floating-point residual meets 1e-30 * ||b||, so the LASSO path takes
-        # the instance with the rest of the budget, and whichever of its
-        # answer and the LP vertex has the smaller residual is returned, with
-        # both solvers' iterations counted.
+    def test_unreachable_exact_bound_reports_unconverged(self):
+        # converged follows the measured residual: no floating-point residual
+        # meets 1e-30 * ||b||, so the path ends at lam = 0 within its budget
+        # and reports the interpolant it reached as unconverged.
         rng = np.random.default_rng(41)
         a = rng.standard_normal((10, 30))
         b = rng.standard_normal(10)
-        lp_iterations = solve(SolveSpec(a, b)).iterations
         result = solve(SolveSpec(a, b, opt_tol=1e-30, max_iters=200))
         assert not result.converged
-        assert lp_iterations < result.iterations <= 200
+        assert result.iterations <= 200
         assert result.residual_norm <= 1e-12 * np.linalg.norm(b)
 
     def test_inconsistent_system_hands_off_unconverged(self):
@@ -233,33 +235,60 @@ class TestSolve:
             assert abs(result.tau_final - l1) <= 1e-8 * l1
 
     def test_every_path_exit_checks_optimality(self, monkeypatch):
-        # The path exits at the residual crossing, at the least-squares end
-        # (lam = 0) or on the step budget; each exit runs the KKT check once,
-        # and a failed check leaves the answer unconverged.
+        # The path exits at the residual crossing, at the exact (epsilon = 0)
+        # end, at the least-squares end (lam = 0) or on the step budget. Each
+        # exit runs one optimality check once: the basis-pursuit dual
+        # certificate at the exact end, the KKT check elsewhere. A failed
+        # check leaves the answer unconverged.
         checks = []
 
-        def failing_check(*args):
-            checks.append(args)
-            return False
+        def failing(name):
+            def check(*args):
+                checks.append(name)
+                return False
+            return check
 
         rng = np.random.default_rng(43)
         wide = rng.standard_normal((10, 30))
         tall = rng.standard_normal((40, 10))
+        sparse = np.zeros(30)
+        sparse[[3, 11, 24]] = [1.0, -0.5, 2.0]
         specs = {
             "crossing": SolveSpec(wide, rng.standard_normal(10), epsilon=1e-3),
+            "exact": SolveSpec(wide, wide @ sparse),
             "least squares": SolveSpec(tall, rng.standard_normal(40), epsilon=1e-3),
             "budget": SolveSpec(wide, rng.standard_normal(10), epsilon=1e-3, max_iters=2),
         }
         passing = {name: solve(spec) for name, spec in specs.items()}
         assert passing["crossing"].converged
+        assert passing["exact"].converged
         assert passing["least squares"].iterations < 10_000
         assert passing["budget"].iterations == 2
-        monkeypatch.setattr(l1solver, "_kkt_holds", failing_check)
+        monkeypatch.setattr(l1solver, "_kkt_holds", failing("kkt"))
+        monkeypatch.setattr(l1solver, "_dual_certified", failing("certificate"))
         for name, spec in specs.items():
             result = solve(spec)
             assert not result.converged, name
             np.testing.assert_array_equal(result.coefficients, passing[name].coefficients)
-        assert len(checks) == len(specs)
+        assert checks == ["kkt", "certificate", "kkt", "kkt"]
+
+    def test_duplicated_rows_match_dual_oracle(self):
+        # Half the rows repeat the other half, so the design has rank 15 with
+        # 30 rows and the active Gram turns singular past 15 columns. Every
+        # exact solve still converges to the minimal l1 norm, up to sparsity
+        # beyond the recovery regime.
+        rng = np.random.default_rng(53)
+        for s in (4, 8, 12, 20):
+            for _ in range(2):
+                half = rng.standard_normal((15, 80))
+                a = np.vstack([half, half])[rng.permutation(30)]
+                coeffs = np.zeros(80)
+                coeffs[rng.choice(80, s, replace=False)] = rng.standard_normal(s)
+                b = a @ coeffs
+                result = solve(SolveSpec(a, b, opt_tol=1e-9))
+                l1 = np.abs(basis_pursuit_dual(a, b)).sum()
+                assert result.converged, s
+                assert abs(result.tau_final - l1) <= 1e-8 * l1, s
 
     def test_validation_errors(self):
         with pytest.raises(ValueError, match="finite"):
@@ -273,7 +302,7 @@ class TestSolve:
 
 
 class TestHarnessScale:
-    """The LASSO path on the epsilon > 0 and hand-off solves the drivers make."""
+    """The LASSO path on the solves the drivers make."""
 
     @staticmethod
     def _record(monkeypatch, run):
@@ -331,37 +360,31 @@ class TestHarnessScale:
 
     def test_inconsistent_exact_fits_hand_off_to_least_squares(self, monkeypatch):
         # epsilon = 0 rmse fits (dim 2, degree 8: 45 columns) with more rows
-        # than columns are inconsistent, so HiGHS reports them infeasible and
-        # the LASSO path takes them: it must end at the least-squares residual
-        # in a bounded number of steps (47-169 measured, against a budget of
-        # ~9,900), not spend the budget.
-        handed_off = []
-        path = l1solver._lasso_path
-
-        def recording_path(spec, budget):
-            result = path(spec, budget)
-            handed_off.append((spec, result))
-            return result
-
-        monkeypatch.setattr(l1solver, "_lasso_path", recording_path)
+        # than columns are inconsistent: their least-squares residual lies
+        # above the target. The path must end at that residual in a bounded
+        # number of steps (47-169 measured, against a budget of 10,000), not
+        # spend the budget.
         solves = self._record(monkeypatch, lambda: harness.run_rmse_benchmark(ExperimentConfig(
             kind="rmse", dim=2, degree=8, sample_grid=(20, 50), trials=2, target="f3",
             epsilon=0.0)))
         assert len(solves) == 8
-        assert len(handed_off) >= 4
-        for spec, result in handed_off:
+        inconsistent = 0
+        for spec, result in solves:
             a, b = spec.matrix, spec.rhs
             least_squares = np.linalg.lstsq(a, b, rcond=None)[0]
             floor = np.linalg.norm(a @ least_squares - b)
-            assert floor > spec.opt_tol * np.linalg.norm(b)
+            if floor <= spec.opt_tol * np.linalg.norm(b):
+                continue
+            inconsistent += 1
             assert not result.converged
             assert result.iterations <= 5 * a.shape[1]
             assert abs(result.residual_norm - floor) <= 1e-9 * floor
+        assert inconsistent >= 4
 
 
 def test_import_leaves_scipy_optimize_unloaded():
-    # linprog is imported on the first exact solve; importing scipy.optimize
-    # with the package would add its load time to every run's setup.
+    # No solver needs scipy.optimize; importing it with the package would add
+    # its load time (~0.15 s) to every run's start-up.
     src = str(Path(gradpce.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
