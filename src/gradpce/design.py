@@ -54,6 +54,8 @@ def _row_weights(basis: PceBasis, points: np.ndarray, directions: tuple[int, ...
     n = points.shape[0]
     if basis.kind != "jacobi":
         return np.ones(n * (1 + len(directions)))
+    # basis.matrix has rejected points beyond the clamp; clip the rest as it does.
+    points = np.clip(points, -1.0, 1.0)
     ratios = np.empty((basis.dim, n))
     raised = np.empty((basis.dim, n))
     for j, fam in enumerate(basis.families):

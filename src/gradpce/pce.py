@@ -105,7 +105,7 @@ class PceBasis:
 
     @staticmethod
     def from_measure(measure: Measure, dim: int, degree: int) -> "PceBasis":
-        fam = PolynomialFamily.from_measure(measure, max(degree, 1))
+        fam = PolynomialFamily(measure, max(degree, 1))
         return PceBasis(total_degree_set(dim, degree), (fam,) * dim)
 
     @staticmethod

@@ -4,11 +4,11 @@ Supports Jacobi polynomials (including the Legendre and Chebyshev special
 cases) orthonormal under the Beta-type density on [-1, 1], and probabilists'
 Hermite polynomials orthonormal under the standard Gaussian.  All evaluation
 runs through the three-term recurrence of the orthonormal family, which also
-yields derivatives exactly.  Gauss rules take their nodes from the
-eigenvalues of the symmetric tridiagonal (Jacobi) matrix built from the same
-recurrence coefficients, and their weights from the Christoffel function of
-the orthonormal table, which keeps the tiny tail weights of the Hermite and
-large-parameter Jacobi rules accurate to relative precision.
+yields derivatives exactly.  Gauss rules take their nodes from numpy's
+symmetric eigensolver applied to the Jacobi matrix, the tridiagonal matrix of
+the same recurrence coefficients, and their weights from the Christoffel
+function of the orthonormal table, which keeps the tiny tail weights of the
+Hermite and large-parameter Jacobi rules accurate to relative precision.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 # Inputs this close to the support edge are treated as the edge itself.
 JACOBI_CLAMP = 1e-14
@@ -118,9 +117,6 @@ class Measure:
         if self.params == LEGENDRE_PARAMS:
             return "uniform"
         return f"jacobi({self.params.alpha:g},{self.params.beta:g})"
-
-    def density(self, x) -> np.ndarray:
-        return density(self, x)
 
 
 def density(measure: Measure, x) -> np.ndarray:
@@ -239,10 +235,6 @@ class PolynomialFamily:
     def hermite(max_degree: int = 64) -> "PolynomialFamily":
         return PolynomialFamily(Measure.gaussian(), max_degree)
 
-    @staticmethod
-    def from_measure(measure: Measure, max_degree: int = 64) -> "PolynomialFamily":
-        return PolynomialFamily(measure, max_degree)
-
     # -- properties --------------------------------------------------------
 
     @property
@@ -341,9 +333,9 @@ class PolynomialFamily:
         family = self
         if m > self.max_degree + 1:
             family = PolynomialFamily(self.measure, m - 1, _validate=False)
-        nodes = eigh_tridiagonal(
-            family._rec_a[:m], family._rec_sqrt_b[1:m], eigvals_only=True
-        )
+        off = family._rec_sqrt_b[1:m]
+        jacobi_matrix = np.diag(family._rec_a[:m]) + np.diag(off, 1) + np.diag(off, -1)
+        nodes = np.linalg.eigvalsh(jacobi_matrix)
         values, _ = family.eval_table(nodes, m - 1)
         weights = 1.0 / np.sum(values * values, axis=1)
         return nodes, weights

@@ -3,8 +3,9 @@
 All draws go through numpy's counter-based Philox generator keyed by a 64-bit
 seed, so a (seed, trial) pair pins every sample exactly, independent of
 execution order.  Chebyshev points use the exact inverse CDF
-z = cos(pi*u); general Jacobi points use the Beta inverse CDF, scipy's
-inverse of the regularized incomplete beta function.
+z = cos(pi*u) and uniform points 2u - 1; general Jacobi points come from
+numpy's Beta sampler on the same generator, with no inverse CDF, so they are
+not a function of one uniform draw each.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import betaincinv
 
 from .polynomials import Measure
 
@@ -72,24 +72,22 @@ class SampleBatch:
 def sample(measure: Measure, dim: int, count: int, seed: int) -> SampleBatch:
     """Draw ``count`` i.i.d. points of dimension ``dim`` from ``measure``.
 
-    Supported measures: chebyshev (arcsine), uniform, general jacobi (via the
-    Beta distribution), and the standard gaussian.
+    Supported measures: chebyshev (arcsine), uniform, general jacobi (numpy's
+    Beta sampler, mapped to [-1, 1]), and the standard gaussian.
     """
     if dim < 1:
         raise ValueError("dimension must be at least 1")
     if count < 1:
         raise ValueError("sample count must be at least 1")
     rng = generator(seed)
+    p = measure.params
     if measure.kind == "gaussian":
         pts = rng.standard_normal((count, dim))
+    elif p.alpha == -0.5 and p.beta == -0.5:
+        pts = np.cos(math.pi * rng.random((count, dim)))
+    elif p.alpha == 0.0 and p.beta == 0.0:
+        pts = 2.0 * rng.random((count, dim)) - 1.0
     else:
-        u = rng.random((count, dim))
-        p = measure.params
-        if p.alpha == -0.5 and p.beta == -0.5:
-            pts = np.cos(math.pi * u)
-        elif p.alpha == 0.0 and p.beta == 0.0:
-            pts = 2.0 * u - 1.0
-        else:
-            # x = 2t - 1 maps Beta(beta+1, alpha+1) in t to the Jacobi density in x.
-            pts = 2.0 * betaincinv(p.beta + 1.0, p.alpha + 1.0, u) - 1.0
+        # x = 2t - 1 maps Beta(beta+1, alpha+1) in t to the Jacobi density in x.
+        pts = 2.0 * rng.beta(p.beta + 1.0, p.alpha + 1.0, (count, dim)) - 1.0
     return SampleBatch(measure, seed, pts)

@@ -1,12 +1,12 @@
 """Independent reference computations used to pin expected values in tests.
 
-Everything here goes through scipy's orthogonal-polynomial routines, a dual
-linear program, a banded LU solve, or plain linear algebra on monomials,
-deliberately avoiding the code paths under test.
+Everything here goes through scipy's orthogonal-polynomial routines, its
+tridiagonal eigensolver, a dual linear program, a banded LU solve, or plain
+linear algebra on monomials, deliberately avoiding the code paths under test.
 """
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import eigh_tridiagonal, solve_banded
 from scipy.optimize import linprog
 from scipy.special import roots_hermitenorm, roots_jacobi
 
@@ -21,6 +21,11 @@ def hermite_rule(m):
     """Gauss rule for the standard Gaussian, via scipy."""
     nodes, weights = roots_hermitenorm(m)
     return nodes, weights / weights.sum()
+
+
+def tridiagonal_eigenvalues(diagonal, off_diagonal):
+    """Ascending eigenvalues of a symmetric tridiagonal matrix, via scipy."""
+    return eigh_tridiagonal(diagonal, off_diagonal, eigvals_only=True)
 
 
 def gram_schmidt_values(rule, max_degree, x):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from gradpce.design import (
     recovery_guarantee,
 )
 from gradpce.pce import PceBasis
-from gradpce.polynomials import JacobiParams, Measure
+from gradpce.polynomials import JACOBI_CLAMP, JacobiParams, Measure
 from gradpce.sampling import SampleBatch, sample
 
 
@@ -113,6 +114,22 @@ class TestAssembly:
         values, grads = synthesize(basis, batch, np.ones(basis.size))
         design = assemble_gradient_enhanced(basis, batch, values, grads)
         np.testing.assert_array_equal(design.w[:9], 1.0)
+
+    @pytest.mark.parametrize("edge", [1.0, 1.0 + JACOBI_CLAMP / 2.0])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_boundary_points_weighted_as_the_edge(self, edge, sign):
+        # Points within the clamp past the edge are the edge itself, as in
+        # eval_table: the Legendre value weight vanishes there (no NaN, no
+        # warning) and the Chebyshev one is 1.
+        batch = chebyshev_batch([[sign * edge, 0.5]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="row weights must be strictly positive"):
+                assemble_gradient_enhanced(PceBasis.legendre(2, 3), batch, [0.0], directions=())
+            design = assemble_gradient_enhanced(
+                PceBasis.chebyshev(2, 3), batch, [0.0], directions=()
+            )
+        np.testing.assert_array_equal(design.w, 1.0)
 
     def test_hermite_weights_are_identity(self):
         basis = PceBasis.hermite(2, 3)

@@ -382,14 +382,25 @@ class TestHarnessScale:
         assert inconsistent >= 4
 
 
-def test_import_leaves_scipy_optimize_unloaded():
-    # No solver needs scipy.optimize; importing it with the package would add
-    # its load time (~0.15 s) to every run's start-up.
+def test_package_runs_without_scipy():
+    # numpy is the only runtime dependency: with scipy unimportable, the
+    # package imports, builds a 150-point Gauss rule (the derivative
+    # self-check of a degree-149 family), samples a general Jacobi measure
+    # and computes quadrature reference moments.
     src = str(Path(gradpce.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    code = "import sys, gradpce; sys.exit(int('scipy.optimize' in sys.modules))"
-    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import gradpce\n"
+        "gradpce.PolynomialFamily.jacobi(5, 0, 149)\n"
+        "gradpce.sample(gradpce.Measure.jacobi(1.5, 0.5), 2, 100, seed=1)\n"
+        "gradpce.reference_moments(gradpce.DiffusionModel(dim=1))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestBruteForce:

@@ -14,7 +14,13 @@ from gradpce.polynomials import (
     derivative_constant,
 )
 
-from _oracles import central_difference, gram_schmidt_values, hermite_rule, jacobi_rule
+from _oracles import (
+    central_difference,
+    gram_schmidt_values,
+    hermite_rule,
+    jacobi_rule,
+    tridiagonal_eigenvalues,
+)
 
 PARAM_GRID = [(-0.5, -0.5), (0.0, 0.0), (-0.5, 1.0), (0.5, 0.5), (1.0, 2.5), (2.5, 0.0)]
 
@@ -236,6 +242,18 @@ class TestQuadrature:
             ref_nodes, ref_weights = jacobi_rule(measure.params.alpha, measure.params.beta, m)
         np.testing.assert_allclose(nodes, ref_nodes, rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(weights, ref_weights, rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "measure,m",
+        [(Measure.gaussian(), 80), (Measure.jacobi(5.0, 0.0), 150)],
+        ids=["hermite-80", "jacobi(5,0)-150"],
+    )
+    def test_nodes_match_tridiagonal_eigensolver(self, measure, m):
+        fam = PolynomialFamily(measure, m - 1)
+        nodes, _ = fam.gauss_quadrature(m)
+        ref = tridiagonal_eigenvalues(fam._rec_a[:m], fam._rec_sqrt_b[1:m])
+        # The largest |eigenvalue| of the symmetric Jacobi matrix is its 2-norm.
+        np.testing.assert_allclose(nodes, ref, rtol=0.0, atol=1e-14 * np.abs(ref).max())
 
     @settings(max_examples=15, deadline=None)
     @given(
