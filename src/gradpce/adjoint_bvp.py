@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -36,6 +36,8 @@ _MAX_MESH_WIDTH = 1.0 / 64.0
 _RESIDUAL_TOL = 1e-12
 _QUADRATURE_POINTS = 20
 _QUADRATURE_DIM_CAP = 3
+# Distinct models whose reference moments a process keeps.
+_REFERENCE_CACHE_SIZE = 8
 QOI_KINDS = ("average", "midpoint")
 
 
@@ -51,13 +53,15 @@ class DiffusionModel:
     amplitudes decaying in the oscillation frequency, controlled by the
     correlation length. ``constant_value`` replaces the whole coefficient by
     a constant, which makes the solution independent of the parameters.
+    ``load`` takes part in equality and hashing as an object, so two models
+    with different load functions are different models.
     """
 
     dim: int
     corr_length: float = 1.0 / 12.0
     cells: int = 256
     qoi: str = "average"
-    load: Callable[[np.ndarray], np.ndarray] | None = field(default=None, compare=False)
+    load: Callable[[np.ndarray], np.ndarray] | None = None
     constant_value: float | None = None
 
     def __post_init__(self):
@@ -295,8 +299,8 @@ def build_surrogate(model: DiffusionModel, degree: int, n_samples: int,
     return SurrogateResult(coeffs, mean, std, n_samples, mode)
 
 
-def reference_moments(model: DiffusionModel) -> tuple[float, float]:
-    """Mean and standard deviation of the QoI by tensor Gauss quadrature."""
+@lru_cache(maxsize=_REFERENCE_CACHE_SIZE)
+def _quadrature_moments(model: DiffusionModel) -> tuple[float, float]:
     if model.dim > _QUADRATURE_DIM_CAP:
         raise ValueError(f"quadrature reference capped at dim {_QUADRATURE_DIM_CAP}")
     family = PolynomialFamily.legendre(_QUADRATURE_POINTS - 1)
@@ -311,6 +315,24 @@ def reference_moments(model: DiffusionModel) -> tuple[float, float]:
     mean = float(weights @ values)
     second = float(weights @ (values * values))
     return mean, math.sqrt(max(second - mean * mean, 0.0))
+
+
+def reference_moments(model: DiffusionModel) -> tuple[float, float]:
+    """Mean and standard deviation of the QoI by tensor Gauss quadrature.
+
+    The two numbers depend on the model alone, so they are computed once per
+    model in a process and every later call with an equal model returns the
+    same floats. A call that raises is not remembered. A model whose load is
+    not hashable cannot be a cache key and is computed on every call.
+    """
+    try:
+        hash(model)
+    except TypeError:
+        return _quadrature_moments.__wrapped__(model)
+    return _quadrature_moments(model)
+
+
+reference_moments.cache_clear = _quadrature_moments.cache_clear
 
 
 def run_bvp_benchmark(model: DiffusionModel, degree: int, sample_grid,

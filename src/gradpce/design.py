@@ -54,16 +54,16 @@ def _row_weights(basis: PceBasis, points: np.ndarray, directions: tuple[int, ...
     n = points.shape[0]
     if basis.kind != "jacobi":
         return np.ones(n * (1 + len(directions)))
-    # basis.matrix has rejected points beyond the clamp; clip the rest as it does.
+    # The basis evaluation has rejected points beyond the clamp; clip the rest as it does.
     points = np.clip(points, -1.0, 1.0)
     ratios = np.empty((basis.dim, n))
-    raised = np.empty((basis.dim, n))
     for j, fam in enumerate(basis.families):
         ratios[j] = density_ratio_to_chebyshev(fam.params, points[:, j])
-        raised[j] = density_ratio_to_chebyshev(fam.params.raised(), points[:, j])
     blocks = [np.sqrt(np.prod(ratios, axis=0))]
     for axis in directions:
-        parts = [raised[j] if j == axis else ratios[j] for j in range(basis.dim)]
+        # The raised family's ratio enters only the block of its own direction.
+        raised = density_ratio_to_chebyshev(basis.families[axis].params.raised(), points[:, axis])
+        parts = [raised if j == axis else ratios[j] for j in range(basis.dim)]
         blocks.append(np.sqrt(np.prod(parts, axis=0)))
     return np.concatenate(blocks)
 
@@ -93,8 +93,8 @@ def design_matrices(
     """Raw stacked system and its weights: (phi, phi_tilde, w, p)."""
     _check_pairing(basis, batch)
     dirs = _normalize_directions(basis.dim, directions)
-    phi = basis.matrix(batch.points)
-    blocks = [phi] + [basis.gradient_matrix(batch.points, a) for a in dirs]
+    blocks = basis.matrices(batch.points, (None,) + dirs)
+    phi = blocks[0]
     phi_tilde = np.vstack(blocks)
     w = _row_weights(basis, batch.points, dirs)
     p = column_normalizer(basis, dirs)

@@ -317,12 +317,13 @@ def _choose_directions(rng: np.random.Generator, dim: int, count: int) -> tuple[
 
 
 def _synthetic_data(basis: PceBasis, coefficients, points, directions):
-    values = basis.matrix(points) @ coefficients
+    value_block, *gradient_blocks = basis.matrices(points, (None,) + directions)
+    values = value_block @ coefficients
     if not directions:
         return values, None
     gradients = np.zeros((points.shape[0], basis.dim))
-    for axis in directions:
-        gradients[:, axis] = basis.gradient_matrix(points, axis) @ coefficients
+    for axis, block in zip(directions, gradient_blocks):
+        gradients[:, axis] = block @ coefficients
     return values, gradients
 
 

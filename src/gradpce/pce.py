@@ -160,25 +160,31 @@ class PceBasis:
             derivs.append(d)
         return values, derivs
 
-    def matrix(self, points) -> np.ndarray:
-        """Basis matrix with entry (n, k) = psi_k(points[n])."""
-        pts = self._point_array(points)
-        values, _ = self._tables(pts)
-        idx = self.index_set.indices
-        out = np.ones((pts.shape[0], self.size))
-        for j in range(self.dim):
-            out *= values[j][:, idx[:, j]]
-        return out
+    def matrices(self, points, axes) -> list[np.ndarray]:
+        """One matrix per entry of ``axes``, all from one pass over the 1-D tables.
 
-    def gradient_matrix(self, points, axis: int) -> np.ndarray:
-        """Matrix of partial derivatives of the basis along one coordinate."""
-        if not 0 <= axis < self.dim:
-            raise ValueError(f"axis {axis} out of range for dimension {self.dim}")
+        Entry None gives the basis matrix, with entry (n, k) = psi_k(points[n]);
+        an integer gives the partial derivatives of the basis along that axis.
+        """
+        for axis in axes:
+            if axis is not None and not 0 <= axis < self.dim:
+                raise ValueError(f"axis {axis} out of range for dimension {self.dim}")
         pts = self._point_array(points)
         values, derivs = self._tables(pts)
         idx = self.index_set.indices
-        out = np.ones((pts.shape[0], self.size))
-        for j in range(self.dim):
-            table = derivs[j] if j == axis else values[j]
-            out *= table[:, idx[:, j]]
-        return out
+        blocks = []
+        for axis in axes:
+            out = np.ones((pts.shape[0], self.size))
+            for j in range(self.dim):
+                table = derivs[j] if j == axis else values[j]
+                out *= table[:, idx[:, j]]
+            blocks.append(out)
+        return blocks
+
+    def matrix(self, points) -> np.ndarray:
+        """Basis matrix with entry (n, k) = psi_k(points[n])."""
+        return self.matrices(points, (None,))[0]
+
+    def gradient_matrix(self, points, axis: int) -> np.ndarray:
+        """Matrix of partial derivatives of the basis along one coordinate."""
+        return self.matrices(points, (axis,))[0]

@@ -19,6 +19,30 @@ from gradpce.sampling import generator
 from _oracles import diffusion_qoi_and_gradient
 
 
+class _UnhashableLoad:
+    """Callable load whose own __eq__ leaves it without a hash."""
+
+    def __eq__(self, other):
+        return self is other
+
+    def __call__(self, y):
+        return np.cos(y) * np.sin(y)
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Parameter points passed to the diffusion kernel, in call order."""
+    seen = []
+    original = adjoint_bvp._solve_batch
+
+    def counting(model, points, gradients):
+        seen.extend(points)
+        return original(model, points, gradients)
+
+    monkeypatch.setattr(adjoint_bvp, "_solve_batch", counting)
+    return seen
+
+
 class TestModel:
     def test_validation(self):
         with pytest.raises(ValueError, match="dim"):
@@ -65,6 +89,31 @@ class TestModel:
         assert abs(rows[1][0]) < 1e-15 and abs(rows[1][-1]) < 1e-15
         # Third parameter: lowest cosine mode, +/- amplitude at the ends.
         np.testing.assert_allclose(rows[2][0], -rows[2][-1])
+
+    def test_load_takes_part_in_equality(self, solves):
+        def ones(y):
+            return np.ones_like(y)
+
+        def ramp(y):
+            return y
+
+        first = DiffusionModel(dim=2, cells=64, load=ones)
+        second = DiffusionModel(dim=2, cells=64, load=ramp)
+        assert first != second
+        assert first != DiffusionModel(dim=2, cells=64)
+        assert reference_moments(first) != reference_moments(second)
+        same = DiffusionModel(dim=2, cells=64, load=ones)
+        assert same == first and hash(same) == hash(first)
+
+        unhashable = DiffusionModel(dim=2, cells=64, load=_UnhashableLoad())
+        with pytest.raises(TypeError):
+            hash(unhashable)
+        default = reference_moments(DiffusionModel(dim=2, cells=64))
+        solves.clear()
+        # Not a cache key: computed on each call, to the default load's floats.
+        assert reference_moments(unhashable) == default
+        assert reference_moments(unhashable) == default
+        assert len(solves) == 2 * adjoint_bvp._QUADRATURE_POINTS**2
 
 
 class TestSolve:
@@ -241,6 +290,16 @@ class TestSurrogate:
         with pytest.raises(ValueError, match="capped"):
             reference_moments(DiffusionModel(dim=4, cells=64))
 
+    def test_reference_moments_raise_on_every_call(self, solves):
+        capped = DiffusionModel(dim=4, cells=64)
+        nan_load = DiffusionModel(dim=1, cells=64, load=lambda y: np.where(y > 0.5, np.nan, 1.0))
+        for call in (1, 2):
+            with pytest.raises(ValueError, match="capped"):
+                reference_moments(capped)
+            with pytest.raises(ArithmeticError, match="residual"):
+                reference_moments(nan_load)
+            assert len(solves) == call * adjoint_bvp._QUADRATURE_POINTS
+
 
 class TestBenchmark:
     def test_table_layout_and_improvement(self):
@@ -258,21 +317,17 @@ class TestBenchmark:
         with pytest.raises(ValueError, match="trials"):
             run_bvp_benchmark(model, 2, (5,), trials=0)
 
-    def test_modes_checked_before_any_solve(self, monkeypatch):
-        solves = []
-        original = adjoint_bvp._solve_batch
-
-        def counting(model, points, gradients):
-            solves.extend(points)
-            return original(model, points, gradients)
-
-        monkeypatch.setattr(adjoint_bvp, "_solve_batch", counting)
+    def test_modes_checked_before_any_solve(self, solves):
+        # An equal model cached by an earlier test would make no solves.
+        reference_moments.cache_clear()
         model = DiffusionModel(dim=1, cells=64)
         for modes in ((), ("bogus",), ("standard", "standard")):
             with pytest.raises(ValueError, match="mode"):
                 run_bvp_benchmark(model, 2, (5,), modes=modes)
         assert solves == []
         reference_moments(model)
+        assert len(solves) == adjoint_bvp._QUADRATURE_POINTS
+        reference_moments(DiffusionModel(dim=1, cells=64))
         assert len(solves) == adjoint_bvp._QUADRATURE_POINTS
 
     def test_deterministic(self):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gradpce import design
 from gradpce.design import (
     CoherenceReport,
     assemble_gradient_enhanced,
@@ -23,7 +24,13 @@ from gradpce.design import (
     recovery_guarantee,
 )
 from gradpce.pce import PceBasis
-from gradpce.polynomials import JACOBI_CLAMP, JacobiParams, Measure
+from gradpce.polynomials import (
+    JACOBI_CLAMP,
+    JacobiParams,
+    Measure,
+    PolynomialFamily,
+    density_ratio_to_chebyshev,
+)
 from gradpce.sampling import SampleBatch, sample
 
 
@@ -130,6 +137,49 @@ class TestAssembly:
                 PceBasis.chebyshev(2, 3), batch, [0.0], directions=()
             )
         np.testing.assert_array_equal(design.w, 1.0)
+
+    @pytest.mark.parametrize("directions", [(), (1,), (0, 1, 2)])
+    def test_one_table_pass_per_design(self, monkeypatch, directions):
+        basis = PceBasis.jacobi(1.0, 0.5, 3, 4)
+        batch = sample(Measure.chebyshev(), 3, 9, seed=4)
+        points = batch.points
+        idx = basis.index_set.indices
+
+        def block(axis):
+            # One table pass per block, as the matrices were assembled before.
+            out = np.ones((points.shape[0], basis.size))
+            for j, fam in enumerate(basis.families):
+                values, derivs = fam.eval_table(points[:, j], basis.degree)
+                out *= (derivs if j == axis else values)[:, idx[:, j]]
+            return out
+
+        ratios = [density_ratio_to_chebyshev(fam.params, points[:, j])
+                  for j, fam in enumerate(basis.families)]
+        w_blocks = [np.sqrt(np.prod(ratios, axis=0))]
+        for axis in directions:
+            raised = density_ratio_to_chebyshev(basis.families[axis].params.raised(), points[:, axis])
+            w_blocks.append(np.sqrt(np.prod(
+                [raised if j == axis else ratios[j] for j in range(basis.dim)], axis=0)))
+
+        tables, densities = [], []
+        eval_table = PolynomialFamily.eval_table
+
+        def counting_table(fam, x, degree):
+            tables.append(degree)
+            return eval_table(fam, x, degree)
+
+        def counting_density(params, x):
+            densities.append(params)
+            return density_ratio_to_chebyshev(params, x)
+
+        monkeypatch.setattr(PolynomialFamily, "eval_table", counting_table)
+        monkeypatch.setattr(design, "density_ratio_to_chebyshev", counting_density)
+        phi, phi_tilde, w, _ = design_matrices(basis, batch, directions)
+        assert len(tables) == basis.dim
+        assert len(densities) == basis.dim + len(directions)
+        np.testing.assert_array_equal(phi, block(None))
+        np.testing.assert_array_equal(phi_tilde, np.vstack([block(None)] + [block(a) for a in directions]))
+        np.testing.assert_array_equal(w, np.concatenate(w_blocks))
 
     def test_hermite_weights_are_identity(self):
         basis = PceBasis.hermite(2, 3)

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 from _oracles import basis_pursuit_dual
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gradpce import harness, l1solver
 from gradpce.harness import (
@@ -22,7 +24,7 @@ from gradpce.harness import (
 )
 from gradpce.pce import PceBasis
 from gradpce.polynomials import Measure
-from gradpce.sampling import sample
+from gradpce.sampling import generator, sample
 
 
 class TestTargets:
@@ -60,6 +62,22 @@ class TestDirectionCount:
     )
     def test_cases(self, fraction, dim, expected):
         assert direction_count(fraction, dim) == expected
+
+
+    @given(st.integers(1, 12))
+    def test_end_fractions_give_none_or_every_direction(self, dim):
+        assert direction_count(0.0, dim) == 0
+        assert direction_count(1.0, dim) == dim
+
+    @given(st.integers(1, 12), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    def test_non_decreasing_in_the_fraction(self, dim, a, b):
+        low, high = sorted((a, b))
+        assert direction_count(low, dim) <= direction_count(high, dim)
+
+    @given(st.integers(1, 12), st.integers(0, 2**63 - 1))
+    def test_no_or_all_directions_chosen_for_any_seed(self, dim, seed):
+        assert harness._choose_directions(generator(seed), dim, 0) == ()
+        assert harness._choose_directions(generator(seed), dim, dim) == tuple(range(dim))
 
 
 class TestConfig:
