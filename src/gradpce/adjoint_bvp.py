@@ -27,7 +27,9 @@ from typing import Callable
 
 import numpy as np
 
-from .harness import ResultTable, check_modes, fit_sparse_expansion, mode_data, sampling_measure
+from .harness import (
+    ResultTable, check_modes, fit_sparse_expansion, grid_table, mode_data, sampling_measure,
+)
 from .pce import PceBasis
 from .polynomials import Measure, PolynomialFamily
 from .sampling import sample, split_stream
@@ -280,6 +282,20 @@ def _evaluate_batch(model: DiffusionModel, points: np.ndarray, directions=()):
     return values, grads
 
 
+def _surrogates(model: DiffusionModel, basis: PceBasis, modes, n_samples: int,
+                seed: int) -> list[SurrogateResult]:
+    """One surrogate per mode, all fitted from the same draw of sample points."""
+    full = sample(sampling_measure(Measure.uniform()), model.dim,
+                  (1 + model.dim) * n_samples, seed)
+    data = mode_data(modes, full, n_samples, range(model.dim), partial(_evaluate_batch, model))
+    results = []
+    for mode, fit in zip(modes, data):
+        coeffs = fit_sparse_expansion(basis, *fit, epsilon=None, opt_tol=1e-8)
+        std = math.sqrt(max(float(coeffs[1:] @ coeffs[1:]), 0.0))
+        results.append(SurrogateResult(coeffs, float(coeffs[0]), std, n_samples, mode))
+    return results
+
+
 def build_surrogate(model: DiffusionModel, degree: int, n_samples: int,
                     mode: str = "gradient-enhanced", seed: int = 0) -> SurrogateResult:
     """Fit a sparse expansion of the QoI from sampled solves.
@@ -289,14 +305,8 @@ def build_surrogate(model: DiffusionModel, degree: int, n_samples: int,
     ``standard-double`` spends the gradient budget on extra value samples:
     (1 + dim) times as many solves without adjoint data.
     """
-    basis = PceBasis.legendre(model.dim, degree)
-    measure = sampling_measure(Measure.uniform())
-    full = sample(measure, model.dim, (1 + model.dim) * n_samples, seed)
-    fit = mode_data(mode, full, n_samples, range(model.dim), partial(_evaluate_batch, model))
-    coeffs = fit_sparse_expansion(basis, *fit, epsilon=None, opt_tol=1e-8)
-    mean = float(coeffs[0])
-    std = math.sqrt(max(float(coeffs[1:] @ coeffs[1:]), 0.0))
-    return SurrogateResult(coeffs, mean, std, n_samples, mode)
+    (result,) = _surrogates(model, PceBasis.legendre(model.dim, degree), (mode,), n_samples, seed)
+    return result
 
 
 @lru_cache(maxsize=_REFERENCE_CACHE_SIZE)
@@ -347,16 +357,14 @@ def run_bvp_benchmark(model: DiffusionModel, degree: int, sample_grid,
     if trials < 1:
         raise ValueError("trials must be >= 1")
     ref_mean, ref_std = reference_moments(model)
-    rows = []
-    for mode in modes:
-        for gi, n in enumerate(sample_grid):
-            mean_errors = []
-            std_errors = []
-            for trial in range(trials):
-                run_seed = split_stream(split_stream(seed, trial), gi + 1)
-                result = build_surrogate(model, degree, n, mode, run_seed)
-                mean_errors.append(abs(result.mean - ref_mean))
-                std_errors.append(abs(result.std - ref_std))
-            rows.append((mode, n, float(np.median(mean_errors)),
-                         float(np.median(std_errors))))
-    return ResultTable(("mode", "N", "mean_error", "std_error"), tuple(rows))
+    basis = PceBasis.legendre(model.dim, degree)
+    per_trial = []
+    for trial in range(trials):
+        trial_seed = split_stream(seed, trial)
+        per_trial.append([
+            [(abs(r.mean - ref_mean), abs(r.std - ref_std))
+             for r in _surrogates(model, basis, modes, n, split_stream(trial_seed, gi + 1))]
+            for gi, n in enumerate(sample_grid)
+        ])
+    return grid_table(("mode", "N", "mean_error", "std_error"), modes, sample_grid, per_trial,
+                      lambda pairs: tuple(float(np.median(errors)) for errors in zip(*pairs)))

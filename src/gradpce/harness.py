@@ -120,7 +120,13 @@ def direction_count(fraction: float, dim: int) -> int:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Declarative description of one benchmark run."""
+    """Declarative description of one benchmark run.
+
+    ``epsilon`` bounds the residual of every l1 fit. Left at None, the
+    recovery benchmarks solve exact basis pursuit (epsilon 0), while the rmse
+    benchmark hands None to ``fit_sparse_expansion``, which fits to 1e-8
+    times the norm of the raw stacked data.
+    """
 
     kind: str
     dim: int = 2
@@ -187,22 +193,6 @@ class ExperimentConfig:
         return ExperimentConfig(**data)
 
 
-@dataclass(frozen=True)
-class TrialOutcome:
-    """Result of one (trial, grid point, mode) recovery attempt."""
-
-    mode: str
-    n_samples: int
-    sparsity: int
-    success: bool
-    error_inf: float
-
-    @staticmethod
-    def from_error(mode: str, n_samples: int, sparsity: int, error_inf: float) -> "TrialOutcome":
-        success = bool(error_inf <= SUCCESS_TOL)
-        return TrialOutcome(mode, n_samples, sparsity, success, float(error_inf))
-
-
 # -- result tables -----------------------------------------------------------
 
 
@@ -255,6 +245,17 @@ def _json_value(value):
     return float(value)
 
 
+def grid_table(columns, keys, grid, per_trial, reduce) -> ResultTable:
+    """Rows (key, grid value, *reduce(outcomes over trials)), keys outermost.
+
+    ``per_trial[t][gi][k]`` is trial t's outcome at grid point gi for key k.
+    """
+    return ResultTable(tuple(columns), tuple(
+        (key, int(gval), *reduce([outcome[gi][k] for outcome in per_trial]))
+        for k, key in enumerate(keys) for gi, gval in enumerate(grid)
+    ))
+
+
 # -- fitting -----------------------------------------------------------------
 
 
@@ -289,8 +290,8 @@ def fit_sparse_expansion(
     return design.unscale(result.coefficients)
 
 
-def mode_data(mode: str, full: SampleBatch, n: int, directions, evaluate):
-    """The (batch, values, gradients, directions) one mode fits.
+def mode_data(modes, full: SampleBatch, n: int, directions, evaluate):
+    """The (batch, values, gradients, directions) of each mode, in mode order.
 
     ``full`` holds the (1 + q) * n points drawn for one grid point, where q is
     the number of gradient directions. ``standard`` fits the values at the
@@ -298,13 +299,32 @@ def mode_data(mode: str, full: SampleBatch, n: int, directions, evaluate):
     ``directions`` there, and ``standard-double`` spends the gradient budget
     on values at all (1 + q) * n points. ``evaluate(points, directions)``
     returns the values and, for non-empty directions, an (N, dim) gradient
-    array (else None).
+    array (else None). It runs at most twice: once on the first n points,
+    which the two modes fitting there share, and once on the whole batch.
     """
-    check_modes((mode,))
-    batch = full if mode == "standard-double" else full.subset(n)
-    dirs = tuple(directions) if mode == "gradient-enhanced" else ()
-    values, gradients = evaluate(batch.points, dirs)
-    return batch, values, gradients, dirs
+    check_modes(modes)
+    data = {}
+    if "standard" in modes or "gradient-enhanced" in modes:
+        batch = full.subset(n)
+        dirs = tuple(directions) if "gradient-enhanced" in modes else ()
+        values, gradients = evaluate(batch.points, dirs)
+        data["standard"] = (batch, values, None, ())
+        data["gradient-enhanced"] = (batch, values, gradients, dirs)
+    if "standard-double" in modes:
+        data["standard-double"] = (full, *evaluate(full.points, ()), ())
+    return [data[mode] for mode in modes]
+
+
+def _mode_scores(basis: PceBasis, data, score, epsilon, opt_tol) -> list[float]:
+    """``score`` of each mode's fitted coefficients; a fit or score that fails scores inf."""
+    scores = []
+    for fit in data:
+        try:
+            estimate = fit_sparse_expansion(basis, *fit, epsilon=epsilon, opt_tol=opt_tol)
+            scores.append(score(estimate))
+        except (ValueError, FloatingPointError):
+            scores.append(math.inf)
+    return scores
 
 
 # -- recovery benchmarks -----------------------------------------------------
@@ -314,6 +334,14 @@ def _choose_directions(rng: np.random.Generator, dim: int, count: int) -> tuple[
     if count == 0:
         return ()
     return tuple(sorted(int(a) for a in rng.choice(dim, size=count, replace=False)))
+
+
+def _trial_start(config: ExperimentConfig, basis: PceBasis, trial: int):
+    """A trial's sampling measure, seed, generator and gradient directions."""
+    trial_seed = split_stream(config.seed, trial)
+    rng = generator(split_stream(trial_seed, 0))
+    dirs = _choose_directions(rng, config.dim, config.direction_count)
+    return sampling_measure(basis.families[0].measure), trial_seed, rng, dirs
 
 
 def _synthetic_data(basis: PceBasis, coefficients, points, directions):
@@ -328,35 +356,25 @@ def _synthetic_data(basis: PceBasis, coefficients, points, directions):
 
 
 def _recovery_trial(config: ExperimentConfig, basis: PceBasis, grid, trial: int):
-    measure = sampling_measure(basis.families[0].measure)
-    trial_seed = split_stream(config.seed, trial)
-    rng = generator(split_stream(trial_seed, 0))
-    q = config.direction_count
-    dirs = _choose_directions(rng, config.dim, q)
+    measure, trial_seed, rng, dirs = _trial_start(config, basis, trial)
     s_values = [config.sparsity] * len(grid) if config.kind == "recovery-vs-N" else list(grid)
     s_max = max(s_values)
     support = rng.choice(basis.size, size=s_max, replace=False) if s_max else np.empty(0, int)
     spikes = rng.standard_normal(s_max)
     epsilon = 0.0 if config.epsilon is None else config.epsilon
-    outcomes = []
+    errors = []
     for gi, gval in enumerate(grid):
         n = gval if config.kind == "recovery-vs-N" else config.sample_count
         s = s_values[gi]
         coeffs = np.zeros(basis.size)
         coeffs[support[:s]] = spikes[:s]
-        full = sample(measure, config.dim, (1 + q) * n, split_stream(trial_seed, gi + 1))
-        evaluate = partial(_synthetic_data, basis, coeffs)
-        for mode in config.modes:
-            try:
-                fit = mode_data(mode, full, n, dirs, evaluate)
-                estimate = fit_sparse_expansion(
-                    basis, *fit, epsilon=epsilon, opt_tol=_RECOVERY_OPT_TOL
-                )
-                error = float(np.abs(estimate - coeffs).max())
-            except (ValueError, FloatingPointError):
-                error = math.inf
-            outcomes.append(TrialOutcome.from_error(mode, n, s, error))
-    return outcomes
+        full = sample(measure, config.dim, (1 + len(dirs)) * n, split_stream(trial_seed, gi + 1))
+        data = mode_data(config.modes, full, n, dirs, partial(_synthetic_data, basis, coeffs))
+        errors.append(_mode_scores(
+            basis, data, lambda estimate: float(np.abs(estimate - coeffs).max()),
+            epsilon, _RECOVERY_OPT_TOL,
+        ))
+    return errors
 
 
 def run_recovery_benchmark(config: ExperimentConfig) -> ResultTable:
@@ -368,28 +386,17 @@ def run_recovery_benchmark(config: ExperimentConfig) -> ResultTable:
     max_s = config.sparsity if config.kind == "recovery-vs-N" else max(config.sparsity_grid)
     if max_s > basis.size:
         raise ValueError("sparsity exceeds the basis size")
-    trials = config.effective_trials
-    per_trial = [_recovery_trial(config, basis, grid, t) for t in range(trials)]
-    rows = []
+    per_trial = [_recovery_trial(config, basis, grid, t) for t in range(config.effective_trials)]
     grid_label = "N" if config.kind == "recovery-vs-N" else "s"
-    for mode in config.modes:
-        for gi, gval in enumerate(grid):
-            hits = sum(
-                outcomes[gi * len(config.modes) + config.modes.index(mode)].success
-                for outcomes in per_trial
-            )
-            rows.append((mode, int(gval), hits / trials))
-    return ResultTable(("mode", grid_label, "success_fraction"), tuple(rows))
+    return grid_table(("mode", grid_label, "success_fraction"), config.modes, grid, per_trial,
+                      lambda errors: (sum(e <= SUCCESS_TOL for e in errors) / len(errors),))
 
 
 # -- coherence sweep ---------------------------------------------------------
 
 
 def _mic_trial(config: ExperimentConfig, basis: PceBasis, trial: int):
-    measure = sampling_measure(basis.families[0].measure)
-    trial_seed = split_stream(config.seed, trial)
-    rng = generator(split_stream(trial_seed, 0))
-    dirs = _choose_directions(rng, config.dim, config.direction_count)
+    measure, trial_seed, _, dirs = _trial_start(config, basis, trial)
     out = []
     for gi, n in enumerate(config.sample_grid):
         batch = sample(measure, config.dim, n, split_stream(trial_seed, gi + 1))
@@ -404,43 +411,29 @@ def run_mic_sweep(config: ExperimentConfig) -> ResultTable:
     if config.kind != "mic-sweep":
         raise ValueError("config kind must be mic-sweep")
     basis = PceBasis.from_measure(Measure.parse(config.measure), config.dim, config.degree)
-    trials = config.effective_trials
-    per_trial = [_mic_trial(config, basis, t) for t in range(trials)]
-    rows = []
-    for which, matrix_id in enumerate(MATRIX_IDS):
-        for gi, n in enumerate(config.sample_grid):
-            mean = sum(outcome[gi][which] for outcome in per_trial) / trials
-            rows.append((matrix_id, int(n), mean))
-    return ResultTable(("matrix_id", "N", "mic"), tuple(rows))
+    per_trial = [_mic_trial(config, basis, t) for t in range(config.effective_trials)]
+    return grid_table(("matrix_id", "N", "mic"), MATRIX_IDS, config.sample_grid, per_trial,
+                      lambda mics: (sum(mics) / len(mics),))
 
 
 # -- approximation benchmark -------------------------------------------------
 
 
 def _rmse_trial(config, basis, target: TargetFunction, val_matrix, val_truth, trial: int):
-    measure = sampling_measure(basis.families[0].measure)
-    trial_seed = split_stream(config.seed, trial)
-    rng = generator(split_stream(trial_seed, 0))
-    q = config.direction_count
-    dirs = _choose_directions(rng, config.dim, q)
+    measure, trial_seed, _, dirs = _trial_start(config, basis, trial)
     scale = math.sqrt(val_matrix.shape[0])
 
     def evaluate(points, directions):
         return target.values(points), target.gradients(points) if directions else None
 
+    def rmse(estimate):
+        return float(np.linalg.norm(val_matrix @ estimate - val_truth)) / scale
+
     out = []
     for gi, n in enumerate(config.sample_grid):
-        full = sample(measure, config.dim, (1 + q) * n, split_stream(trial_seed, gi + 1))
-        for mode in config.modes:
-            try:
-                fit = mode_data(mode, full, n, dirs, evaluate)
-                estimate = fit_sparse_expansion(
-                    basis, *fit, epsilon=config.epsilon, opt_tol=_RMSE_OPT_TOL
-                )
-                rmse = float(np.linalg.norm(val_matrix @ estimate - val_truth)) / scale
-            except (ValueError, FloatingPointError):
-                rmse = math.inf
-            out.append((mode, n, rmse))
+        full = sample(measure, config.dim, (1 + len(dirs)) * n, split_stream(trial_seed, gi + 1))
+        data = mode_data(config.modes, full, n, dirs, evaluate)
+        out.append(_mode_scores(basis, data, rmse, config.epsilon, _RMSE_OPT_TOL))
     return out
 
 
@@ -458,12 +451,7 @@ def run_rmse_benchmark(config: ExperimentConfig) -> ResultTable:
     )
     val_matrix = basis.matrix(validation.points)
     val_truth = fn.values(validation.points)
-    trials = config.effective_trials
-    per_trial = [_rmse_trial(config, basis, fn, val_matrix, val_truth, t) for t in range(trials)]
-    rows = []
-    for mode in config.modes:
-        for gi, n in enumerate(config.sample_grid):
-            position = gi * len(config.modes) + config.modes.index(mode)
-            median = float(np.median([outcome[position][2] for outcome in per_trial]))
-            rows.append((mode, int(n), median))
-    return ResultTable(("mode", "N", "rmse"), tuple(rows))
+    per_trial = [_rmse_trial(config, basis, fn, val_matrix, val_truth, t)
+                 for t in range(config.effective_trials)]
+    return grid_table(("mode", "N", "rmse"), config.modes, config.sample_grid, per_trial,
+                      lambda errors: (float(np.median(errors)),))

@@ -75,7 +75,6 @@ class RecoveryResult:
     residual_norm: float
     iterations: int
     converged: bool
-    tau_final: float
     # One (||c||_1, residual norm) entry per breakpoint of the LASSO path,
     # from (0, ||b||) to the exit point.
     curve_trace: tuple[tuple[float, float], ...] = ()
@@ -109,15 +108,15 @@ def solve(spec: SolveSpec) -> RecoveryResult:
     A converged result satisfies ||A c - b||_2 <= epsilon + opt_tol * ||b||_2
     and passed the path's optimality check. If ||b||_2 <= epsilon the zero
     vector is optimal and returned at once. ``iterations`` counts path steps
-    (at most ``max_iters``) and ``tau_final`` is ||c||_1. An instance whose
-    target residual lies below the least-squares residual, such as an
-    inconsistent system at epsilon = 0, ends at the least-squares solution,
-    unconverged.
+    (at most ``max_iters``) and ``curve_trace`` ends at the exit's ||c||_1.
+    An instance whose target residual lies below the least-squares residual,
+    such as an inconsistent system at epsilon = 0, ends at the least-squares
+    solution, unconverged.
     """
     bnorm = float(np.linalg.norm(spec.rhs))
     if bnorm <= spec.epsilon:
         return RecoveryResult(
-            np.zeros(spec.matrix.shape[1]), bnorm, 0, True, 0.0, ((0.0, bnorm),)
+            np.zeros(spec.matrix.shape[1]), bnorm, 0, True, ((0.0, bnorm),)
         )
     return _lasso_path(spec)
 
@@ -215,8 +214,7 @@ def _lasso_path(spec: SolveSpec) -> RecoveryResult:
     else:
         optimal = _kkt_holds(a.T @ r, c, lam, lam0)
     converged = optimal and crossed and residual <= spec.epsilon + spec.opt_tol * bnorm
-    l1 = float(np.abs(c).sum())
-    return RecoveryResult(c, residual, steps, bool(converged), l1, tuple(trace))
+    return RecoveryResult(c, residual, steps, bool(converged), tuple(trace))
 
 
 def _below(roots, lam):

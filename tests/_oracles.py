@@ -1,11 +1,13 @@
 """Independent reference computations used to pin expected values in tests.
 
 Everything here goes through scipy's orthogonal-polynomial routines, its
-tridiagonal eigensolver, a dual linear program, a banded LU solve, or plain
-linear algebra on monomials, deliberately avoiding the code paths under test.
+tridiagonal eigensolver, a dual linear program, a banded LU solve, mpmath's
+extended precision, or plain linear algebra on monomials, deliberately
+avoiding the code paths under test.
 """
 
 import numpy as np
+from mpmath import mp, mpf
 from scipy.linalg import eigh_tridiagonal, solve_banded
 from scipy.optimize import linprog
 from scipy.special import roots_hermitenorm, roots_jacobi
@@ -21,6 +23,73 @@ def hermite_rule(m):
     """Gauss rule for the standard Gaussian, via scipy."""
     nodes, weights = roots_hermitenorm(m)
     return nodes, weights / weights.sum()
+
+
+_PRECISE_DIGITS = 40
+
+
+def precise_hermite_rule(float_nodes):
+    """Gauss rule for the standard Gaussian, polished in 40-digit arithmetic."""
+    m = len(float_nodes)
+    with mp.workdps(_PRECISE_DIGITS):
+        # Monic probabilists' Hermite: He_{k+1} = x He_k - k He_{k-1}.
+        return _precise_rule([mpf(0)] * m, [mpf(k) for k in range(m)], float_nodes)
+
+
+def precise_jacobi_rule(alpha, beta, float_nodes):
+    """Gauss rule for the normalized Jacobi weight, polished in 40-digit arithmetic."""
+    m = len(float_nodes)
+    with mp.workdps(_PRECISE_DIGITS):
+        # Monic Jacobi recurrence for (1 - x)^alpha (1 + x)^beta (Gautschi,
+        # Orthogonal Polynomials: Computation and Approximation, Table 1.1);
+        # b_0 is the total mass, 1 for a probability measure.
+        alpha, beta = mpf(alpha), mpf(beta)
+        a, b = [(beta - alpha) / (alpha + beta + 2)], [mpf(1)]
+        for k in range(1, m):
+            s = 2 * k + alpha + beta
+            a.append((beta * beta - alpha * alpha) / (s * (s + 2)))
+            b.append(4 * k * (k + alpha) * (k + beta) * (k + alpha + beta)
+                     / (s * s * (s + 1) * (s - 1)))
+        return _precise_rule(a, b, float_nodes)
+
+
+def _precise_rule(a, b, float_nodes):
+    """Nodes and Christoffel weights from monic recurrence coefficients (a_k, b_k).
+
+    Newton's method on pi_m, run through the three-term recurrence from each
+    double-precision node, converges quadratically; it stops once a step falls
+    below 10^(-digits/2) max(1, |x|), so the error left is below working
+    precision. The nodes must come out strictly increasing: m distinct zeros
+    of pi_m are all of them. Each weight is the Christoffel number
+    1 / sum_{k<m} p_k(x)^2 of the orthonormal p_k = pi_k / sqrt(b_1 ... b_k).
+    Returns the rule rounded to double precision.
+    """
+    tol = mpf(10) ** (-(mp.dps // 2))
+    norms = [mpf(1)]
+    for bk in b[1:]:
+        norms.append(norms[-1] * bk)
+    nodes, weights = [], []
+    for start in float_nodes:
+        x = mpf(float(start))
+        for _ in range(10):
+            p_prev, p, d_prev, d = 0, 1, 0, 0
+            for ak, bk in zip(a, b):
+                t = x - ak
+                p_prev, p, d_prev, d = p, t * p - bk * p_prev, d, p + t * d - bk * d_prev
+            step = p / d
+            x -= step
+            if abs(step) <= tol * max(1, abs(x)):
+                break
+        else:
+            raise AssertionError(f"Newton did not converge from {start}")
+        p_prev, p, total = 0, 1, 0
+        for ak, bk, nk in zip(a, b, norms):
+            total += p * p / nk
+            p_prev, p = p, (x - ak) * p - bk * p_prev
+        nodes.append(x)
+        weights.append(1 / total)
+    assert all(left < right for left, right in zip(nodes, nodes[1:]))
+    return np.array([float(x) for x in nodes]), np.array([float(w) for w in weights])
 
 
 def tridiagonal_eigenvalues(diagonal, off_diagonal):

@@ -13,8 +13,9 @@ from gradpce.adjoint_bvp import (
     run_bvp_benchmark,
     solve_bvp,
 )
+from gradpce.harness import MODES
 from gradpce.polynomials import PolynomialFamily
-from gradpce.sampling import generator
+from gradpce.sampling import generator, split_stream
 
 from _oracles import diffusion_qoi_and_gradient
 
@@ -31,12 +32,12 @@ class _UnhashableLoad:
 
 @pytest.fixture
 def solves(monkeypatch):
-    """Parameter points passed to the diffusion kernel, in call order."""
+    """(point count, gradients flag) of each diffusion kernel call, in call order."""
     seen = []
     original = adjoint_bvp._solve_batch
 
     def counting(model, points, gradients):
-        seen.extend(points)
+        seen.append((len(points), gradients))
         return original(model, points, gradients)
 
     monkeypatch.setattr(adjoint_bvp, "_solve_batch", counting)
@@ -113,7 +114,7 @@ class TestModel:
         # Not a cache key: computed on each call, to the default load's floats.
         assert reference_moments(unhashable) == default
         assert reference_moments(unhashable) == default
-        assert len(solves) == 2 * adjoint_bvp._QUADRATURE_POINTS**2
+        assert solves == [(adjoint_bvp._QUADRATURE_POINTS**2, False)] * 2
 
 
 class TestSolve:
@@ -298,7 +299,7 @@ class TestSurrogate:
                 reference_moments(capped)
             with pytest.raises(ArithmeticError, match="residual"):
                 reference_moments(nan_load)
-            assert len(solves) == call * adjoint_bvp._QUADRATURE_POINTS
+            assert solves == [(adjoint_bvp._QUADRATURE_POINTS, False)] * call
 
 
 class TestBenchmark:
@@ -326,9 +327,33 @@ class TestBenchmark:
                 run_bvp_benchmark(model, 2, (5,), modes=modes)
         assert solves == []
         reference_moments(model)
-        assert len(solves) == adjoint_bvp._QUADRATURE_POINTS
+        assert solves == [(adjoint_bvp._QUADRATURE_POINTS, False)]
         reference_moments(DiffusionModel(dim=1, cells=64))
-        assert len(solves) == adjoint_bvp._QUADRATURE_POINTS
+        assert solves == [(adjoint_bvp._QUADRATURE_POINTS, False)]
+
+    def test_one_diffusion_batch_per_grid_point(self, solves):
+        # Standard and gradient-enhanced fit the same first N points, so one
+        # solve with adjoints serves both; standard-double adds the whole
+        # (1 + dim) * N batch, values only.
+        model = DiffusionModel(dim=2, cells=64)
+        reference_moments(model)
+        for modes, calls in ((("standard", "gradient-enhanced"), [(6, True)]),
+                             (MODES, [(6, True), (18, False)])):
+            solves.clear()
+            run_bvp_benchmark(model, 3, (6,), modes=modes, seed=2)
+            assert solves == calls
+
+    def test_build_surrogate_reproduces_each_benchmark_row(self):
+        # build_surrogate is the one-(mode, N) case of the benchmark's path:
+        # on trial 0's seed for grid point 0 it gives each row bit for bit.
+        model = DiffusionModel(dim=2, cells=64)
+        ref_mean, ref_std = reference_moments(model)
+        table = run_bvp_benchmark(model, 3, (6,), modes=MODES, seed=2, trials=1)
+        assert [row[0] for row in table.rows] == list(MODES)
+        for mode, n, mean_error, std_error in table.rows:
+            result = build_surrogate(model, 3, n, mode, split_stream(split_stream(2, 0), 1))
+            assert mean_error == abs(result.mean - ref_mean)
+            assert std_error == abs(result.std - ref_std)
 
     def test_deterministic(self):
         model = DiffusionModel(dim=1, cells=64)
