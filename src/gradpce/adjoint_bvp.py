@@ -7,15 +7,15 @@ parameters xi. One extra linear solve per parameter point yields the exact
 gradient of the discrete quantity of interest with respect to all parameters,
 which feeds the gradient-enhanced recovery pipeline.
 
-All parameter points of a call are solved together: one vectorized Thomas
-(LDL^T) sweep over the interior nodes factors every point's tridiagonal
-stiffness matrix at once, and the state and adjoint right-hand sides go
-through the same factors. The stiffness matrix is a symmetric M-matrix
-(positive diagonal, non-positive off-diagonal, diagonally dominant with
-strict dominance in the first and last rows), so elimination without
-pivoting keeps every pivot positive and is backward stable (Golub & Van
-Loan, Matrix Computations, section 4.3). Every point still passes a pivot
-check and a backward-error residual check.
+In one dimension the scheme is solved in closed form from its face fluxes,
+with no elimination: across each interior node the flux falls by h times
+the load there, and the flux through the first face is the value that makes
+the cell increments of u sum to zero, as u vanishes at both ends. All
+parameter points of a call are solved together by a few whole-array
+operations, and each point's sums run along its own row in an order that
+depends on the mesh alone, so a point's QoI and gradient are bitwise the
+same in any batch. Every point still passes a positivity check on its face
+coefficients and a backward-error residual check.
 """
 
 from __future__ import annotations
@@ -31,13 +31,16 @@ from .harness import (
     ResultTable, check_modes, fit_sparse_expansion, grid_table, mode_data, sampling_measure,
 )
 from .pce import PceBasis
-from .polynomials import Measure, PolynomialFamily
+from .polynomials import Measure, PolynomialFamily, tensor_gauss_rule
 from .sampling import sample, split_stream
 
 _MAX_MESH_WIDTH = 1.0 / 64.0
 _RESIDUAL_TOL = 1e-12
 _QUADRATURE_POINTS = 20
 _QUADRATURE_DIM_CAP = 3
+# Points per solve of the reference quadrature. Batching leaves every value
+# bitwise unchanged, and small batches keep the solve's arrays small.
+_REFERENCE_BATCH = 512
 # Distinct models whose reference moments a process keeps.
 _REFERENCE_CACHE_SIZE = 8
 QOI_KINDS = ("average", "midpoint")
@@ -168,86 +171,72 @@ def _qoi_weights(model: DiffusionModel) -> np.ndarray:
     return weights
 
 
-def _ldl_factor(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unit lower bidiagonal L and pivots D with L D L^T equal to the matrix.
+def _face_solve(faces: np.ndarray, rhs: np.ndarray, h: float) -> np.ndarray:
+    """Cell increments u_{k+1} - u_k of the scheme's solution for one load.
 
-    ``diag`` (nodes x batch) and ``off`` (nodes - 1 x batch) hold one
-    symmetric tridiagonal matrix per column. Elimination runs without
-    pivoting, which the M-matrix structure makes stable (module docstring);
-    a pivot that is not finite and positive means the input was not such a
-    matrix.
+    ``faces`` (batch x cells) holds each point's face coefficients and
+    ``rhs`` the load at the interior nodes, shared by every point. The flux
+    faces_k (u_{k+1} - u_k) / h through face k is the first face's flux less
+    h times the load summed over the nodes before face k; the first flux
+    makes the increments sum to zero.
     """
-    pivots = np.empty_like(diag)
-    lower = np.empty_like(off)
-    pivots[0] = diag[0]
-    for i in range(off.shape[0]):
-        lower[i] = off[i] / pivots[i]
-        pivots[i + 1] = diag[i + 1] - lower[i] * off[i]
-    if not np.all((pivots > 0.0) & (pivots < np.inf)):
-        raise ArithmeticError("stiffness matrix is not positive definite")
-    return lower, pivots
-
-
-def _ldl_solve(lower: np.ndarray, pivots: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve L D L^T x = rhs for every column, with one right-hand side for all."""
-    x = np.empty_like(pivots)
-    x[0] = rhs[0]
-    for i in range(lower.shape[0]):
-        x[i + 1] = rhs[i + 1] - lower[i] * x[i]
-    x /= pivots
-    for i in range(lower.shape[0] - 1, -1, -1):
-        x[i] -= lower[i] * x[i + 1]
-    return x
+    drop = h * np.concatenate(([0.0], np.cumsum(rhs)))
+    step = h / faces
+    first = (step * drop).sum(axis=1) / step.sum(axis=1)
+    return step * (first[:, None] - drop)
 
 
 def _solve_batch(model: DiffusionModel, points, gradients: bool):
     """QoIs, their gradients (or None) and the interior states of a batch.
 
-    Arrays are laid out node by node (nodes x batch), so every step of the
-    elimination sweep works on one contiguous row. The flux coefficient is
-    the harmonic average of the nodal coefficient at each cell face, which
-    keeps the scheme conservative and second order. Gradients cost one more
-    sweep with the QoI weights as right-hand side.
+    Arrays are laid out point by point (batch x nodes), so each point's sums
+    run along one contiguous row. The flux coefficient is the harmonic
+    average of the nodal coefficient at each cell face, which keeps the
+    scheme conservative and second order. Gradients cost one more solve with
+    the QoI weights as right-hand side.
     """
     points = _check_parameters(model, points)
     nodes = model.nodes()
-    h2 = model.mesh_width**2
-    a = model.coefficient(nodes, points.T)
-    sums = a[:-1] + a[1:]
-    faces = 2.0 * a[:-1] * a[1:] / sums
-    diag = (faces[:-1] + faces[1:]) / h2
-    off = -faces[1:-1] / h2
-    lower, pivots = _ldl_factor(diag, off)
+    h = model.mesh_width
+    h2 = h * h
+    a = np.ascontiguousarray(model.coefficient(nodes, points.T).T)
+    sums = a[:, :-1] + a[:, 1:]
+    faces = 2.0 * a[:, :-1] * a[:, 1:] / sums
+    # Written so that NaN fails it too. Positive faces make the stiffness
+    # matrix symmetric positive definite.
+    if not np.all((faces > 0.0) & (faces < np.inf)):
+        raise ArithmeticError("stiffness matrix is not positive definite")
     load = model.load_values(nodes[1:-1])
-    interior = _ldl_solve(lower, pivots, load)
-    residual = diag * interior - load[:, None]
-    residual[1:] += off * interior[:-1]
-    residual[:-1] += off * interior[1:]
+    steps = _face_solve(faces, load, h)
+    interior = np.cumsum(steps[:, :-1], axis=1)
+    diag = (faces[:, :-1] + faces[:, 1:]) / h2
+    off = -faces[:, 1:-1] / h2
+    residual = diag * interior - load
+    residual[:, 1:] += off * interior[:, :-1]
+    residual[:, :-1] += off * interior[:, 1:]
     # Relative residual in the backward-error sense, per point; the matrix
     # rows scale like 1/h^2, so a plain division by ||rhs|| would never pass.
-    matrix_norm = np.abs(diag).max(axis=0) + 2.0 * np.abs(off).max(axis=0)
-    scale = matrix_norm * np.abs(interior).max(axis=0) + np.abs(load).max()
+    matrix_norm = np.abs(diag).max(axis=1) + 2.0 * np.abs(off).max(axis=1)
+    scale = matrix_norm * np.abs(interior).max(axis=1) + np.abs(load).max()
     # Written so that a NaN residual or scale fails it.
-    if not np.all(np.abs(residual).max(axis=0) <= _RESIDUAL_TOL * np.maximum(scale, 1e-300)):
+    if not np.all(np.abs(residual).max(axis=1) <= _RESIDUAL_TOL * np.maximum(scale, 1e-300)):
         raise ArithmeticError("linear solve failed the residual check")
     weights = _qoi_weights(model)
-    qoi = weights @ interior
+    qoi = (interior * weights).sum(axis=1)
     if not gradients:
         return qoi, None, interior
     if model.constant_value is not None:
         return qoi, np.zeros(points.shape), interior
-    adjoint = _ldl_solve(lower, pivots, weights)
     # dQ/dxi through the faces: Q depends on xi only via the stiffness
     # entries, and each face contributes a_f * (du_f)(dlam_f) / h^2. Each
     # face coefficient moves with both of its nodal coefficients, and
     # d a / d xi_i = (a - 0.5) * profile_i.
-    pair = np.diff(interior, axis=0, prepend=0.0, append=0.0)
-    pair *= np.diff(adjoint, axis=0, prepend=0.0, append=0.0) / h2
+    pair = steps * _face_solve(faces, weights, h) / h2
     node_weight = np.zeros_like(a)
-    node_weight[:-1] = 2.0 * (a[1:] / sums) ** 2 * pair
-    node_weight[1:] += 2.0 * (a[:-1] / sums) ** 2 * pair
+    node_weight[:, :-1] = 2.0 * (a[:, 1:] / sums) ** 2 * pair
+    node_weight[:, 1:] += 2.0 * (a[:, :-1] / sums) ** 2 * pair
     node_weight *= a - 0.5
-    gradient = -(node_weight.T @ model.profiles(nodes).T)
+    gradient = np.column_stack([-(node_weight * row).sum(axis=1) for row in model.profiles(nodes)])
     return qoi, gradient, interior
 
 
@@ -256,13 +245,15 @@ def solve_bvp(model: DiffusionModel, xi) -> BvpSolution:
     qoi, gradient, interior = _solve_batch(
         model, np.asarray(xi, dtype=float).reshape(1, -1), gradients=True
     )
-    u = np.concatenate([[0.0], interior[:, 0], [0.0]])
+    u = np.concatenate([[0.0], interior[0], [0.0]])
     return BvpSolution(model.nodes(), u, float(qoi[0]), gradient[0])
 
 
 def qoi_and_gradient(model: DiffusionModel, xi) -> tuple[float, np.ndarray]:
-    solution = solve_bvp(model, xi)
-    return solution.qoi, solution.gradient
+    qoi, gradient, _ = _solve_batch(
+        model, np.asarray(xi, dtype=float).reshape(1, -1), gradients=True
+    )
+    return float(qoi[0]), gradient[0]
 
 
 @dataclass(frozen=True)
@@ -314,14 +305,9 @@ def _quadrature_moments(model: DiffusionModel) -> tuple[float, float]:
     if model.dim > _QUADRATURE_DIM_CAP:
         raise ValueError(f"quadrature reference capped at dim {_QUADRATURE_DIM_CAP}")
     family = PolynomialFamily.legendre(_QUADRATURE_POINTS - 1)
-    points_1d, weights_1d = family.gauss_quadrature(_QUADRATURE_POINTS)
-    grids = np.meshgrid(*([points_1d] * model.dim), indexing="ij")
-    nodes = np.column_stack([g.reshape(-1) for g in grids])
-    weights = weights_1d
-    for _ in range(model.dim - 1):
-        weights = np.multiply.outer(weights, weights_1d)
-    weights = weights.reshape(-1)
-    values, _ = _evaluate_batch(model, nodes)
+    nodes, weights = tensor_gauss_rule([family] * model.dim, _QUADRATURE_POINTS)
+    values = np.concatenate([_evaluate_batch(model, nodes[start:start + _REFERENCE_BATCH])[0]
+                             for start in range(0, len(nodes), _REFERENCE_BATCH)])
     mean = float(weights @ values)
     second = float(weights @ (values * values))
     return mean, math.sqrt(max(second - mean * mean, 0.0))

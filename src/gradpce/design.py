@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
 from .pce import PceBasis
-from .polynomials import JacobiParams, Measure, density_ratio_to_chebyshev
+from .polynomials import JacobiParams, Measure, density_ratio_to_chebyshev, tensor_gauss_rule
 from .sampling import SampleBatch
 
 # Guard for exact second-moment computation: tensor rules grow as (n+1)^d.
@@ -258,27 +259,16 @@ def _grid_suprema(basis: PceBasis, directions, p: np.ndarray, points: int) -> tu
         raise ValueError("grid scan supported for dimension <= 2 only")
     grid = np.linspace(-1.0, 1.0, points)
     value_tables, deriv_tables = _weighted_profiles(basis, grid)
-    idx = basis.index_set.indices
-    if basis.dim == 1:
-        value_sq = value_tables[0][:, idx[:, 0]]
-        mu_sup = float(value_sq.max())
-        stacked = value_sq.copy()
-        if 0 in directions:
-            stacked += deriv_tables[0][:, idx[:, 0]]
-        beta_sup = float((stacked * p[None, :] ** 2).max())
-        return mu_sup, beta_sup
     mu_sup = 0.0
     beta_sup = 0.0
-    for col, (k0, k1) in enumerate(basis.index_set):
-        v0 = value_tables[0][:, k0]
-        v1 = value_tables[1][:, k1]
+    for col, index in enumerate(basis.index_set):
+        values = [table[:, k] for table, k in zip(value_tables, index)]
         # Value term factorizes, so its sup is the product of the 1-d sups.
-        mu_sup = max(mu_sup, float(v0.max() * v1.max()))
-        total = np.outer(v0, v1)
-        if 0 in directions:
-            total += np.outer(deriv_tables[0][:, k0], v1)
-        if 1 in directions:
-            total += np.outer(v0, deriv_tables[1][:, k1])
+        mu_sup = max(mu_sup, math.prod(float(v.max()) for v in values))
+        total = reduce(np.multiply.outer, values)
+        for j in directions:
+            factors = values[:j] + [deriv_tables[j][:, index[j]]] + values[j + 1:]
+            total = total + reduce(np.multiply.outer, factors)
         beta_sup = max(beta_sup, float(p[col] ** 2 * total.max()))
     return mu_sup, beta_sup
 
@@ -323,18 +313,6 @@ def coherence_params(design: GradientDesign, grid_points: int | None = None) -> 
 # -- second-moment (isotropy) checks ---------------------------------------
 
 
-def _tensor_rule(families, sizes) -> tuple[np.ndarray, np.ndarray]:
-    nodes_1d = []
-    weights = np.ones(1)
-    for fam, m in zip(families, sizes):
-        x, w = fam.gauss_quadrature(m)
-        nodes_1d.append(x)
-        weights = np.multiply.outer(weights, w)
-    grids = np.meshgrid(*nodes_1d, indexing="ij")
-    pts = np.column_stack([g.ravel() for g in grids])
-    return pts, weights.ravel()
-
-
 def expected_gram(basis: PceBasis, directions=None) -> np.ndarray:
     """Exact expectation of the weighted Gram matrix phi_hat^T phi_hat / N.
 
@@ -349,7 +327,7 @@ def expected_gram(basis: PceBasis, directions=None) -> np.ndarray:
     dirs = _normalize_directions(basis.dim, directions)
     m = basis.degree + 1
     p = column_normalizer(basis, dirs)
-    pts, w = _tensor_rule(basis.families, [m] * basis.dim)
+    pts, w = tensor_gauss_rule(basis.families, m)
     mat = basis.matrix(pts)
     gram = (mat * w[:, None]).T @ mat
     for axis in dirs:
@@ -357,7 +335,7 @@ def expected_gram(basis: PceBasis, directions=None) -> np.ndarray:
             fam.raised(basis.degree) if j == axis else fam
             for j, fam in enumerate(basis.families)
         ]
-        pts, w = _tensor_rule(families, [m] * basis.dim)
+        pts, w = tensor_gauss_rule(families, m)
         grad = basis.gradient_matrix(pts, axis)
         gram += (grad * w[:, None]).T @ grad
     return (gram * p[None, :]) * p[:, None]

@@ -363,3 +363,19 @@ class PolynomialFamily:
                     "derivative constant mismatch against quadrature at degree "
                     f"{n}: closed form {closed!r}, projected {projected!r}"
                 )
+
+
+def tensor_gauss_rule(families, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tensor product of each family's m-point Gauss rule.
+
+    Returns the points as rows (the last coordinate varies fastest) and
+    their weights, the products of the one-dimensional weights.
+    """
+    nodes_1d = []
+    weights = np.ones(1)
+    for fam in families:
+        x, w = fam.gauss_quadrature(m)
+        nodes_1d.append(x)
+        weights = np.multiply.outer(weights, w)
+    grids = np.meshgrid(*nodes_1d, indexing="ij")
+    return np.column_stack([g.ravel() for g in grids]), weights.ravel()
