@@ -27,9 +27,8 @@ from typing import Callable
 
 import numpy as np
 
-from .harness import (
-    ResultTable, check_modes, fit_sparse_expansion, grid_table, mode_data, sampling_measure,
-)
+from .design import sampling_measure
+from .harness import ResultTable, check_modes, fit_sparse_expansion, grid_table, mode_data
 from .pce import PceBasis
 from .polynomials import Measure, PolynomialFamily, tensor_gauss_rule
 from .sampling import sample, split_stream
@@ -209,14 +208,14 @@ def _solve_batch(model: DiffusionModel, points, gradients: bool):
     load = model.load_values(nodes[1:-1])
     steps = _face_solve(faces, load, h)
     interior = np.cumsum(steps[:, :-1], axis=1)
-    diag = (faces[:, :-1] + faces[:, 1:]) / h2
-    off = -faces[:, 1:-1] / h2
-    residual = diag * interior - load
-    residual[:, 1:] += off * interior[:, :-1]
-    residual[:, :-1] += off * interior[:, 1:]
+    # The scheme's residual at each interior node is the fall of the state's
+    # face flux across it, less the load.
+    flux = faces * np.diff(np.pad(interior, ((0, 0), (1, 1))), axis=1) / h
+    residual = (flux[:, :-1] - flux[:, 1:]) / h - load
     # Relative residual in the backward-error sense, per point; the matrix
     # rows scale like 1/h^2, so a plain division by ||rhs|| would never pass.
-    matrix_norm = np.abs(diag).max(axis=1) + 2.0 * np.abs(off).max(axis=1)
+    # Stiffness row k has absolute sum 2 (faces_k + faces_{k+1}) / h^2.
+    matrix_norm = 2.0 * (faces[:, :-1] + faces[:, 1:]).max(axis=1) / h2
     scale = matrix_norm * np.abs(interior).max(axis=1) + np.abs(load).max()
     # Written so that a NaN residual or scale fails it.
     if not np.all(np.abs(residual).max(axis=1) <= _RESIDUAL_TOL * np.maximum(scale, 1e-300)):

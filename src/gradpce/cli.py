@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from .adjoint_bvp import DiffusionModel, run_bvp_benchmark
-from .design import assemble_gradient_enhanced, coherence_params
+from .design import assemble_gradient_enhanced, coherence_params, sampling_measure
 from .harness import (
     ExperimentConfig,
     run_mic_sweep,
@@ -88,10 +88,7 @@ def _run_bvp(args) -> int:
 def _run_diagnose(args) -> int:
     measure = Measure.parse(args.measure)
     basis = PceBasis.from_measure(measure, args.dim, args.degree)
-    batch = sample(
-        Measure.gaussian() if measure.kind == "gaussian" else Measure.chebyshev(),
-        args.dim, args.samples, args.seed,
-    )
+    batch = sample(sampling_measure(measure), args.dim, args.samples, args.seed)
     design = assemble_gradient_enhanced(
         basis, batch, np.zeros(args.samples),
         np.zeros((args.samples, args.dim)), tuple(range(args.dim)),

@@ -24,18 +24,22 @@ from .sampling import SampleBatch
 _QUADRATURE_DIM_CAP = 4
 
 
+def sampling_measure(basis_measure: Measure) -> Measure:
+    """Sampling distribution paired with a basis measure."""
+    if basis_measure.kind == "gaussian":
+        return Measure.gaussian()
+    return Measure.chebyshev()
+
+
 def _check_pairing(basis: PceBasis, batch: SampleBatch) -> None:
     if basis.dim != batch.dim:
         raise ValueError("basis and sample batch dimensions differ")
-    if basis.kind == "jacobi":
-        if batch.measure != Measure.chebyshev():
-            raise ValueError(
-                "Jacobi designs require Chebyshev sampling, "
-                f"got {batch.measure.label}"
-            )
-    elif batch.measure != Measure.gaussian():
+    paired = sampling_measure(basis.family.measure)
+    if batch.measure != paired:
+        name = "Jacobi" if basis.kind == "jacobi" else "Hermite"
         raise ValueError(
-            f"Hermite designs require Gaussian sampling, got {batch.measure.label}"
+            f"{name} designs require {paired.label.capitalize()} sampling, "
+            f"got {batch.measure.label}"
         )
 
 
@@ -57,13 +61,12 @@ def _row_weights(basis: PceBasis, points: np.ndarray, directions: tuple[int, ...
         return np.ones(n * (1 + len(directions)))
     # The basis evaluation has rejected points beyond the clamp; clip the rest as it does.
     points = np.clip(points, -1.0, 1.0)
-    ratios = np.empty((basis.dim, n))
-    for j, fam in enumerate(basis.families):
-        ratios[j] = density_ratio_to_chebyshev(fam.params, points[:, j])
+    params = basis.family.params
+    ratios = density_ratio_to_chebyshev(params, points.T)
     blocks = [np.sqrt(np.prod(ratios, axis=0))]
     for axis in directions:
         # The raised family's ratio enters only the block of its own direction.
-        raised = density_ratio_to_chebyshev(basis.families[axis].params.raised(), points[:, axis])
+        raised = density_ratio_to_chebyshev(params.raised(), points[:, axis])
         parts = [raised if j == axis else ratios[j] for j in range(basis.dim)]
         blocks.append(np.sqrt(np.prod(parts, axis=0)))
     return np.concatenate(blocks)
@@ -78,12 +81,9 @@ def column_normalizer(basis: PceBasis, directions=None) -> np.ndarray:
     """
     dirs = _normalize_directions(basis.dim, directions)
     idx = basis.index_set.indices
+    consts = np.array([basis.family.derivative_constant(n) for n in range(basis.degree + 1)])
     energy = np.ones(basis.size)
     for axis in dirs:
-        fam = basis.families[axis]
-        consts = np.array(
-            [fam.derivative_constant(n) for n in range(basis.degree + 1)]
-        )
         energy += consts[idx[:, axis]] ** 2
     return 1.0 / np.sqrt(energy)
 
@@ -239,35 +239,27 @@ class CoherenceReport:
         return self.bound_growth * self.coherence_bound
 
 
-def _weighted_profiles(basis: PceBasis, grid: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Per-dimension tables of (ratio * p_n^2) and raised-ratio derivative
-    squares on a grid; used for suprema scans."""
-    value_tables = []
-    deriv_tables = []
-    for fam in basis.families:
-        values, derivs = fam.eval_table(grid, basis.degree)
-        ratio = density_ratio_to_chebyshev(fam.params, grid)
-        raised = density_ratio_to_chebyshev(fam.params.raised(), grid)
-        value_tables.append(ratio[:, None] * values**2)
-        deriv_tables.append(raised[:, None] * derivs**2)
-    return value_tables, deriv_tables
-
-
 def _grid_suprema(basis: PceBasis, directions, p: np.ndarray, points: int) -> tuple[float, float]:
     """Suprema of the weighted squares over a tensor grid (dim <= 2)."""
+    if basis.kind != "jacobi":
+        raise ValueError("grid scan is defined for Jacobi bases on [-1, 1] only")
     if basis.dim > 2:
         raise ValueError("grid scan supported for dimension <= 2 only")
     grid = np.linspace(-1.0, 1.0, points)
-    value_tables, deriv_tables = _weighted_profiles(basis, grid)
+    params = basis.family.params
+    table, derivs = basis.family.eval_table(grid, basis.degree)
+    # Tables of ratio * p_n^2 and raised-ratio * p_n'^2, shared by every dimension.
+    value_table = density_ratio_to_chebyshev(params, grid)[:, None] * table**2
+    deriv_table = density_ratio_to_chebyshev(params.raised(), grid)[:, None] * derivs**2
     mu_sup = 0.0
     beta_sup = 0.0
     for col, index in enumerate(basis.index_set):
-        values = [table[:, k] for table, k in zip(value_tables, index)]
+        values = [value_table[:, k] for k in index]
         # Value term factorizes, so its sup is the product of the 1-d sups.
         mu_sup = max(mu_sup, math.prod(float(v.max()) for v in values))
         total = reduce(np.multiply.outer, values)
         for j in directions:
-            factors = values[:j] + [deriv_tables[j][:, index[j]]] + values[j + 1:]
+            factors = values[:j] + [deriv_table[:, index[j]]] + values[j + 1:]
             total = total + reduce(np.multiply.outer, factors)
         beta_sup = max(beta_sup, float(p[col] ** 2 * total.max()))
     return mu_sup, beta_sup
@@ -304,7 +296,7 @@ def coherence_params(design: GradientDesign, grid_points: int | None = None) -> 
         mu = max(mu, g_mu)
         beta = max(beta, g_beta)
     if design.basis.kind == "jacobi":
-        bound, growth = coherence_bound([fam.params for fam in design.basis.families])
+        bound, growth = coherence_bound([design.basis.family.params] * design.basis.dim)
     else:
         bound, growth = math.nan, math.nan
     return CoherenceReport(mic(design.phi_hat), mu, beta, bound, growth)
@@ -327,15 +319,13 @@ def expected_gram(basis: PceBasis, directions=None) -> np.ndarray:
     dirs = _normalize_directions(basis.dim, directions)
     m = basis.degree + 1
     p = column_normalizer(basis, dirs)
-    pts, w = tensor_gauss_rule(basis.families, m)
+    families = [basis.family] * basis.dim
+    pts, w = tensor_gauss_rule(families, m)
     mat = basis.matrix(pts)
     gram = (mat * w[:, None]).T @ mat
+    raised = basis.family.raised(basis.degree)
     for axis in dirs:
-        families = [
-            fam.raised(basis.degree) if j == axis else fam
-            for j, fam in enumerate(basis.families)
-        ]
-        pts, w = tensor_gauss_rule(families, m)
+        pts, w = tensor_gauss_rule(families[:axis] + [raised] + families[axis + 1:], m)
         grad = basis.gradient_matrix(pts, axis)
         gram += (grad * w[:, None]).T @ grad
     return (gram * p[None, :]) * p[:, None]

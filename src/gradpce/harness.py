@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .design import assemble_gradient_enhanced, design_matrices, mic
+from .design import assemble_gradient_enhanced, design_matrices, mic, sampling_measure
 from .l1solver import SolveSpec, solve
 from .pce import PceBasis
 from .polynomials import Measure
@@ -259,13 +259,6 @@ def grid_table(columns, keys, grid, per_trial, reduce) -> ResultTable:
 # -- fitting -----------------------------------------------------------------
 
 
-def sampling_measure(basis_measure: Measure) -> Measure:
-    """Sampling distribution paired with a basis measure."""
-    if basis_measure.kind == "gaussian":
-        return Measure.gaussian()
-    return Measure.chebyshev()
-
-
 def fit_sparse_expansion(
     basis: PceBasis,
     batch,
@@ -341,7 +334,7 @@ def _trial_start(config: ExperimentConfig, basis: PceBasis, trial: int):
     trial_seed = split_stream(config.seed, trial)
     rng = generator(split_stream(trial_seed, 0))
     dirs = _choose_directions(rng, config.dim, config.direction_count)
-    return sampling_measure(basis.families[0].measure), trial_seed, rng, dirs
+    return sampling_measure(basis.family.measure), trial_seed, rng, dirs
 
 
 def _synthetic_data(basis: PceBasis, coefficients, points, directions):

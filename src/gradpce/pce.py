@@ -86,27 +86,23 @@ def total_degree_set(dim: int, degree: int, cap: int = DEFAULT_INDEX_CAP) -> Mul
 
 @dataclass(frozen=True)
 class PceBasis:
-    """Tensor-product orthonormal basis over a total-degree index set."""
+    """Tensor-product orthonormal basis over a total-degree index set.
+
+    Every dimension uses the same univariate family.
+    """
 
     index_set: MultiIndexSet
-    families: tuple[PolynomialFamily, ...]
+    family: PolynomialFamily
 
     def __post_init__(self):
-        if len(self.families) != self.index_set.dim:
-            raise ValueError("need one polynomial family per dimension")
-        kinds = {fam.kind for fam in self.families}
-        if len(kinds) != 1:
-            raise ValueError("mixed support kinds in one basis are not supported")
-        for fam in self.families:
-            if fam.max_degree < self.index_set.degree:
-                raise ValueError("family table shorter than the basis degree")
+        if self.family.max_degree < self.index_set.degree:
+            raise ValueError("family table shorter than the basis degree")
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def from_measure(measure: Measure, dim: int, degree: int) -> "PceBasis":
-        fam = PolynomialFamily(measure, max(degree, 1))
-        return PceBasis(total_degree_set(dim, degree), (fam,) * dim)
+        return PceBasis(total_degree_set(dim, degree), PolynomialFamily(measure, max(degree, 1)))
 
     @staticmethod
     def legendre(dim: int, degree: int) -> "PceBasis":
@@ -140,7 +136,7 @@ class PceBasis:
 
     @property
     def kind(self) -> str:
-        return self.families[0].kind
+        return self.family.kind
 
     # -- evaluation --------------------------------------------------------
 
@@ -152,14 +148,6 @@ class PceBasis:
             raise ValueError(f"points must have shape (N, {self.dim})")
         return pts
 
-    def _tables(self, points: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        values, derivs = [], []
-        for j, fam in enumerate(self.families):
-            v, d = fam.eval_table(points[:, j], self.degree)
-            values.append(v)
-            derivs.append(d)
-        return values, derivs
-
     def matrices(self, points, axes) -> list[np.ndarray]:
         """One matrix per entry of ``axes``, all from one pass over the 1-D tables.
 
@@ -170,7 +158,11 @@ class PceBasis:
             if axis is not None and not 0 <= axis < self.dim:
                 raise ValueError(f"axis {axis} out of range for dimension {self.dim}")
         pts = self._point_array(points)
-        values, derivs = self._tables(pts)
+        # Tables of shape (dim, N, degree + 1) from one call: the recurrence acts
+        # on each coordinate alone, so they equal one call per dimension bitwise.
+        values, derivs = self.family.eval_table(pts.T.ravel(), self.degree)
+        shape = (self.dim, pts.shape[0], self.degree + 1)
+        values, derivs = values.reshape(shape), derivs.reshape(shape)
         idx = self.index_set.indices
         blocks = []
         for axis in axes:

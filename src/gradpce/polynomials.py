@@ -250,10 +250,7 @@ class PolynomialFamily:
         if self.kind != "jacobi":
             return self
         deg = self.max_degree if max_degree is None else max_degree
-        return PolynomialFamily(Measure.jacobi(*self._raised_pair()), deg)
-
-    def _raised_pair(self) -> tuple[float, float]:
-        return self.params.alpha + 1.0, self.params.beta + 1.0
+        return PolynomialFamily(Measure("jacobi", self.params.raised()), deg)
 
     def derivative_constant(self, n: int) -> float:
         if self.kind == "jacobi":
@@ -349,7 +346,7 @@ class PolynomialFamily:
         measure; the projection coefficient must reproduce the closed form.
         """
         raised = PolynomialFamily(
-            Measure.jacobi(*self._raised_pair()), self.max_degree, _validate=False
+            Measure("jacobi", self.params.raised()), self.max_degree, _validate=False
         )
         m = self.max_degree + 1
         nodes, weights = raised.gauss_quadrature(m)

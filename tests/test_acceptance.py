@@ -117,7 +117,7 @@ def test_04_coherence_constants_and_bound(capsys):
         for a, b in pairs:
             basis = PceBasis.from_measure(Measure.jacobi(a, b), dim, degree)
             _, beta_sup = coherence_suprema(basis, grid_points=points)
-            bound, growth = coherence_bound([f.measure.params for f in basis.families])
+            bound, growth = coherence_bound([basis.family.params] * basis.dim)
             checked += 1
             if beta_sup > growth * bound:
                 violations += 1

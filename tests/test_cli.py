@@ -150,6 +150,23 @@ class TestDiagnose:
         assert values["coherence_bound"] == "nan"
 
 
+    @pytest.mark.parametrize("measure", ["legendre", "chebyshev", "hermite", "jacobi(0.5,1.5)"])
+    def test_grid_scan_reports_or_errors(self, measure, capsys):
+        # An unsupported scan ends in one error line, never an uncaught exception.
+        code = main(["diagnose", "--measure", measure, "--dim", "2", "--degree", "3",
+                     "--samples", "20", "--grid-points", "21"])
+        captured = capsys.readouterr()
+        if measure == "hermite":
+            assert code == 1
+            assert captured.err.splitlines() == [
+                "error: grid scan is defined for Jacobi bases on [-1, 1] only"
+            ]
+        else:
+            assert code == 0
+            assert captured.err == ""
+            assert "stacked_coherence" in captured.out
+
+
 class TestParsing:
     def test_command_required(self, capsys):
         with pytest.raises(SystemExit):

@@ -146,18 +146,18 @@ class TestAssembly:
         idx = basis.index_set.indices
 
         def block(axis):
-            # One table pass per block, as the matrices were assembled before.
+            # One table pass per block and column, as the matrices were assembled before.
             out = np.ones((points.shape[0], basis.size))
-            for j, fam in enumerate(basis.families):
-                values, derivs = fam.eval_table(points[:, j], basis.degree)
+            for j in range(basis.dim):
+                values, derivs = basis.family.eval_table(points[:, j], basis.degree)
                 out *= (derivs if j == axis else values)[:, idx[:, j]]
             return out
 
-        ratios = [density_ratio_to_chebyshev(fam.params, points[:, j])
-                  for j, fam in enumerate(basis.families)]
+        params = basis.family.params
+        ratios = [density_ratio_to_chebyshev(params, points[:, j]) for j in range(basis.dim)]
         w_blocks = [np.sqrt(np.prod(ratios, axis=0))]
         for axis in directions:
-            raised = density_ratio_to_chebyshev(basis.families[axis].params.raised(), points[:, axis])
+            raised = density_ratio_to_chebyshev(params.raised(), points[:, axis])
             w_blocks.append(np.sqrt(np.prod(
                 [raised if j == axis else ratios[j] for j in range(basis.dim)], axis=0)))
 
@@ -175,8 +175,8 @@ class TestAssembly:
         monkeypatch.setattr(PolynomialFamily, "eval_table", counting_table)
         monkeypatch.setattr(design, "density_ratio_to_chebyshev", counting_density)
         phi, phi_tilde, w, _ = design_matrices(basis, batch, directions)
-        assert len(tables) == basis.dim
-        assert len(densities) == basis.dim + len(directions)
+        assert len(tables) == 1
+        assert len(densities) == 1 + len(directions)
         np.testing.assert_array_equal(phi, block(None))
         np.testing.assert_array_equal(phi_tilde, np.vstack([block(None)] + [block(a) for a in directions]))
         np.testing.assert_array_equal(w, np.concatenate(w_blocks))
@@ -323,6 +323,11 @@ class TestCoherence:
         basis = PceBasis.legendre(3, 2)
         with pytest.raises(ValueError, match="dimension"):
             coherence_suprema(basis, grid_points=11)
+
+    def test_grid_scan_rejects_hermite(self):
+        # The scan's grid and density ratios live on [-1, 1].
+        with pytest.raises(ValueError, match="Jacobi bases"):
+            coherence_suprema(PceBasis.hermite(1, 3), grid_points=11)
 
 
 class TestIsotropy:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradpce.pce import PceBasis, total_degree_set
+from gradpce.polynomials import Measure, PolynomialFamily
 
 from _oracles import central_difference, jacobi_rule
 
@@ -72,8 +73,8 @@ class TestPceBasis:
         mat = basis.matrix(pts)
         for col, k in enumerate(basis.index_set):
             expected = np.ones(7)
-            for j, fam in enumerate(basis.families):
-                expected *= fam.eval(k[j], pts[:, j])[0]
+            for j in range(basis.dim):
+                expected *= basis.family.eval(k[j], pts[:, j])[0]
             np.testing.assert_allclose(mat[:, col], expected, rtol=1e-13)
 
     def test_gradient_matrix_matches_finite_difference(self):
@@ -101,8 +102,8 @@ class TestPceBasis:
             if n0 > 0:
                 expected = (
                     math.sqrt(n0)
-                    * basis.families[0].eval(n0 - 1, pts[:, 0])[0]
-                    * basis.families[1].eval(k[1], pts[:, 1])[0]
+                    * basis.family.eval(n0 - 1, pts[:, 0])[0]
+                    * basis.family.eval(k[1], pts[:, 1])[0]
                 )
             np.testing.assert_allclose(grad[:, col], expected, atol=1e-12)
 
@@ -116,14 +117,34 @@ class TestPceBasis:
         gram = (mat * w[:, None]).T @ mat
         np.testing.assert_allclose(gram, np.eye(basis.size), atol=1e-12)
 
-    def test_rejects_mixed_kinds(self):
-        from gradpce.polynomials import PolynomialFamily
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(["legendre", "chebyshev", "jacobi(0.5,1.5)", "hermite"]),
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=0, max_value=5),
+        st.integers(min_value=1, max_value=12),
+        st.lists(st.one_of(st.none(), st.integers(min_value=0, max_value=3)), max_size=4),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_matrices_match_per_column_tables(self, measure, dim, degree, n, axes, seed):
+        basis = PceBasis.from_measure(Measure.parse(measure), dim, degree)
+        axes = [a if a is None else a % dim for a in axes]
+        rng = np.random.default_rng(seed)
+        if basis.kind == "jacobi":
+            pts = rng.uniform(-1.0, 1.0, size=(n, dim))
+        else:
+            pts = rng.normal(size=(n, dim))
+        idx = basis.index_set.indices
+        tables = [basis.family.eval_table(pts[:, j], degree) for j in range(dim)]
+        for axis, block in zip(axes, basis.matrices(pts, axes)):
+            expected = np.ones((n, basis.size))
+            for j, (values, derivs) in enumerate(tables):
+                expected *= (derivs if j == axis else values)[:, idx[:, j]]
+            np.testing.assert_array_equal(block, expected)
 
-        with pytest.raises(ValueError, match="mixed"):
-            PceBasis(
-                total_degree_set(2, 2),
-                (PolynomialFamily.legendre(2), PolynomialFamily.hermite(2)),
-            )
+    def test_rejects_short_family_table(self):
+        with pytest.raises(ValueError, match="shorter than the basis degree"):
+            PceBasis(total_degree_set(2, 3), PolynomialFamily.legendre(2))
 
     def test_rejects_wrong_point_shape(self):
         basis = PceBasis.legendre(2, 2)
