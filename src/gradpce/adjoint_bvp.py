@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -277,10 +277,14 @@ def _surrogates(model: DiffusionModel, basis: PceBasis, modes, n_samples: int,
     """One surrogate per mode, all fitted from the same draw of sample points."""
     full = sample(sampling_measure(Measure.uniform()), model.dim,
                   (1 + model.dim) * n_samples, seed)
-    data = mode_data(modes, full, n_samples, range(model.dim), partial(_evaluate_batch, model))
+
+    def evaluate(design):
+        return design.stack(*_evaluate_batch(model, design.batch.points, design.directions))
+
+    fits = mode_data(basis, modes, full, n_samples, range(model.dim), evaluate)
     results = []
-    for mode, fit in zip(modes, data):
-        coeffs = fit_sparse_expansion(basis, *fit, epsilon=None, opt_tol=1e-8)
+    for mode, (design, data) in zip(modes, fits):
+        coeffs = fit_sparse_expansion(design, data, epsilon=None, opt_tol=1e-8)
         std = math.sqrt(max(float(coeffs[1:] @ coeffs[1:]), 0.0))
         results.append(SurrogateResult(coeffs, float(coeffs[0]), std, n_samples, mode))
     return results

@@ -7,8 +7,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .adjoint_bvp import DiffusionModel, run_bvp_benchmark
 from .design import assemble_gradient_enhanced, coherence_params, sampling_measure
 from .harness import (
@@ -89,11 +87,8 @@ def _run_diagnose(args) -> int:
     measure = Measure.parse(args.measure)
     basis = PceBasis.from_measure(measure, args.dim, args.degree)
     batch = sample(sampling_measure(measure), args.dim, args.samples, args.seed)
-    design = assemble_gradient_enhanced(
-        basis, batch, np.zeros(args.samples),
-        np.zeros((args.samples, args.dim)), tuple(range(args.dim)),
-    )
-    report = coherence_params(design, grid_points=args.grid_points)
+    report = coherence_params(assemble_gradient_enhanced(basis, batch),
+                              grid_points=args.grid_points)
     print(f"measure             {measure.label}")
     print(f"dim                 {args.dim}")
     print(f"degree              {args.degree}")
@@ -155,7 +150,7 @@ def main(argv=None) -> int:
         if args.command == "bvp":
             return _run_bvp(args)
         return _run_diagnose(args)
-    except (ValueError, OSError) as error:
+    except (ValueError, ArithmeticError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
 

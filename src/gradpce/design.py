@@ -5,14 +5,16 @@ matrices of the included directions, then applies a diagonal row weighting W
 (square root of the ratio between each block's natural density and the
 sampling density) and a diagonal column normalization P chosen so that the
 expected Gram matrix of the weighted system is the identity.  For Hermite
-bases under Gaussian sampling W is the identity and only P acts.
+bases under Gaussian sampling W is the identity and only P acts.  The system
+depends on the sample points and the gradient directions only; sampled data
+are its right-hand side.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -104,7 +106,11 @@ def design_matrices(
 
 @dataclass(frozen=True)
 class GradientDesign:
-    """Weighted gradient-enhanced measurement system for one sample batch."""
+    """Weighted gradient-enhanced measurement system of one sample batch.
+
+    It holds no data: :meth:`stack` orders sampled values and gradients to
+    match its rows.
+    """
 
     basis: PceBasis
     batch: SampleBatch
@@ -112,8 +118,6 @@ class GradientDesign:
     phi_tilde: np.ndarray = field(repr=False)  # (N*(1+q), M) stacked raw system
     w: np.ndarray = field(repr=False)          # stacked diagonal of W
     p: np.ndarray = field(repr=False)          # diagonal of P
-    phi_hat: np.ndarray = field(repr=False)    # W * phi_tilde * P
-    f_tilde: np.ndarray = field(repr=False)    # stacked data [values, gradients...]
 
     def __post_init__(self):
         if not np.all(self.w > 0.0):
@@ -125,10 +129,36 @@ class GradientDesign:
     def n_samples(self) -> int:
         return len(self.batch)
 
-    @property
-    def rhs(self) -> np.ndarray:
-        """Right-hand side matching phi_hat: W applied to the stacked data."""
-        return self.w * self.f_tilde
+    @cached_property
+    def phi_hat(self) -> np.ndarray:
+        """The preconditioned system W * phi_tilde * P."""
+        return (self.w[:, None] * self.phi_tilde) * self.p[None, :]
+
+    def stack(self, values, gradients=None) -> np.ndarray:
+        """Raw stacked data [values, gradients along each direction] of the rows.
+
+        ``gradients`` holds one column per basis dimension (columns of excluded
+        directions are ignored); it may be omitted only when no directions are
+        included.
+        """
+        n = self.n_samples
+        values = np.asarray(values, dtype=float).reshape(-1)
+        if values.shape[0] != n:
+            raise ValueError("one value per sample required")
+        if not self.directions:
+            return values
+        if gradients is None:
+            raise ValueError("gradient data required for the included directions")
+        gradients = np.asarray(gradients, dtype=float)
+        if gradients.shape != (n, self.basis.dim):
+            raise ValueError(f"gradients must have shape ({n}, {self.basis.dim})")
+        return np.concatenate([values] + [gradients[:, a] for a in self.directions])
+
+    def values_only(self) -> "GradientDesign":
+        """The value-only system of the same points: W keeps its value block, P is 1."""
+        n = self.n_samples
+        return GradientDesign(self.basis, self.batch, (), self.phi_tilde[:n], self.w[:n],
+                              np.ones(self.basis.size))
 
     def value_block(self) -> np.ndarray:
         """Rows of phi_hat coming from plain function evaluations."""
@@ -140,35 +170,17 @@ class GradientDesign:
 
 
 def assemble_gradient_enhanced(
-    basis: PceBasis,
-    batch: SampleBatch,
-    values: np.ndarray,
-    gradients: np.ndarray | None = None,
-    directions=None,
+    basis: PceBasis, batch: SampleBatch, directions=None
 ) -> GradientDesign:
-    """Build the weighted stacked system from samples, values, and gradients.
+    """Build the weighted stacked system of a sample batch.
 
-    ``gradients`` holds one column per basis dimension (columns of excluded
-    directions are ignored); it may be omitted only when no directions are
-    included.  With no directions this is the value-only system: W keeps its
-    value block and P is 1.
+    ``directions`` lists the gradient directions (None: all of them). With no
+    directions this is the value-only system: W keeps its value block and P
+    is 1.
     """
     dirs = _normalize_directions(basis.dim, directions)
     _, phi_tilde, w, p = design_matrices(basis, batch, dirs)
-    values = np.asarray(values, dtype=float).reshape(-1)
-    if values.shape[0] != len(batch):
-        raise ValueError("one value per sample required")
-    if dirs:
-        if gradients is None:
-            raise ValueError("gradient data required for the included directions")
-        gradients = np.asarray(gradients, dtype=float)
-        if gradients.shape != (len(batch), basis.dim):
-            raise ValueError(f"gradients must have shape ({len(batch)}, {basis.dim})")
-        f_tilde = np.concatenate([values] + [gradients[:, a] for a in dirs])
-    else:
-        f_tilde = values
-    phi_hat = (w[:, None] * phi_tilde) * p[None, :]
-    return GradientDesign(basis, batch, dirs, phi_tilde, w, p, phi_hat, f_tilde)
+    return GradientDesign(basis, batch, dirs, phi_tilde, w, p)
 
 
 def assemble_standard(basis: PceBasis, batch: SampleBatch) -> tuple[np.ndarray, np.ndarray]:
@@ -178,8 +190,8 @@ def assemble_standard(basis: PceBasis, batch: SampleBatch) -> tuple[np.ndarray, 
     the square root of the ratio between the basis measure's density and the
     sampling density, making the expected Gram matrix the identity.
     """
-    _, phi, w, _ = design_matrices(basis, batch, ())
-    return w[:, None] * phi, w
+    design = assemble_gradient_enhanced(basis, batch, ())
+    return design.phi_hat, design.w
 
 
 # -- coherence diagnostics -------------------------------------------------

@@ -10,12 +10,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
-from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from .design import assemble_gradient_enhanced, design_matrices, mic, sampling_measure
+from .design import GradientDesign, assemble_gradient_enhanced, mic, sampling_measure
 from .l1solver import SolveSpec, solve
 from .pce import PceBasis
 from .polynomials import Measure
@@ -124,8 +123,9 @@ class ExperimentConfig:
 
     ``epsilon`` bounds the residual of every l1 fit. Left at None, the
     recovery benchmarks solve exact basis pursuit (epsilon 0), while the rmse
-    benchmark hands None to ``fit_sparse_expansion``, which fits to 1e-8
-    times the norm of the raw stacked data.
+    benchmark hands None to ``fit_sparse_expansion``, which fits each mode to
+    1e-8 times the norm of that mode's stacked data (values, then gradients),
+    before the row weights.
     """
 
     kind: str
@@ -260,64 +260,56 @@ def grid_table(columns, keys, grid, per_trial, reduce) -> ResultTable:
 
 
 def fit_sparse_expansion(
-    basis: PceBasis,
-    batch,
-    values: np.ndarray,
-    gradients: np.ndarray | None = None,
-    directions=(),
-    epsilon: float | None = 0.0,
-    opt_tol: float = 1e-6,
+    design: GradientDesign, data, epsilon: float | None = 0.0, opt_tol: float = 1e-6
 ) -> np.ndarray:
     """Recover expansion coefficients from sampled data by l1 minimization.
 
-    Solves the weighted stacked system of the values and the gradients along
-    ``directions`` and maps the result back through the column normalizer;
-    with no directions that system is the value-only preconditioned one.
-    ``epsilon=None`` applies the default denoising level of 1e-8 times the
-    norm of the raw stacked data.
+    ``data`` is the raw stacked data of the design's rows, as
+    :meth:`GradientDesign.stack` returns it. The fit solves the weighted
+    system against W times the data and maps the result back through the
+    column normalizer. ``epsilon=None`` applies the default denoising level of
+    1e-8 times the norm of the data.
     """
-    design = assemble_gradient_enhanced(basis, batch, values, gradients, tuple(directions))
+    data = np.asarray(data, dtype=float)
+    if data.shape != design.w.shape:
+        raise ValueError("one datum per design row required")
     if epsilon is None:
-        epsilon = _RELATIVE_EPSILON * float(np.linalg.norm(design.f_tilde))
-    result = solve(SolveSpec(design.phi_hat, design.rhs, epsilon=float(epsilon), opt_tol=opt_tol))
+        epsilon = _RELATIVE_EPSILON * float(np.linalg.norm(data))
+    result = solve(SolveSpec(design.phi_hat, design.w * data, epsilon=float(epsilon),
+                             opt_tol=opt_tol))
     return design.unscale(result.coefficients)
 
 
-def mode_data(modes, full: SampleBatch, n: int, directions, evaluate):
-    """The (batch, values, gradients, directions) of each mode, in mode order.
+def mode_data(basis: PceBasis, modes, full: SampleBatch, n: int, directions, evaluate):
+    """The (design, data) of each mode, in mode order.
 
     ``full`` holds the (1 + q) * n points drawn for one grid point, where q is
     the number of gradient directions. ``standard`` fits the values at the
     first n points, ``gradient-enhanced`` adds the gradients along
     ``directions`` there, and ``standard-double`` spends the gradient budget
-    on values at all (1 + q) * n points. ``evaluate(points, directions)``
-    returns the values and, for non-empty directions, an (N, dim) gradient
-    array (else None). It runs at most twice: once on the first n points,
-    which the two modes fitting there share, and once on the whole batch.
+    on values at all (1 + q) * n points. ``evaluate(design)`` returns the
+    stacked data of a design's rows. At most two systems are built and
+    evaluated: one on the first n points, whose value-only system and data
+    the standard mode cuts from it, and one on the whole batch.
     """
     check_modes(modes)
-    data = {}
+    fits = {}
     if "standard" in modes or "gradient-enhanced" in modes:
-        batch = full.subset(n)
         dirs = tuple(directions) if "gradient-enhanced" in modes else ()
-        values, gradients = evaluate(batch.points, dirs)
-        data["standard"] = (batch, values, None, ())
-        data["gradient-enhanced"] = (batch, values, gradients, dirs)
+        design = assemble_gradient_enhanced(basis, full.subset(n), dirs)
+        data = evaluate(design)
+        fits["gradient-enhanced"] = (design, data)
+        fits["standard"] = (design.values_only(), data[:n])
     if "standard-double" in modes:
-        data["standard-double"] = (full, *evaluate(full.points, ()), ())
-    return [data[mode] for mode in modes]
+        design = assemble_gradient_enhanced(basis, full, ())
+        fits["standard-double"] = (design, evaluate(design))
+    return [fits[mode] for mode in modes]
 
 
-def _mode_scores(basis: PceBasis, data, score, epsilon, opt_tol) -> list[float]:
-    """``score`` of each mode's fitted coefficients; a fit or score that fails scores inf."""
-    scores = []
-    for fit in data:
-        try:
-            estimate = fit_sparse_expansion(basis, *fit, epsilon=epsilon, opt_tol=opt_tol)
-            scores.append(score(estimate))
-        except (ValueError, FloatingPointError):
-            scores.append(math.inf)
-    return scores
+def _mode_scores(fits, score, epsilon, opt_tol) -> list[float]:
+    """``score`` of each mode's fitted coefficients."""
+    return [score(fit_sparse_expansion(design, data, epsilon=epsilon, opt_tol=opt_tol))
+            for design, data in fits]
 
 
 # -- recovery benchmarks -----------------------------------------------------
@@ -337,17 +329,6 @@ def _trial_start(config: ExperimentConfig, basis: PceBasis, trial: int):
     return sampling_measure(basis.family.measure), trial_seed, rng, dirs
 
 
-def _synthetic_data(basis: PceBasis, coefficients, points, directions):
-    value_block, *gradient_blocks = basis.matrices(points, (None,) + directions)
-    values = value_block @ coefficients
-    if not directions:
-        return values, None
-    gradients = np.zeros((points.shape[0], basis.dim))
-    for axis, block in zip(directions, gradient_blocks):
-        gradients[:, axis] = block @ coefficients
-    return values, gradients
-
-
 def _recovery_trial(config: ExperimentConfig, basis: PceBasis, grid, trial: int):
     measure, trial_seed, rng, dirs = _trial_start(config, basis, trial)
     s_values = [config.sparsity] * len(grid) if config.kind == "recovery-vs-N" else list(grid)
@@ -362,9 +343,10 @@ def _recovery_trial(config: ExperimentConfig, basis: PceBasis, grid, trial: int)
         coeffs = np.zeros(basis.size)
         coeffs[support[:s]] = spikes[:s]
         full = sample(measure, config.dim, (1 + len(dirs)) * n, split_stream(trial_seed, gi + 1))
-        data = mode_data(config.modes, full, n, dirs, partial(_synthetic_data, basis, coeffs))
+        fits = mode_data(basis, config.modes, full, n, dirs,
+                         lambda design: design.phi_tilde @ coeffs)
         errors.append(_mode_scores(
-            basis, data, lambda estimate: float(np.abs(estimate - coeffs).max()),
+            fits, lambda estimate: float(np.abs(estimate - coeffs).max()),
             epsilon, _RECOVERY_OPT_TOL,
         ))
     return errors
@@ -393,9 +375,8 @@ def _mic_trial(config: ExperimentConfig, basis: PceBasis, trial: int):
     out = []
     for gi, n in enumerate(config.sample_grid):
         batch = sample(measure, config.dim, n, split_stream(trial_seed, gi + 1))
-        phi, phi_tilde, w, p = design_matrices(basis, batch, dirs)
-        phi_hat = (w[:, None] * phi_tilde) * p[None, :]
-        out.append((mic(phi), mic(phi_tilde), mic(phi_hat)))
+        design = assemble_gradient_enhanced(basis, batch, dirs)
+        out.append((mic(design.phi_tilde[:n]), mic(design.phi_tilde), mic(design.phi_hat)))
     return out
 
 
@@ -416,8 +397,10 @@ def _rmse_trial(config, basis, target: TargetFunction, val_matrix, val_truth, tr
     measure, trial_seed, _, dirs = _trial_start(config, basis, trial)
     scale = math.sqrt(val_matrix.shape[0])
 
-    def evaluate(points, directions):
-        return target.values(points), target.gradients(points) if directions else None
+    def evaluate(design):
+        points = design.batch.points
+        gradients = target.gradients(points) if design.directions else None
+        return design.stack(target.values(points), gradients)
 
     def rmse(estimate):
         return float(np.linalg.norm(val_matrix @ estimate - val_truth)) / scale
@@ -425,8 +408,8 @@ def _rmse_trial(config, basis, target: TargetFunction, val_matrix, val_truth, tr
     out = []
     for gi, n in enumerate(config.sample_grid):
         full = sample(measure, config.dim, (1 + len(dirs)) * n, split_stream(trial_seed, gi + 1))
-        data = mode_data(config.modes, full, n, dirs, evaluate)
-        out.append(_mode_scores(basis, data, rmse, config.epsilon, _RMSE_OPT_TOL))
+        fits = mode_data(basis, config.modes, full, n, dirs, evaluate)
+        out.append(_mode_scores(fits, rmse, config.epsilon, _RMSE_OPT_TOL))
     return out
 
 

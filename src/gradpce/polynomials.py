@@ -33,10 +33,10 @@ class JacobiParams:
     beta: float
 
     def __post_init__(self):
-        # The closed-form recurrence and density bounds need alpha, beta >= -1/2.
-        if not (self.alpha >= -0.5 and self.beta >= -0.5):
+        # The closed-form recurrence and density bounds need finite alpha, beta >= -1/2.
+        if not (-0.5 <= self.alpha < math.inf and -0.5 <= self.beta < math.inf):
             raise ValueError(
-                "Jacobi parameters must satisfy alpha, beta >= -1/2, got "
+                "Jacobi parameters must be finite and satisfy alpha, beta >= -1/2, got "
                 f"alpha={self.alpha}, beta={self.beta}"
             )
 

@@ -167,6 +167,17 @@ class TestDiagnose:
             assert "stacked_coherence" in captured.out
 
 
+    @pytest.mark.parametrize("measure, message", [
+        ("jacobi(inf,0)", "error: Jacobi parameters must be finite"),
+        ("jacobi(1e308,0)", "error: "),
+    ])
+    def test_bad_jacobi_exponents_end_in_one_error_line(self, measure, message, capsys):
+        code = main(["diagnose", "--measure", measure])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith(message)
+
+
 class TestParsing:
     def test_command_required(self, capsys):
         with pytest.raises(SystemExit):

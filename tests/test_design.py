@@ -52,7 +52,7 @@ class TestAssembly:
         # Legendre in one dimension, degree 1, sampled at the origin.
         basis = PceBasis.legendre(1, 1)
         batch = chebyshev_batch([[0.0]])
-        design = assemble_gradient_enhanced(basis, batch, [0.0], [[0.0]])
+        design = assemble_gradient_enhanced(basis, batch)
         expected = np.array(
             [
                 [math.sqrt(math.pi / 2.0), 0.0],
@@ -68,11 +68,11 @@ class TestAssembly:
         coeffs = np.zeros(basis.size)
         coeffs[3] = 1.0
         values, grads = synthesize(basis, batch, coeffs)
-        design = assemble_gradient_enhanced(basis, batch, values, grads)
+        design = assemble_gradient_enhanced(basis, batch)
         rebuilt = (design.w[:, None] * design.phi_tilde) * design.p[None, :]
         assert np.abs(design.phi_hat - rebuilt).max() <= 1e-14
         assert design.phi_hat.shape == (45, basis.size)
-        assert design.f_tilde.shape == (45,)
+        assert design.stack(values, grads).shape == (45,)
 
     def test_rhs_applies_row_weights(self):
         basis = PceBasis.legendre(2, 3)
@@ -80,18 +80,18 @@ class TestAssembly:
         coeffs = np.zeros(basis.size)
         coeffs[1] = 2.0
         values, grads = synthesize(basis, batch, coeffs)
-        design = assemble_gradient_enhanced(basis, batch, values, grads)
-        np.testing.assert_allclose(design.rhs, design.w * design.f_tilde, rtol=0)
+        design = assemble_gradient_enhanced(basis, batch)
+        data = design.stack(values, grads)
+        np.testing.assert_array_equal(data, np.concatenate([values, grads[:, 0], grads[:, 1]]))
         # Consistency: the scaled system reproduces the weighted data exactly.
         np.testing.assert_allclose(
-            design.phi_hat @ (coeffs / design.p), design.rhs, rtol=1e-12, atol=1e-12
+            design.phi_hat @ (coeffs / design.p), design.w * data, rtol=1e-12, atol=1e-12
         )
 
     def test_unscale_round_trip(self):
         basis = PceBasis.legendre(2, 2)
         batch = sample(Measure.chebyshev(), 2, 10, seed=6)
-        values, grads = synthesize(basis, batch, np.ones(basis.size))
-        design = assemble_gradient_enhanced(basis, batch, values, grads)
+        design = assemble_gradient_enhanced(basis, batch)
         scaled = np.arange(basis.size, dtype=float)
         np.testing.assert_allclose(design.unscale(scaled), design.p * scaled, rtol=0)
 
@@ -99,8 +99,11 @@ class TestAssembly:
         basis = PceBasis.legendre(3, 2)
         batch = sample(Measure.chebyshev(), 3, 7, seed=8)
         values, grads = synthesize(basis, batch, np.ones(basis.size))
-        design = assemble_gradient_enhanced(basis, batch, values, grads, directions=(1,))
+        design = assemble_gradient_enhanced(basis, batch, directions=(1,))
         assert design.directions == (1,)
+        np.testing.assert_array_equal(
+            design.stack(values, grads), np.concatenate([values, grads[:, 1]])
+        )
         assert design.phi_hat.shape == (14, basis.size)
         # P only accounts for the included direction.
         expected_p = column_normalizer(basis, (1,))
@@ -109,17 +112,15 @@ class TestAssembly:
     def test_value_only_design_needs_no_gradients(self):
         basis = PceBasis.legendre(2, 2)
         batch = sample(Measure.chebyshev(), 2, 5, seed=9)
-        design = assemble_gradient_enhanced(
-            basis, batch, np.ones(5), directions=()
-        )
+        design = assemble_gradient_enhanced(basis, batch, ())
+        assert design.stack(np.ones(5)).shape == (5,)
         assert design.phi_hat.shape == (5, basis.size)
         np.testing.assert_array_equal(design.p, 1.0)
 
     def test_chebyshev_sampling_of_chebyshev_basis_leaves_rows_unweighted(self):
         basis = PceBasis.chebyshev(2, 3)
         batch = sample(Measure.chebyshev(), 2, 9, seed=11)
-        values, grads = synthesize(basis, batch, np.ones(basis.size))
-        design = assemble_gradient_enhanced(basis, batch, values, grads)
+        design = assemble_gradient_enhanced(basis, batch)
         np.testing.assert_array_equal(design.w[:9], 1.0)
 
     @pytest.mark.parametrize("edge", [1.0, 1.0 + JACOBI_CLAMP / 2.0])
@@ -132,10 +133,8 @@ class TestAssembly:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="row weights must be strictly positive"):
-                assemble_gradient_enhanced(PceBasis.legendre(2, 3), batch, [0.0], directions=())
-            design = assemble_gradient_enhanced(
-                PceBasis.chebyshev(2, 3), batch, [0.0], directions=()
-            )
+                assemble_gradient_enhanced(PceBasis.legendre(2, 3), batch, ())
+            design = assemble_gradient_enhanced(PceBasis.chebyshev(2, 3), batch, ())
         np.testing.assert_array_equal(design.w, 1.0)
 
     @pytest.mark.parametrize("directions", [(), (1,), (0, 1, 2)])
@@ -181,11 +180,28 @@ class TestAssembly:
         np.testing.assert_array_equal(phi_tilde, np.vstack([block(None)] + [block(a) for a in directions]))
         np.testing.assert_array_equal(w, np.concatenate(w_blocks))
 
+    @pytest.mark.parametrize("measure", ["legendre", "chebyshev", "jacobi(0.5,1.5)", "hermite"])
+    def test_values_only_cuts_the_value_only_system(self, monkeypatch, measure):
+        basis = PceBasis.from_measure(Measure.parse(measure), 2, 5)
+        batch = sample(design.sampling_measure(basis.family.measure), 2, 12, seed=7)
+        full = assemble_gradient_enhanced(basis, batch)
+
+        def no_table_pass(*args):
+            raise AssertionError("values_only made a table pass")
+
+        monkeypatch.setattr(PolynomialFamily, "eval_table", no_table_pass)
+        cut = full.values_only()
+        monkeypatch.undo()
+        direct = assemble_gradient_enhanced(basis, batch, ())
+        assert cut.directions == ()
+        np.testing.assert_array_equal(cut.phi_hat, direct.phi_hat)
+        np.testing.assert_array_equal(cut.w, direct.w)
+        np.testing.assert_array_equal(cut.p, direct.p)
+
     def test_hermite_weights_are_identity(self):
         basis = PceBasis.hermite(2, 3)
         batch = sample(Measure.gaussian(), 2, 9, seed=12)
-        values, grads = synthesize(basis, batch, np.ones(basis.size))
-        design = assemble_gradient_enhanced(basis, batch, values, grads)
+        design = assemble_gradient_enhanced(basis, batch)
         np.testing.assert_array_equal(design.w, 1.0)
 
     def test_hermite_normalizer_hand_value(self):
@@ -216,13 +232,16 @@ class TestAssembly:
         values = np.ones(5)
         grads = np.zeros((5, 2))
         with pytest.raises(ValueError, match="duplicate"):
-            assemble_gradient_enhanced(basis, batch, values, grads, directions=(0, 0))
+            assemble_gradient_enhanced(basis, batch, directions=(0, 0))
         with pytest.raises(ValueError, match="out of range"):
-            assemble_gradient_enhanced(basis, batch, values, grads, directions=(2,))
+            assemble_gradient_enhanced(basis, batch, directions=(2,))
+        design = assemble_gradient_enhanced(basis, batch)
         with pytest.raises(ValueError, match="gradient data"):
-            assemble_gradient_enhanced(basis, batch, values)
+            design.stack(values)
         with pytest.raises(ValueError, match="shape"):
-            assemble_gradient_enhanced(basis, batch, values, np.zeros((5, 3)))
+            design.stack(values, np.zeros((5, 3)))
+        with pytest.raises(ValueError, match="one value per sample"):
+            design.stack(values[:4], grads)
 
     def test_standard_assembly_preconditioning(self):
         basis = PceBasis.legendre(2, 4)
@@ -295,8 +314,7 @@ class TestCoherence:
     def test_report_respects_bounds(self):
         basis = PceBasis.legendre(2, 8)
         batch = sample(Measure.chebyshev(), 2, 50, seed=21)
-        values, grads = synthesize(basis, batch, np.ones(basis.size))
-        design = assemble_gradient_enhanced(basis, batch, values, grads)
+        design = assemble_gradient_enhanced(basis, batch)
         report = coherence_params(design, grid_points=301)
         assert report.value_coherence <= report.coherence_bound
         assert report.stacked_coherence <= report.stacked_bound
@@ -314,8 +332,7 @@ class TestCoherence:
     def test_hermite_report_has_nan_bounds(self):
         basis = PceBasis.hermite(2, 3)
         batch = sample(Measure.gaussian(), 2, 30, seed=2)
-        values, grads = synthesize(basis, batch, np.ones(basis.size))
-        report = coherence_params(assemble_gradient_enhanced(basis, batch, values, grads))
+        report = coherence_params(assemble_gradient_enhanced(basis, batch))
         assert math.isnan(report.coherence_bound)
         assert report.stacked_coherence > 0.0
 
@@ -399,15 +416,13 @@ class TestNullspace:
     def test_containment_of_value_block(self):
         basis = PceBasis.legendre(2, 10)
         batch = sample(Measure.chebyshev(), 2, 10, seed=41)
-        values, grads = synthesize(basis, batch, np.ones(basis.size))
-        design = assemble_gradient_enhanced(basis, batch, values, grads)
+        design = assemble_gradient_enhanced(basis, batch)
         assert nullspace_containment(design.value_block(), design.phi_hat)
 
     def test_strict_shrinkage_when_undersampled(self):
         basis = PceBasis.legendre(2, 10)
         batch = sample(Measure.chebyshev(), 2, 10, seed=43)
-        values, grads = synthesize(basis, batch, np.ones(basis.size))
-        design = assemble_gradient_enhanced(basis, batch, values, grads)
+        design = assemble_gradient_enhanced(basis, batch)
         assert numeric_nullspace_dim(design.phi_hat) < numeric_nullspace_dim(design.value_block())
 
     def test_unrelated_matrices_fail(self):

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gradpce import harness, l1solver
+from gradpce.design import assemble_gradient_enhanced
 from gradpce.harness import (
     MATRIX_IDS,
     SUCCESS_TOL,
@@ -22,7 +23,7 @@ from gradpce.harness import (
     sampling_measure,
 )
 from gradpce.pce import PceBasis
-from gradpce.polynomials import Measure
+from gradpce.polynomials import Measure, PolynomialFamily
 from gradpce.sampling import generator, sample
 
 
@@ -124,7 +125,7 @@ class TestConfig:
         )
         for offset, fraction in ((SUCCESS_TOL, 1.0), (SUCCESS_TOL * 1.01, 0.0)):
             monkeypatch.setattr(harness, "fit_sparse_expansion",
-                                lambda basis, *fit, **kw: np.full(basis.size, offset))
+                                lambda design, data, **kw: np.full(design.basis.size, offset))
             table = run_recovery_benchmark(config)
             assert [row[2] for row in table.rows] == [fraction] * 6
 
@@ -161,10 +162,9 @@ class TestFit:
         grads = np.column_stack(
             [basis.gradient_matrix(batch.points, a) @ coeffs for a in range(2)]
         )
-        standard = fit_sparse_expansion(basis, batch, values, opt_tol=1e-9)
-        enhanced = fit_sparse_expansion(
-            basis, batch, values, grads, (0, 1), opt_tol=1e-9
-        )
+        design = assemble_gradient_enhanced(basis, batch, (0, 1))
+        standard = fit_sparse_expansion(design.values_only(), values, opt_tol=1e-9)
+        enhanced = fit_sparse_expansion(design, design.stack(values, grads), opt_tol=1e-9)
         np.testing.assert_allclose(standard, coeffs, atol=1e-6)
         np.testing.assert_allclose(enhanced, coeffs, atol=1e-6)
 
@@ -183,15 +183,23 @@ class TestFit:
             grads = np.column_stack(
                 [basis.gradient_matrix(batch.points, a) @ coeffs for a in range(2)]
             )
-            fitted = fit_sparse_expansion(basis, batch, values, grads, (0, 1), epsilon=0.0)
+            design = assemble_gradient_enhanced(basis, batch, (0, 1))
+            fitted = fit_sparse_expansion(design, design.stack(values, grads), epsilon=0.0)
             worst = max(worst, float(np.abs(fitted - coeffs).max()))
         assert worst <= 1e-8
+
+    def test_data_must_match_the_design_rows(self):
+        basis = PceBasis.legendre(2, 3)
+        design = assemble_gradient_enhanced(basis, sample(Measure.chebyshev(), 2, 6, seed=1))
+        with pytest.raises(ValueError, match="one datum per design row"):
+            fit_sparse_expansion(design, np.ones(6))
 
     def test_default_epsilon_tracks_data_norm(self):
         basis = PceBasis.legendre(1, 3)
         batch = sample(Measure.chebyshev(), 1, 12, seed=1)
         values = basis.matrix(batch.points) @ np.array([0.0, 1.0, 0.0, 0.0])
-        fitted = fit_sparse_expansion(basis, batch, values, epsilon=None)
+        fitted = fit_sparse_expansion(assemble_gradient_enhanced(basis, batch, ()), values,
+                                      epsilon=None)
         assert abs(fitted[1] - 1.0) < 1e-4
 
 
@@ -313,6 +321,53 @@ class TestRecoveryBenchmark:
             run_recovery_benchmark(
                 ExperimentConfig("recovery-vs-N", dim=1, degree=2, sparsity=10, trials=1)
             )
+
+
+    def test_failed_fit_propagates(self, monkeypatch):
+        # A fit that raises ends the run; it is not scored as a failed trial.
+        def failing_fit(design, data, **kw):
+            raise ValueError("fit failed")
+
+        monkeypatch.setattr(harness, "fit_sparse_expansion", failing_fit)
+        config = ExperimentConfig("recovery-vs-N", dim=2, degree=3, sparsity=1,
+                                  sample_grid=(8,), trials=1)
+        with pytest.raises(ValueError, match="fit failed"):
+            run_recovery_benchmark(config)
+
+
+def table_passes_per_grid_point(monkeypatch, run, config):
+    """PolynomialFamily.eval_table calls that each grid point of a run adds.
+
+    One run over one grid point and one over four (two trials of two points)
+    differ by three grid points; building the basis and anything else done
+    once per run cancel out.
+    """
+    calls = []
+    eval_table = PolynomialFamily.eval_table
+
+    def counting(family, *args):
+        calls.append(args)
+        return eval_table(family, *args)
+
+    monkeypatch.setattr(PolynomialFamily, "eval_table", counting)
+    run(dataclasses.replace(config, sample_grid=(6,), trials=1))
+    once = len(calls)
+    run(dataclasses.replace(config, sample_grid=(6, 9), trials=2))
+    return (len(calls) - 2 * once) / 3
+
+
+class TestTablePasses:
+    @pytest.mark.parametrize("modes, passes", [
+        (("standard", "gradient-enhanced"), 1),
+        (("standard", "gradient-enhanced", "standard-double"), 2),
+    ])
+    def test_recovery_grid_point(self, monkeypatch, modes, passes):
+        config = ExperimentConfig("recovery-vs-N", dim=2, degree=4, sparsity=2, modes=modes)
+        assert table_passes_per_grid_point(monkeypatch, run_recovery_benchmark, config) == passes
+
+    def test_rmse_grid_point(self, monkeypatch):
+        config = ExperimentConfig("rmse", dim=2, degree=4)
+        assert table_passes_per_grid_point(monkeypatch, run_rmse_benchmark, config) == 1
 
 
 class TestMicSweep:

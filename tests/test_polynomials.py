@@ -338,3 +338,8 @@ class TestMeasure:
     def test_rejects_parameters_below_range(self):
         with pytest.raises(ValueError):
             JacobiParams(-0.6, 0.0)
+
+    @pytest.mark.parametrize("alpha, beta", [(math.inf, 0.0), (0.0, math.inf), (math.nan, 0.0)])
+    def test_rejects_non_finite_parameters(self, alpha, beta):
+        with pytest.raises(ValueError, match="finite"):
+            JacobiParams(alpha, beta)
