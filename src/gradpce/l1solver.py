@@ -16,6 +16,11 @@ the target and whose p keeps the active signs, and returns c_I = p, the
 lam -> 0 limit of the path and the basis-pursuit minimizer. A path that
 reaches lam = 0 first ends at the least-squares solution on its support: the
 target is out of reach, and that answer is returned unconverged.
+
+A tall full-rank system (rows >= columns) whose target lies below its
+least-squares residual has that least-squares solution as the path's end. It
+is returned after one Gram solve, refined once, instead of walking the path
+to lam = 0.
 """
 
 from __future__ import annotations
@@ -34,6 +39,14 @@ _AIM = 0.9999
 # (epsilon = 0) exit it is also the sign tolerance on p, and the dual
 # certificate y = A_I d must satisfy ||A^T y||_inf <= 1 + _KKT_TOL.
 _KKT_TOL = 1e-9
+# A column whose correlation with a segment's least-squares residual is at
+# most _TIE_TOL lam_0 cannot join on that segment. Its correlation there is
+# lam' v up to that amount, within the optimality check's tolerance.
+_TIE_TOL = 1e-12
+# The least-squares exit solves the normal equations, whose condition is
+# cond(A)^2. A Gram more ill-conditioned than this (cond(A) above 1e6) counts
+# as numerically singular and is left to the path.
+_MAX_GRAM_COND = 1e12
 
 
 class NoSparseFit(ValueError):
@@ -111,7 +124,8 @@ def solve(spec: SolveSpec) -> RecoveryResult:
     (at most ``max_iters``) and ``curve_trace`` ends at the exit's ||c||_1.
     An instance whose target residual lies below the least-squares residual,
     such as an inconsistent system at epsilon = 0, ends at the least-squares
-    solution, unconverged.
+    solution, unconverged. A tall full-rank system returns that least-squares
+    solution after one Gram solve (``iterations`` 1) instead of the path.
     """
     bnorm = float(np.linalg.norm(spec.rhs))
     if bnorm <= spec.epsilon:
@@ -130,13 +144,17 @@ def _lasso_path(spec: SolveSpec) -> RecoveryResult:
     (epsilon = 0), a column joining or an active coefficient reaching zero,
     or lam = 0. The next segment may not undo the change at the same lam,
     where rounding would put its event: a column that joined may not drop,
-    and one that dropped may not rejoin with its old sign.
+    and one that dropped may not rejoin with its old sign. A column in the
+    span of the active columns does not join. A tall full-rank system whose
+    target lies below its least-squares residual ends at lam = 0 in one step,
+    the least-squares solution, without walking the path.
     """
     a, b = spec.matrix, spec.rhs
     rows, cols = a.shape
     exact = spec.epsilon == 0.0
     bnorm = float(np.linalg.norm(b))
     aim = spec.epsilon + _AIM * spec.opt_tol * bnorm
+    bound = spec.epsilon + spec.opt_tol * bnorm
     gram = a.T @ a
     atb = a.T @ b
     lam0 = float(np.abs(atb).max())
@@ -148,7 +166,12 @@ def _lasso_path(spec: SolveSpec) -> RecoveryResult:
     changed, changed_sign = first, float(np.sign(atb[first]))
     active, signs = [first], [changed_sign]
     steps = 0
-    while not crossed and steps < spec.max_iters:
+    least_squares = _infeasible_least_squares(a, b, gram, atb, bound)
+    if least_squares is not None:
+        # The path's least-squares end, reached in one step.
+        c, lam, steps = least_squares, 0.0, 1
+        trace.append((float(np.abs(c).sum()), float(np.linalg.norm(b - a @ c))))
+    while least_squares is None and not crossed and steps < spec.max_iters:
         idx = np.array(active)
         s = np.array(signs)
         try:
@@ -173,7 +196,16 @@ def _lasso_path(spec: SolveSpec) -> RecoveryResult:
         if len(active) >= rows:
             events[:] = -np.inf  # as many columns as rows span b: no join
         events[idx] = drops
-        lam_next = max(float(events.max()), 0.0)
+        best = int(np.argmax(events))
+        if abs(q[best]) <= _TIE_TOL * lam0 and best not in active:
+            # A column in the span of the active columns, such as a duplicate
+            # of one, has q = 0 up to rounding, so its roots are rounding
+            # noise: no such column joins.
+            tied = np.abs(q) <= _TIE_TOL * lam0
+            tied[idx] = False
+            events[tied] = -np.inf
+            best = int(np.argmax(events))
+        lam_next = max(float(events[best]), 0.0)
         rr, ru, uu = float(r_ls @ r_ls), float(r_ls @ u), float(u @ u)
         slack = aim * aim - rr
         if exact:
@@ -192,7 +224,7 @@ def _lasso_path(spec: SolveSpec) -> RecoveryResult:
         c[idx] = p - lam * d
         rnorm = float(np.linalg.norm(r_ls + lam * u))
         if not crossed and lam_next > 0.0:
-            changed = int(np.argmax(events))
+            changed = best
             if changed in active:
                 position = active.index(changed)
                 changed_sign = signs.pop(position)
@@ -213,8 +245,35 @@ def _lasso_path(spec: SolveSpec) -> RecoveryResult:
         optimal = _dual_certified(v)
     else:
         optimal = _kkt_holds(a.T @ r, c, lam, lam0)
-    converged = optimal and crossed and residual <= spec.epsilon + spec.opt_tol * bnorm
+    converged = optimal and crossed and residual <= bound
     return RecoveryResult(c, residual, steps, bool(converged), tuple(trace))
+
+
+def _infeasible_least_squares(a, b, gram, atb, target):
+    """The least-squares solution of a tall full-rank system whose
+    least-squares residual exceeds ``target``; None for any other system.
+
+    Any trial solution with a residual at or below the target shows that the
+    target is reachable. Otherwise the normal-equations solution gets one
+    refinement step, x += G^-1 A^T r, which brings it to rounding level of the
+    least-squares solution at the condition numbers allowed.
+    """
+    if a.shape[0] < a.shape[1]:
+        return None
+    try:
+        x = np.linalg.solve(gram, atb)
+    except np.linalg.LinAlgError:
+        return None
+    r = b - a @ x
+    if np.linalg.norm(r) <= target:
+        return None
+    eigenvalues = np.linalg.eigvalsh(gram)
+    if eigenvalues[0] <= eigenvalues[-1] / _MAX_GRAM_COND:
+        return None
+    x += np.linalg.solve(gram, a.T @ r)
+    if np.linalg.norm(b - a @ x) <= target:
+        return None
+    return x
 
 
 def _below(roots, lam):

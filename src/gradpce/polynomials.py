@@ -165,25 +165,35 @@ def derivative_constant(n: int, params: JacobiParams) -> float:
 
 def _jacobi_recurrence(params: JacobiParams, count: int) -> tuple[np.ndarray, np.ndarray]:
     """First ``count`` recurrence coefficients (a_k, b_k) of the monic
-    Jacobi family under the normalized (probability) measure, so b_0 = 1."""
+    Jacobi family under the normalized (probability) measure, so b_0 = 1.
+
+    Raises ValueError when the exponents are so large that a coefficient
+    overflows to a non-finite value or some b_k falls to zero."""
     a, b = params.alpha, params.beta
     k = np.arange(count, dtype=float)
     rec_a = np.empty(count)
     rec_b = np.empty(count)
-    rec_a[0] = (b - a) / (a + b + 2.0)
-    if count > 1:
-        s = 2.0 * k[1:] + a + b
-        rec_a[1:] = (b * b - a * a) / (s * (s + 2.0))
-    rec_b[0] = 1.0
-    if count > 1:
-        # k = 1 in cancelled form: the general expression is 0/0 at a+b = -1.
-        rec_b[1] = 4.0 * (a + 1.0) * (b + 1.0) / ((a + b + 2.0) ** 2 * (a + b + 3.0))
-    if count > 2:
-        kk = k[2:]
-        s = 2.0 * kk + a + b
-        rec_b[2:] = (
-            4.0 * kk * (kk + a) * (kk + b) * (kk + a + b)
-            / (s * s * (s + 1.0) * (s - 1.0))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        rec_a[0] = (b - a) / (a + b + 2.0)
+        if count > 1:
+            s = 2.0 * k[1:] + a + b
+            rec_a[1:] = (b * b - a * a) / (s * (s + 2.0))
+        rec_b[0] = 1.0
+        if count > 1:
+            # k = 1 in cancelled form: the general expression is 0/0 at a+b = -1.
+            rec_b[1] = 4.0 * (a + 1.0) * (b + 1.0) / (
+                (a + b + 2.0) * (a + b + 2.0) * (a + b + 3.0))
+        if count > 2:
+            kk = k[2:]
+            s = 2.0 * kk + a + b
+            rec_b[2:] = (
+                4.0 * kk * (kk + a) * (kk + b) * (kk + a + b)
+                / (s * s * (s + 1.0) * (s - 1.0))
+            )
+    if not (np.all(np.isfinite(rec_a)) and np.all(np.isfinite(rec_b)) and np.all(rec_b > 0.0)):
+        raise ValueError(
+            f"Jacobi parameters alpha={a}, beta={b} are too large: the recurrence "
+            "coefficients overflow"
         )
     return rec_a, rec_b
 

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import warnings
 
 import pytest
 
@@ -169,13 +170,19 @@ class TestDiagnose:
 
     @pytest.mark.parametrize("measure, message", [
         ("jacobi(inf,0)", "error: Jacobi parameters must be finite"),
-        ("jacobi(1e308,0)", "error: "),
+        ("jacobi(1e308,0)", "error: Jacobi parameters alpha=1e+308, beta=0.0 are too large"),
+        ("jacobi(1e200,0)", "error: Jacobi parameters alpha=1e+200, beta=0.0 are too large"),
     ])
     def test_bad_jacobi_exponents_end_in_one_error_line(self, measure, message, capsys):
-        code = main(["diagnose", "--measure", measure])
+        # Exponents whose recurrence coefficients overflow are named in the
+        # error line, and the overflow itself emits no warning.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["diagnose", "--measure", measure])
         err = capsys.readouterr().err.splitlines()
         assert code == 1
         assert len(err) == 1 and err[0].startswith(message)
+        assert caught == []
 
 
 class TestParsing:

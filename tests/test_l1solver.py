@@ -213,7 +213,9 @@ class TestSolve:
         )
         least_squares = np.linalg.lstsq(a, b, rcond=None)[0]
         assert result.residual_norm <= np.linalg.norm(a @ least_squares - b) * (1 + 1e-6)
-        # The path ends at lam = 0, the least-squares solution itself.
+        # The tall full-rank system ends at the least-squares solution itself,
+        # the path's lam = 0 end, after one Gram solve.
+        assert result.iterations == 1
         deviation = np.linalg.norm(result.coefficients - least_squares)
         assert deviation <= 1e-10 * np.linalg.norm(least_squares)
 
@@ -233,12 +235,52 @@ class TestSolve:
             assert result.residual_norm <= 1e-12 * bnorm
             assert abs(np.abs(result.coefficients).sum() - l1) <= 1e-8 * l1
 
+    @staticmethod
+    def _conditioned(rng, decades, rows=60, cols=20):
+        """Unit-norm columns with singular values spread over ``decades``."""
+        u = np.linalg.qr(rng.standard_normal((rows, cols)))[0]
+        v = np.linalg.qr(rng.standard_normal((cols, cols)))[0]
+        a = u @ np.diag(np.logspace(0, -decades, cols)) @ v.T
+        return a / np.linalg.norm(a, axis=0)
+
+    def test_refined_least_squares_exit_matches_lstsq(self):
+        # A tall design with cond(A) ~ 1e5 and inconsistent data takes the
+        # least-squares exit. The normal equations square the condition
+        # number, so an unrefined Gram solve is off by ~1e-7 relative; the
+        # refinement step brings the answer to ~1e-11 of a QR solve.
+        rng = np.random.default_rng(59)
+        for _ in range(5):
+            a = self._conditioned(rng, 5)
+            assert 5e4 <= np.linalg.cond(a) <= 5e5
+            b = rng.standard_normal(60)
+            result = solve(SolveSpec(a, b))
+            least_squares = np.linalg.lstsq(a, b, rcond=None)[0]
+            assert not result.converged
+            assert result.iterations == 1
+            deviation = np.linalg.norm(result.coefficients - least_squares)
+            assert deviation <= 1e-9 * np.linalg.norm(least_squares)
+
+    def test_numerically_singular_gram_is_left_to_the_path(self):
+        # At cond(A) ~ 3e6 the Gram's condition number exceeds 1e12, so the
+        # least-squares exit declines and the path ends the solve.
+        rng = np.random.default_rng(61)
+        for _ in range(3):
+            a = self._conditioned(rng, 6.5)
+            assert np.linalg.cond(a) >= 2e6
+            result = solve(SolveSpec(a, rng.standard_normal(60)))
+            assert not result.converged
+            assert result.iterations > 1
+
     def test_every_path_exit_checks_optimality(self, monkeypatch):
         # The path exits at the residual crossing, at the exact (epsilon = 0)
-        # end, at the least-squares end (lam = 0) or on the step budget. Each
-        # exit runs one optimality check once: the basis-pursuit dual
-        # certificate at the exact end, the KKT check elsewhere. A failed
-        # check leaves the answer unconverged.
+        # end, at the least-squares end (lam = 0) or on the step budget; a
+        # tall full-rank system whose target lies below its least-squares
+        # residual takes the least-squares exit before the path. A tall
+        # system with a duplicated column has a singular Gram, skips that
+        # exit and ends at the least-squares floor on the path. Each exit
+        # runs one optimality check once: the basis-pursuit dual certificate
+        # at the exact end, the KKT check elsewhere. A failed check leaves
+        # the answer unconverged.
         checks = []
 
         def failing(name):
@@ -250,6 +292,7 @@ class TestSolve:
         rng = np.random.default_rng(43)
         wide = rng.standard_normal((10, 30))
         tall = rng.standard_normal((40, 10))
+        duplicated = np.column_stack([tall, tall[:, 4]])
         sparse = np.zeros(30)
         sparse[[3, 11, 24]] = [1.0, -0.5, 2.0]
         specs = {
@@ -257,19 +300,25 @@ class TestSolve:
             "exact": SolveSpec(wide, wide @ sparse),
             "least squares": SolveSpec(tall, rng.standard_normal(40), epsilon=1e-3),
             "budget": SolveSpec(wide, rng.standard_normal(10), epsilon=1e-3, max_iters=2),
+            "rank deficient": SolveSpec(duplicated, rng.standard_normal(40), epsilon=1e-3),
         }
         passing = {name: solve(spec) for name, spec in specs.items()}
         assert passing["crossing"].converged
         assert passing["exact"].converged
-        assert passing["least squares"].iterations < 10_000
+        assert passing["least squares"].iterations == 1
         assert passing["budget"].iterations == 2
+        deficient = specs["rank deficient"]
+        least_squares = np.linalg.lstsq(deficient.matrix, deficient.rhs, rcond=None)[0]
+        floor = np.linalg.norm(deficient.matrix @ least_squares - deficient.rhs)
+        assert 1 < passing["rank deficient"].iterations < 10_000
+        assert abs(passing["rank deficient"].residual_norm - floor) <= 1e-9 * floor
         monkeypatch.setattr(l1solver, "_kkt_holds", failing("kkt"))
         monkeypatch.setattr(l1solver, "_dual_certified", failing("certificate"))
         for name, spec in specs.items():
             result = solve(spec)
             assert not result.converged, name
             np.testing.assert_array_equal(result.coefficients, passing[name].coefficients)
-        assert checks == ["kkt", "certificate", "kkt", "kkt"]
+        assert checks == ["kkt", "certificate", "kkt", "kkt", "kkt"]
 
     def test_duplicated_rows_match_dual_oracle(self):
         # Half the rows repeat the other half, so the design has rank 15 with
@@ -324,9 +373,10 @@ class TestHarnessScale:
         # min ||c||_1 s.t. ||A c - b|| <= t, so b^T y - t ||y|| bounds the
         # optimum from below, independently of the solver. The gap measured
         # up to 4.1e-7 ||c||_1 (bvp) and 1.5e-7 ||c||_1 (rmse), from rounding
-        # in A^T r at the small lam of the crossing; an instance whose
-        # least-squares residual exceeds t must end at that residual (measured
-        # to 3.4e-11 relative).
+        # in A^T r at the small lam of the crossing. An instance whose
+        # least-squares residual exceeds t is tall and full rank: it must take
+        # the least-squares exit and end at that residual (measured to 5.9e-11
+        # relative).
         if driver == "bvp":
             solves = self._record(monkeypatch, lambda: adjoint_bvp.run_bvp_benchmark(
                 adjoint_bvp.DiffusionModel(dim=3), 4, (10, 20, 40), seed=7))
@@ -354,15 +404,15 @@ class TestHarnessScale:
                 assert l1 - (b @ y - target * np.linalg.norm(y)) <= 1e-5 * l1
             else:
                 assert not result.converged
+                assert result.iterations == 1
                 assert abs(result.residual_norm - floor) <= 1e-9 * floor
         assert feasible >= (2 if driver == "bvp" else 30)
 
     def test_inconsistent_exact_fits_hand_off_to_least_squares(self, monkeypatch):
         # epsilon = 0 rmse fits (dim 2, degree 8: 45 columns) with more rows
         # than columns are inconsistent: their least-squares residual lies
-        # above the target. The path must end at that residual in a bounded
-        # number of steps (47-169 measured, against a budget of 10,000), not
-        # spend the budget.
+        # above the target. Each must take the least-squares exit, one Gram
+        # solve instead of the path, and end at that residual.
         solves = self._record(monkeypatch, lambda: harness.run_rmse_benchmark(ExperimentConfig(
             kind="rmse", dim=2, degree=8, sample_grid=(20, 50), trials=2, target="f3",
             epsilon=0.0)))
@@ -376,7 +426,7 @@ class TestHarnessScale:
                 continue
             inconsistent += 1
             assert not result.converged
-            assert result.iterations <= 5 * a.shape[1]
+            assert result.iterations == 1
             assert abs(result.residual_norm - floor) <= 1e-9 * floor
         assert inconsistent >= 4
 
