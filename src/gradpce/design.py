@@ -93,12 +93,15 @@ def column_normalizer(basis: PceBasis, directions=None) -> np.ndarray:
 def design_matrices(
     basis: PceBasis, batch: SampleBatch, directions=None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Raw stacked system and its weights: (phi, phi_tilde, w, p)."""
+    """Raw stacked system and its weights: (phi, phi_tilde, w, p).
+
+    phi is the value block of phi_tilde, a view that shares its memory.
+    """
     _check_pairing(basis, batch)
     dirs = _normalize_directions(basis.dim, directions)
     blocks = basis.matrices(batch.points, (None,) + dirs)
+    phi_tilde = blocks.reshape(-1, basis.size)  # a view: the blocks are stacked in place
     phi = blocks[0]
-    phi_tilde = np.vstack(blocks)
     w = _row_weights(basis, batch.points, dirs)
     p = column_normalizer(basis, dirs)
     return phi, phi_tilde, w, p
@@ -203,9 +206,12 @@ def mic(matrix: np.ndarray) -> float:
     if m.ndim != 2 or m.shape[1] < 2:
         raise ValueError("need a 2-d matrix with at least two columns")
     norms = np.linalg.norm(m, axis=0)
+    if not np.all(np.isfinite(norms)):
+        raise ValueError("matrix has a non-finite entry or a column norm that overflows")
     if np.any(norms == 0.0):
         raise ValueError("matrix has a zero column")
-    gram = (m / norms).T @ (m / norms)
+    unit = m / norms
+    gram = unit.T @ unit  # one operand in both places: BLAS runs the symmetric product
     np.fill_diagonal(gram, 0.0)
     return float(np.abs(gram).max())
 
@@ -311,7 +317,8 @@ def coherence_params(design: GradientDesign, grid_points: int | None = None) -> 
         bound, growth = coherence_bound([design.basis.family.params] * design.basis.dim)
     else:
         bound, growth = math.nan, math.nan
-    return CoherenceReport(mic(design.phi_hat), mu, beta, bound, growth)
+    # mic is invariant under positive column scaling, so P need not be applied.
+    return CoherenceReport(mic(weighted), mu, beta, bound, growth)
 
 
 # -- second-moment (isotropy) checks ---------------------------------------

@@ -376,7 +376,9 @@ def _mic_trial(config: ExperimentConfig, basis: PceBasis, trial: int):
     for gi, n in enumerate(config.sample_grid):
         batch = sample(measure, config.dim, n, split_stream(trial_seed, gi + 1))
         design = assemble_gradient_enhanced(basis, batch, dirs)
-        out.append((mic(design.phi_tilde[:n]), mic(design.phi_tilde), mic(design.phi_hat)))
+        # mic is invariant under positive column scaling: W * phi_tilde has the mic of phi_hat.
+        out.append((mic(design.phi_tilde[:n]), mic(design.phi_tilde),
+                    mic(design.w[:, None] * design.phi_tilde)))
     return out
 
 

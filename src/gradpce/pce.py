@@ -148,11 +148,13 @@ class PceBasis:
             raise ValueError(f"points must have shape (N, {self.dim})")
         return pts
 
-    def matrices(self, points, axes) -> list[np.ndarray]:
+    def matrices(self, points, axes) -> np.ndarray:
         """One matrix per entry of ``axes``, all from one pass over the 1-D tables.
 
         Entry None gives the basis matrix, with entry (n, k) = psi_k(points[n]);
         an integer gives the partial derivatives of the basis along that axis.
+        The matrices are the blocks of one C-contiguous (len(axes), N, size)
+        array, so stacking them is a reshape.
         """
         for axis in axes:
             if axis is not None and not 0 <= axis < self.dim:
@@ -164,13 +166,12 @@ class PceBasis:
         shape = (self.dim, pts.shape[0], self.degree + 1)
         values, derivs = values.reshape(shape), derivs.reshape(shape)
         idx = self.index_set.indices
-        blocks = []
-        for axis in axes:
-            out = np.ones((pts.shape[0], self.size))
-            for j in range(self.dim):
-                table = derivs[j] if j == axis else values[j]
-                out *= table[:, idx[:, j]]
-            blocks.append(out)
+        blocks = np.empty((len(axes), pts.shape[0], self.size))
+        for block, axis in zip(blocks, axes):
+            tables = [derivs[j] if j == axis else values[j] for j in range(self.dim)]
+            np.take(tables[0], idx[:, 0], axis=1, out=block)
+            for j in range(1, self.dim):
+                block *= tables[j][:, idx[:, j]]
         return blocks
 
     def matrix(self, points) -> np.ndarray:

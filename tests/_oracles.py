@@ -139,6 +139,22 @@ def basis_pursuit_dual(a, b):
     return coef
 
 
+def pairwise_cosine_mic(matrix):
+    """Largest |cosine| between distinct columns, one column pair at a time.
+
+    Each cosine is the dot product of two raw columns over the product of
+    their norms: no normalized copy and no Gram product.
+    """
+    m = np.asarray(matrix, dtype=float)
+    columns = [np.ascontiguousarray(m[:, k]) for k in range(m.shape[1])]
+    norms = [float(np.sqrt(np.dot(c, c))) for c in columns]
+    best = 0.0
+    for i, (ci, ni) in enumerate(zip(columns, norms)):
+        for cj, nj in zip(columns[i + 1:], norms[i + 1:]):
+            best = max(best, abs(float(np.dot(ci, cj))) / (ni * nj))
+    return best
+
+
 def central_difference(f, x, h=1e-6):
     """Fourth-order central difference, an independent derivative oracle."""
     return (-f(x + 2 * h) + 8 * f(x + h) - 8 * f(x - h) + f(x - 2 * h)) / (12 * h)

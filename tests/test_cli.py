@@ -2,11 +2,22 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import gradpce
 from gradpce.cli import build_parser, main
+
+PINNED = Path(__file__).resolve().parent / "data"
+# Loose enough for a BLAS thread-count difference (last digits), tight enough
+# to fail on a program change at rounding level.
+PIN_RTOL = 1e-12
 
 
 def write_config(path, **overrides):
@@ -17,6 +28,13 @@ def write_config(path, **overrides):
 def read_csv(path):
     with open(path, newline="") as handle:
         return list(csv.reader(handle))
+
+
+def assert_mic_sweep_matches(path, expected_path):
+    rows, expected = read_csv(path), read_csv(expected_path)
+    assert [row[:2] for row in rows] == [row[:2] for row in expected]
+    np.testing.assert_allclose([float(row[2]) for row in rows[1:]],
+                               [float(row[2]) for row in expected[1:]], rtol=PIN_RTOL, atol=0)
 
 
 class TestRecover:
@@ -208,3 +226,30 @@ class TestParsing:
         code = main(["recover", "--config", str(tmp_path / "nope.json")])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestPinnedMicSweep:
+    """`gradpce mic-sweep` with {"kind": "mic-sweep", "trials": 3} against its committed output."""
+
+    def test_matches_pinned_output(self, tmp_path):
+        config = write_config(tmp_path / "config.json", kind="mic-sweep", trials=3)
+        assert main(["mic-sweep", "--config", str(config), "--out", str(tmp_path)]) == 0
+        assert_mic_sweep_matches(tmp_path / "mic_sweep.csv", PINNED / "mic_sweep_trials3.csv")
+
+    def test_blas_thread_counts_agree(self, tmp_path):
+        config = write_config(tmp_path / "config.json", kind="mic-sweep", trials=3)
+        src = str(Path(gradpce.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads)
+            proc = subprocess.run(
+                [sys.executable, "-m", "gradpce.cli", "mic-sweep", "--config", str(config),
+                 "--out", str(out)],
+                env=env, timeout=120, capture_output=True, text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(out / "mic_sweep.csv")
+            assert_mic_sweep_matches(outputs[-1], PINNED / "mic_sweep_trials3.csv")
+        assert_mic_sweep_matches(outputs[0], outputs[1])

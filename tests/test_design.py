@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from _oracles import pairwise_cosine_mic
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -178,6 +179,9 @@ class TestAssembly:
         assert len(densities) == 1 + len(directions)
         np.testing.assert_array_equal(phi, block(None))
         np.testing.assert_array_equal(phi_tilde, np.vstack([block(None)] + [block(a) for a in directions]))
+        # One stacked buffer: phi is its value block, not a copy.
+        assert phi_tilde.flags.c_contiguous
+        assert np.shares_memory(phi, phi_tilde[: len(batch)])
         np.testing.assert_array_equal(w, np.concatenate(w_blocks))
 
     @pytest.mark.parametrize("measure", ["legendre", "chebyshev", "jacobi(0.5,1.5)", "hermite"])
@@ -266,6 +270,21 @@ class TestMic:
             mic(np.array([[1.0, 0.0], [1.0, 0.0]]))
         with pytest.raises(ValueError, match="two columns"):
             mic(np.ones((3, 1)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_raises(self, bad):
+        m = np.random.default_rng(0).standard_normal((6, 4))
+        m[2, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            mic(m)
+
+    def test_matches_pairwise_oracle_at_sweep_scale(self):
+        # The largest system of the coherence sweep: d=3, degree 10, N=400, all gradients.
+        basis = PceBasis.legendre(3, 10)
+        design_ = assemble_gradient_enhanced(basis, sample(Measure.chebyshev(), 3, 400, seed=split(7)))
+        assert design_.phi_tilde.shape == (1600, 286)
+        for matrix in (design_.phi_tilde, design_.phi_hat):
+            assert mic(matrix) == pytest.approx(pairwise_cosine_mic(matrix), rel=0, abs=1e-14)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))

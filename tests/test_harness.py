@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gradpce import harness, l1solver
-from gradpce.design import assemble_gradient_enhanced
+from gradpce.design import assemble_gradient_enhanced, mic
 from gradpce.harness import (
     MATRIX_IDS,
     SUCCESS_TOL,
@@ -383,6 +383,23 @@ class TestMicSweep:
         values = {(row[0], row[1]): row[2] for row in table.rows}
         for n in (40, 60):
             assert 0.0 < values[("preconditioned", n)] < values[("stacked", n)]
+
+    def test_preconditioned_entry_is_the_mic_of_phi_hat(self, monkeypatch):
+        # The coherence-sweep benchmark's config; the sweep never forms phi_hat itself.
+        config = ExperimentConfig("mic-sweep", dim=3, degree=10, sample_grid=(50, 100, 200, 400),
+                                  trials=1, seed=11)
+        basis = PceBasis.legendre(3, 10)
+        designs = []
+
+        def recording(*args):
+            designs.append(assemble_gradient_enhanced(*args))
+            return designs[-1]
+
+        monkeypatch.setattr(harness, "assemble_gradient_enhanced", recording)
+        rows = harness._mic_trial(config, basis, 0)
+        assert len(rows) == len(designs) == 4
+        for (_, _, preconditioned), design in zip(rows, designs):
+            assert preconditioned == pytest.approx(mic(design.phi_hat), rel=0, abs=1e-14)
 
     def test_kind_guard(self):
         with pytest.raises(ValueError, match="kind"):

@@ -136,7 +136,10 @@ class TestPceBasis:
             pts = rng.normal(size=(n, dim))
         idx = basis.index_set.indices
         tables = [basis.family.eval_table(pts[:, j], degree) for j in range(dim)]
-        for axis, block in zip(axes, basis.matrices(pts, axes)):
+        blocks = basis.matrices(pts, axes)
+        assert blocks.shape == (len(axes), n, basis.size)
+        assert blocks.flags.c_contiguous
+        for axis, block in zip(axes, blocks):
             expected = np.ones((n, basis.size))
             for j, (values, derivs) in enumerate(tables):
                 expected *= (derivs if j == axis else values)[:, idx[:, j]]
