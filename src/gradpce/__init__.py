@@ -30,7 +30,7 @@ from .harness import (
     run_recovery_benchmark,
     run_rmse_benchmark,
 )
-from .l1solver import RecoveryResult, SolveSpec, brute_force_l0, project_l1_ball, solve
+from .l1solver import RecoveryResult, SolveSpec, project_l1_ball, solve
 from .pce import MultiIndexSet, PceBasis, total_degree_set
 from .polynomials import JacobiParams, Measure, PolynomialFamily
 from .sampling import SampleBatch, sample, split_stream
@@ -53,7 +53,6 @@ __all__ = [
     "SolveSpec",
     "assemble_gradient_enhanced",
     "assemble_standard",
-    "brute_force_l0",
     "build_surrogate",
     "coherence_bound",
     "coherence_params",

@@ -42,6 +42,9 @@ _QUADRATURE_DIM_CAP = 3
 _REFERENCE_BATCH = 512
 # Distinct models whose reference moments a process keeps.
 _REFERENCE_CACHE_SIZE = 8
+# Correlation length of the coefficient's expansion: the profile amplitudes
+# decay with the oscillation frequency on this scale.
+_CORR_LENGTH = 1.0 / 12.0
 QOI_KINDS = ("average", "midpoint")
 
 
@@ -54,7 +57,7 @@ class DiffusionModel:
     """Random diffusion coefficient on [0, 1] and the mesh it is solved on.
 
     The coefficient is 0.5 + exp(1 + sum_i xi_i * profile_i(y)) with profile
-    amplitudes decaying in the oscillation frequency, controlled by the
+    amplitudes decaying in the oscillation frequency on the scale of a fixed
     correlation length. ``constant_value`` replaces the whole coefficient by
     a constant, which makes the solution independent of the parameters.
     ``load`` takes part in equality and hashing as an object, so two models
@@ -62,7 +65,6 @@ class DiffusionModel:
     """
 
     dim: int
-    corr_length: float = 1.0 / 12.0
     cells: int = 256
     qoi: str = "average"
     load: Callable[[np.ndarray], np.ndarray] | None = None
@@ -71,8 +73,6 @@ class DiffusionModel:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
-        if self.corr_length <= 0.0:
-            raise ValueError("corr_length must be positive")
         if self.cells < round(1.0 / _MAX_MESH_WIDTH):
             raise ValueError("mesh must have at least 64 cells")
         if self.qoi not in QOI_KINDS:
@@ -100,7 +100,7 @@ class DiffusionModel:
 
     def decay_weights(self) -> np.ndarray:
         """Profile amplitudes for parameters 2..dim (one per frequency use)."""
-        ell = self.corr_length
+        ell = _CORR_LENGTH
         k = np.arange(2, self.dim + 1) // 2
         return math.sqrt(math.sqrt(math.pi) * ell) * np.exp(-((k * math.pi * ell) ** 2) / 8.0)
 
@@ -108,7 +108,7 @@ class DiffusionModel:
         """Rows: the factor multiplying each parameter inside the exponent."""
         y = np.asarray(y, dtype=float)
         out = np.zeros((self.dim, y.shape[0]))
-        out[0] = math.sqrt(math.sqrt(math.pi) * self.corr_length / 2.0)
+        out[0] = math.sqrt(math.sqrt(math.pi) * _CORR_LENGTH / 2.0)
         weights = self.decay_weights()
         for row in range(1, self.dim):
             index = row + 1
@@ -304,7 +304,13 @@ def build_surrogate(model: DiffusionModel, degree: int, n_samples: int,
 
 
 @lru_cache(maxsize=_REFERENCE_CACHE_SIZE)
-def _quadrature_moments(model: DiffusionModel) -> tuple[float, float]:
+def reference_moments(model: DiffusionModel) -> tuple[float, float]:
+    """Mean and standard deviation of the QoI by tensor Gauss quadrature.
+
+    The two numbers depend on the model alone, so they are computed once per
+    model in a process and every later call with an equal model returns the
+    same floats. A call that raises is not remembered.
+    """
     if model.dim > _QUADRATURE_DIM_CAP:
         raise ValueError(f"quadrature reference capped at dim {_QUADRATURE_DIM_CAP}")
     family = PolynomialFamily.legendre(_QUADRATURE_POINTS - 1)
@@ -314,24 +320,6 @@ def _quadrature_moments(model: DiffusionModel) -> tuple[float, float]:
     mean = float(weights @ values)
     second = float(weights @ (values * values))
     return mean, math.sqrt(max(second - mean * mean, 0.0))
-
-
-def reference_moments(model: DiffusionModel) -> tuple[float, float]:
-    """Mean and standard deviation of the QoI by tensor Gauss quadrature.
-
-    The two numbers depend on the model alone, so they are computed once per
-    model in a process and every later call with an equal model returns the
-    same floats. A call that raises is not remembered. A model whose load is
-    not hashable cannot be a cache key and is computed on every call.
-    """
-    try:
-        hash(model)
-    except TypeError:
-        return _quadrature_moments.__wrapped__(model)
-    return _quadrature_moments(model)
-
-
-reference_moments.cache_clear = _quadrature_moments.cache_clear
 
 
 def run_bvp_benchmark(model: DiffusionModel, degree: int, sample_grid,

@@ -163,10 +163,6 @@ class GradientDesign:
         return GradientDesign(self.basis, self.batch, (), self.phi_tilde[:n], self.w[:n],
                               np.ones(self.basis.size))
 
-    def value_block(self) -> np.ndarray:
-        """Rows of phi_hat coming from plain function evaluations."""
-        return self.phi_hat[: self.n_samples]
-
     def unscale(self, scaled_coefficients: np.ndarray) -> np.ndarray:
         """Map coefficients of the P-scaled system back to basis coefficients."""
         return self.p * scaled_coefficients

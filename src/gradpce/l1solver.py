@@ -20,13 +20,12 @@ target is out of reach, and that answer is returned unconverged.
 A tall full-rank system (rows >= columns) whose target lies below its
 least-squares residual has that least-squares solution as the path's end. It
 is returned after one Gram solve, refined once, instead of walking the path
-to lam = 0.
+to lam = 0; a Gram too ill-conditioned for that takes an SVD solve instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
@@ -44,13 +43,9 @@ _KKT_TOL = 1e-9
 # lam' v up to that amount, within the optimality check's tolerance.
 _TIE_TOL = 1e-12
 # The least-squares exit solves the normal equations, whose condition is
-# cond(A)^2. A Gram more ill-conditioned than this (cond(A) above 1e6) counts
-# as numerically singular and is left to the path.
+# cond(A)^2. Past this Gram condition (cond(A) above 1e6) the refined Gram
+# solve loses accuracy, and the exit solves by SVD instead.
 _MAX_GRAM_COND = 1e12
-
-
-class NoSparseFit(ValueError):
-    """No support of the allowed size reproduces the data."""
 
 
 @dataclass
@@ -125,7 +120,7 @@ def solve(spec: SolveSpec) -> RecoveryResult:
     An instance whose target residual lies below the least-squares residual,
     such as an inconsistent system at epsilon = 0, ends at the least-squares
     solution, unconverged. A tall full-rank system returns that least-squares
-    solution after one Gram solve (``iterations`` 1) instead of the path.
+    solution after one Gram or SVD solve (``iterations`` 1) instead of the path.
     """
     bnorm = float(np.linalg.norm(spec.rhs))
     if bnorm <= spec.epsilon:
@@ -239,13 +234,11 @@ def _lasso_path(spec: SolveSpec) -> RecoveryResult:
             break  # least-squares end of the path
     r = b - a @ c
     residual = float(np.linalg.norm(r))
-    if exact and crossed:
-        # At lam = 0 the KKT check accepts any interpolant; y = A_I d, with
-        # A_I^T y = s and b^T y = s^T p = ||c||_1, certifies the minimum.
-        optimal = _dual_certified(v)
-    else:
-        optimal = _kkt_holds(a.T @ r, c, lam, lam0)
-    converged = optimal and crossed and residual <= bound
+    # Only a path that crossed the target can converge, so only it is checked.
+    # At lam = 0 the KKT check accepts any interpolant; y = A_I d, with
+    # A_I^T y = s and b^T y = s^T p = ||c||_1, certifies the minimum.
+    converged = crossed and residual <= bound and (
+        _dual_certified(v) if exact else _kkt_holds(a.T @ r, c, lam, lam0))
     return RecoveryResult(c, residual, steps, bool(converged), tuple(trace))
 
 
@@ -256,7 +249,9 @@ def _infeasible_least_squares(a, b, gram, atb, target):
     Any trial solution with a residual at or below the target shows that the
     target is reachable. Otherwise the normal-equations solution gets one
     refinement step, x += G^-1 A^T r, which brings it to rounding level of the
-    least-squares solution at the condition numbers allowed.
+    least-squares solution up to _MAX_GRAM_COND. A Gram past that takes the
+    SVD least-squares solution, and a system that it finds rank-deficient is
+    left to the path.
     """
     if a.shape[0] < a.shape[1]:
         return None
@@ -268,9 +263,12 @@ def _infeasible_least_squares(a, b, gram, atb, target):
     if np.linalg.norm(r) <= target:
         return None
     eigenvalues = np.linalg.eigvalsh(gram)
-    if eigenvalues[0] <= eigenvalues[-1] / _MAX_GRAM_COND:
-        return None
-    x += np.linalg.solve(gram, a.T @ r)
+    if eigenvalues[0] > eigenvalues[-1] / _MAX_GRAM_COND:
+        x += np.linalg.solve(gram, a.T @ r)
+    else:
+        x, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
+        if rank < a.shape[1]:
+            return None
     if np.linalg.norm(b - a @ x) <= target:
         return None
     return x
@@ -292,36 +290,3 @@ def _kkt_holds(correlation, c, lam, lam0) -> bool:
 def _dual_certified(correlation) -> bool:
     """Dual feasibility ||A^T y||_inf <= 1 of y = A_I d, to _KKT_TOL."""
     return bool(np.abs(correlation).max() <= 1.0 + _KKT_TOL)
-
-
-def brute_force_l0(matrix: np.ndarray, rhs: np.ndarray, s_max: int, tol: float = 1e-10) -> np.ndarray:
-    """Sparsest exact solution by support enumeration (small instances only).
-
-    Scans supports of increasing size and returns the least-squares solution
-    of the first size whose residual falls at or below ``tol``; ties at that
-    size break toward the smallest l1 norm.
-    """
-    a = np.asarray(matrix, dtype=float)
-    b = np.asarray(rhs, dtype=float).reshape(-1)
-    m = a.shape[1]
-    if m > 20:
-        raise ValueError("enumeration capped at 20 columns")
-    if s_max > 4:
-        raise ValueError("enumeration capped at support size 4")
-    if float(np.linalg.norm(b)) <= tol:
-        return np.zeros(m)
-    for size in range(1, min(s_max, m) + 1):
-        best = None
-        best_l1 = np.inf
-        for support in combinations(range(m), size):
-            cols = a[:, support]
-            coef, _, _, _ = np.linalg.lstsq(cols, b, rcond=None)
-            if np.linalg.norm(cols @ coef - b) <= tol:
-                l1 = float(np.abs(coef).sum())
-                if l1 < best_l1:
-                    full = np.zeros(m)
-                    full[list(support)] = coef
-                    best, best_l1 = full, l1
-        if best is not None:
-            return best
-    raise NoSparseFit(f"no support of size <= {s_max} fits the data at tol {tol}")

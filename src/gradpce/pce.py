@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -51,20 +50,6 @@ class MultiIndexSet:
 
     def __iter__(self):
         return (tuple(int(v) for v in row) for row in self.indices)
-
-    @cached_property
-    def _positions(self) -> dict[tuple[int, ...], int]:
-        return {k: i for i, k in enumerate(self)}
-
-    def position(self, index) -> int:
-        key = tuple(int(v) for v in index)
-        try:
-            return self._positions[key]
-        except KeyError:
-            raise KeyError(f"multi-index {key} not in the set") from None
-
-    def __contains__(self, index) -> bool:
-        return tuple(int(v) for v in index) in self._positions
 
 
 def total_degree_set(dim: int, degree: int, cap: int = DEFAULT_INDEX_CAP) -> MultiIndexSet:

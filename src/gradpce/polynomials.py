@@ -45,14 +45,23 @@ class JacobiParams:
         return JacobiParams(self.alpha + 1.0, self.beta + 1.0)
 
     def normalization(self) -> float:
-        """Constant d such that d*(1-x)^alpha*(1+x)^beta integrates to 1."""
+        """Constant d such that d*(1-x)^alpha*(1+x)^beta integrates to 1.
+
+        Raises ValueError when d underflows the normal floating-point range.
+        """
         a, b = self.alpha, self.beta
-        return math.exp(
+        d = math.exp(
             math.lgamma(a + b + 2.0)
             - math.lgamma(a + 1.0)
             - math.lgamma(b + 1.0)
             - (a + b + 1.0) * math.log(2.0)
         )
+        if d < np.finfo(float).tiny:
+            raise ValueError(
+                f"Jacobi parameters alpha={a}, beta={b} are too large: the density "
+                "normalization underflows"
+            )
+        return d
 
 
 CHEBYSHEV_PARAMS = JacobiParams(-0.5, -0.5)
@@ -117,20 +126,6 @@ class Measure:
         if self.params == LEGENDRE_PARAMS:
             return "uniform"
         return f"jacobi({self.params.alpha:g},{self.params.beta:g})"
-
-
-def density(measure: Measure, x) -> np.ndarray:
-    """Probability density of ``measure`` evaluated at ``x``.
-
-    Jacobi densities with negative exponents diverge at the support edges;
-    the pointwise value (possibly ``inf``) is returned there.
-    """
-    x = np.asarray(x, dtype=float)
-    if measure.kind == "gaussian":
-        return np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-    p = measure.params
-    with np.errstate(divide="ignore"):
-        return p.normalization() * (1.0 - x) ** p.alpha * (1.0 + x) ** p.beta
 
 
 def density_ratio_to_chebyshev(params: JacobiParams, x) -> np.ndarray:
@@ -309,13 +304,6 @@ class PolynomialFamily:
             ) / sb[n + 1]
         return values, derivs
 
-    def eval(self, n: int, x) -> tuple[np.ndarray, np.ndarray]:
-        """Value and derivative of the degree-n orthonormal polynomial."""
-        if n < 0:
-            raise ValueError("degree must be nonnegative")
-        values, derivs = self.eval_table(x, n)
-        return values[:, n], derivs[:, n]
-
     # -- quadrature --------------------------------------------------------
 
     def gauss_quadrature(self, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -367,8 +355,9 @@ class PolynomialFamily:
             closed = self.derivative_constant(n)
             if abs(projected - closed) > _DERIVATIVE_CHECK_TOL * max(1.0, abs(closed)):
                 raise ValueError(
-                    "derivative constant mismatch against quadrature at degree "
-                    f"{n}: closed form {closed!r}, projected {projected!r}"
+                    f"Jacobi parameters alpha={self.params.alpha}, beta={self.params.beta}: "
+                    f"derivative constant mismatch against quadrature at degree {n}: "
+                    f"closed form {closed!r}, projected {projected!r}"
                 )
 
 

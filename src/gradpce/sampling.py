@@ -45,10 +45,9 @@ def generator(seed: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """Points drawn i.i.d. from one measure, with their provenance."""
+    """Points drawn i.i.d. from one measure."""
 
     measure: Measure
-    seed: int
     points: np.ndarray = field(repr=False)  # (N, d)
 
     def __post_init__(self):
@@ -63,10 +62,10 @@ class SampleBatch:
         return self.points.shape[1]
 
     def subset(self, count: int) -> "SampleBatch":
-        """First ``count`` points as a batch with the same provenance."""
+        """First ``count`` points as a batch of the same measure."""
         if not 0 < count <= len(self):
             raise ValueError("subset size out of range")
-        return SampleBatch(self.measure, self.seed, self.points[:count])
+        return SampleBatch(self.measure, self.points[:count])
 
 
 def sample(measure: Measure, dim: int, count: int, seed: int) -> SampleBatch:
@@ -90,4 +89,4 @@ def sample(measure: Measure, dim: int, count: int, seed: int) -> SampleBatch:
     else:
         # x = 2t - 1 maps Beta(beta+1, alpha+1) in t to the Jacobi density in x.
         pts = 2.0 * rng.beta(p.beta + 1.0, p.alpha + 1.0, (count, dim)) - 1.0
-    return SampleBatch(measure, seed, pts)
+    return SampleBatch(measure, pts)

@@ -2,9 +2,13 @@
 
 Everything here goes through scipy's orthogonal-polynomial routines, its
 tridiagonal eigensolver, a dual linear program, a banded LU solve, mpmath's
-extended precision (quadrature rules and a tridiagonal solve), or plain
-linear algebra on monomials, deliberately avoiding the code paths under test.
+extended precision (quadrature rules and a tridiagonal solve), support
+enumeration, closed-form densities, or plain linear algebra on monomials,
+deliberately avoiding the code paths under test.
 """
+
+import math
+from itertools import combinations
 
 import numpy as np
 from mpmath import mp, mpf
@@ -137,6 +141,57 @@ def basis_pursuit_dual(a, b):
     dual_value = -float(res.fun)
     assert abs(np.abs(coef).sum() - dual_value) <= 1e-6 * max(1.0, dual_value)
     return coef
+
+
+class NoSparseFit(ValueError):
+    """No support of the allowed size reproduces the data."""
+
+
+def brute_force_l0(matrix, rhs, s_max, tol=1e-10):
+    """Sparsest exact solution by support enumeration (small instances only).
+
+    Scans supports of increasing size and returns the least-squares solution
+    of the first size whose residual falls at or below ``tol``; ties at that
+    size break toward the smallest l1 norm.
+    """
+    a = np.asarray(matrix, dtype=float)
+    b = np.asarray(rhs, dtype=float).reshape(-1)
+    m = a.shape[1]
+    if m > 20:
+        raise ValueError("enumeration capped at 20 columns")
+    if s_max > 4:
+        raise ValueError("enumeration capped at support size 4")
+    if float(np.linalg.norm(b)) <= tol:
+        return np.zeros(m)
+    for size in range(1, min(s_max, m) + 1):
+        best = None
+        best_l1 = np.inf
+        for support in combinations(range(m), size):
+            cols = a[:, support]
+            coef, _, _, _ = np.linalg.lstsq(cols, b, rcond=None)
+            if np.linalg.norm(cols @ coef - b) <= tol:
+                l1 = float(np.abs(coef).sum())
+                if l1 < best_l1:
+                    full = np.zeros(m)
+                    full[list(support)] = coef
+                    best, best_l1 = full, l1
+        if best is not None:
+            return best
+    raise NoSparseFit(f"no support of size <= {s_max} fits the data at tol {tol}")
+
+
+def density(measure, x):
+    """Probability density of ``measure`` at ``x``, from the textbook formula.
+
+    Jacobi densities with negative exponents diverge at the support edges;
+    the pointwise value (possibly ``inf``) is returned there.
+    """
+    x = np.asarray(x, dtype=float)
+    if measure.kind == "gaussian":
+        return np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+    p = measure.params
+    with np.errstate(divide="ignore"):
+        return p.normalization() * (1.0 - x) ** p.alpha * (1.0 + x) ** p.beta
 
 
 def pairwise_cosine_mic(matrix):

@@ -23,16 +23,6 @@ from gradpce.sampling import generator, split_stream
 from _oracles import diffusion_qoi_and_gradient, precise_diffusion_qoi_and_gradient
 
 
-class _UnhashableLoad:
-    """Callable load whose own __eq__ leaves it without a hash."""
-
-    def __eq__(self, other):
-        return self is other
-
-    def __call__(self, y):
-        return np.cos(y) * np.sin(y)
-
-
 @pytest.fixture
 def solves(monkeypatch):
     """(point count, gradients flag) of each diffusion kernel call, in call order."""
@@ -57,8 +47,6 @@ class TestModel:
             DiffusionModel(dim=1, qoi="max")
         with pytest.raises(ValueError, match="even cell count"):
             DiffusionModel(dim=1, cells=65, qoi="midpoint")
-        with pytest.raises(ValueError, match="corr_length"):
-            DiffusionModel(dim=1, corr_length=0.0)
         with pytest.raises(ValueError, match="constant"):
             DiffusionModel.constant(-1.0)
 
@@ -87,14 +75,14 @@ class TestModel:
     def test_profiles_first_parameter_constant(self):
         model = DiffusionModel(dim=3)
         rows = model.profiles(np.linspace(0.0, 1.0, 7))
-        expected = math.sqrt(math.sqrt(math.pi) * model.corr_length / 2.0)
+        expected = math.sqrt(math.sqrt(math.pi) * adjoint_bvp._CORR_LENGTH / 2.0)
         np.testing.assert_allclose(rows[0], expected)
         # Second parameter: lowest sine mode, zero at both ends.
         assert abs(rows[1][0]) < 1e-15 and abs(rows[1][-1]) < 1e-15
         # Third parameter: lowest cosine mode, +/- amplitude at the ends.
         np.testing.assert_allclose(rows[2][0], -rows[2][-1])
 
-    def test_load_takes_part_in_equality(self, solves):
+    def test_load_takes_part_in_equality(self):
         def ones(y):
             return np.ones_like(y)
 
@@ -108,16 +96,6 @@ class TestModel:
         assert reference_moments(first) != reference_moments(second)
         same = DiffusionModel(dim=2, cells=64, load=ones)
         assert same == first and hash(same) == hash(first)
-
-        unhashable = DiffusionModel(dim=2, cells=64, load=_UnhashableLoad())
-        with pytest.raises(TypeError):
-            hash(unhashable)
-        default = reference_moments(DiffusionModel(dim=2, cells=64))
-        solves.clear()
-        # Not a cache key: computed on each call, to the default load's floats.
-        assert reference_moments(unhashable) == default
-        assert reference_moments(unhashable) == default
-        assert solves == [(adjoint_bvp._QUADRATURE_POINTS**2, False)] * 2
 
 
 class TestSolve:

@@ -30,11 +30,40 @@ def read_csv(path):
         return list(csv.reader(handle))
 
 
-def assert_mic_sweep_matches(path, expected_path):
+def assert_table_matches(path, expected_path):
+    """Header, labels, grid values and success fractions exactly; other floats to PIN_RTOL."""
     rows, expected = read_csv(path), read_csv(expected_path)
-    assert [row[:2] for row in rows] == [row[:2] for row in expected]
-    np.testing.assert_allclose([float(row[2]) for row in rows[1:]],
-                               [float(row[2]) for row in expected[1:]], rtol=PIN_RTOL, atol=0)
+    header = expected[0]
+    exact = [j for j, name in enumerate(header) if j < 2 or name == "success_fraction"]
+    floats = [j for j in range(len(header)) if j not in exact]
+    assert rows[0] == header and len(rows) == len(expected)
+    assert [[row[j] for j in exact] for row in rows] == [[row[j] for j in exact] for row in expected]
+    np.testing.assert_allclose([[float(row[j]) for j in floats] for row in rows[1:]],
+                               [[float(row[j]) for j in floats] for row in expected[1:]],
+                               rtol=PIN_RTOL, atol=0)
+
+
+def assert_report_matches(text, expected_path):
+    """`diagnose` lines: names and text exactly, numbers to PIN_RTOL (nan equals nan)."""
+    lines = [line.split() for line in text.splitlines()]
+    expected = [line.split() for line in expected_path.read_text().splitlines()]
+    assert [line[0] for line in lines] == [line[0] for line in expected]
+    for (name, value), (_, want) in zip(lines, expected):
+        try:
+            np.testing.assert_allclose(float(value), float(want), rtol=PIN_RTOL, atol=0,
+                                       err_msg=name)
+        except ValueError:
+            assert value == want, name
+
+
+def run_cli(args, out, threads):
+    """Run the CLI in a fresh interpreter at a given OpenBLAS thread count."""
+    src = str(Path(gradpce.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads)
+    proc = subprocess.run([sys.executable, "-m", "gradpce.cli", *args, "--out", str(out)],
+                          env=env, timeout=120, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestRecover:
@@ -190,10 +219,17 @@ class TestDiagnose:
         ("jacobi(inf,0)", "error: Jacobi parameters must be finite"),
         ("jacobi(1e308,0)", "error: Jacobi parameters alpha=1e+308, beta=0.0 are too large"),
         ("jacobi(1e200,0)", "error: Jacobi parameters alpha=1e+200, beta=0.0 are too large"),
+        ("jacobi(1e50,0)", "error: Jacobi parameters alpha=1e+50, beta=0.0: derivative constant"),
+        ("jacobi(1e10,0)",
+         "error: Jacobi parameters alpha=10000000000.0, beta=0.0: derivative constant"),
+        ("jacobi(1e8,0)", "error: Jacobi parameters alpha=100000000.0, beta=0.0: derivative"),
+        ("jacobi(1e6,0)", "error: Jacobi parameters alpha=1000000.0, beta=0.0 are too large: "
+                          "the density normalization underflows"),
     ])
     def test_bad_jacobi_exponents_end_in_one_error_line(self, measure, message, capsys):
-        # Exponents whose recurrence coefficients overflow are named in the
-        # error line, and the overflow itself emits no warning.
+        # Exponents too large for the recurrence, the derivative self-check or
+        # the density normalization are named in the error line, and the
+        # failure emits no warning.
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code = main(["diagnose", "--measure", measure])
@@ -234,22 +270,52 @@ class TestPinnedMicSweep:
     def test_matches_pinned_output(self, tmp_path):
         config = write_config(tmp_path / "config.json", kind="mic-sweep", trials=3)
         assert main(["mic-sweep", "--config", str(config), "--out", str(tmp_path)]) == 0
-        assert_mic_sweep_matches(tmp_path / "mic_sweep.csv", PINNED / "mic_sweep_trials3.csv")
+        assert_table_matches(tmp_path / "mic_sweep.csv", PINNED / "mic_sweep_trials3.csv")
 
     def test_blas_thread_counts_agree(self, tmp_path):
         config = write_config(tmp_path / "config.json", kind="mic-sweep", trials=3)
-        src = str(Path(gradpce.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         outputs = []
         for threads in ("1", "2"):
-            out = tmp_path / f"threads{threads}"
-            env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads)
-            proc = subprocess.run(
-                [sys.executable, "-m", "gradpce.cli", "mic-sweep", "--config", str(config),
-                 "--out", str(out)],
-                env=env, timeout=120, capture_output=True, text=True,
-            )
-            assert proc.returncode == 0, proc.stderr
-            outputs.append(out / "mic_sweep.csv")
-            assert_mic_sweep_matches(outputs[-1], PINNED / "mic_sweep_trials3.csv")
-        assert_mic_sweep_matches(outputs[0], outputs[1])
+            run_cli(["mic-sweep", "--config", str(config)], tmp_path / threads, threads)
+            outputs.append(tmp_path / threads / "mic_sweep.csv")
+            assert_table_matches(outputs[-1], PINNED / "mic_sweep_trials3.csv")
+        assert_table_matches(outputs[0], outputs[1])
+
+
+class TestPinnedOutputs:
+    """Every other CLI output of the reference runs against its committed copy.
+
+    The copies were written at OPENBLAS_NUM_THREADS=1; a program change that
+    moves any number past rounding level fails here and updates its file.
+    """
+
+    @pytest.mark.parametrize("reference, args, config, output", [
+        ("recover_vs_N_trials10.csv", ["recover"], {"kind": "recovery-vs-N", "trials": 10},
+         "recover.csv"),
+        ("recover_vs_s_trials10.csv", ["recover"], {"kind": "recovery-vs-s", "trials": 10},
+         "recover.csv"),
+        ("rmse_f2_trials3.csv", ["rmse", "--target", "f2"], {"trials": 3}, "rmse.csv"),
+        ("bvp.csv", ["bvp"], None, "bvp.csv"),
+        ("bvp_d3.csv", ["bvp", "--d", "3"], None, "bvp.csv"),
+    ], ids=["recover-N", "recover-s", "rmse-f2", "bvp", "bvp-d3"])
+    def test_table_matches_pinned_output(self, reference, args, config, output, tmp_path):
+        if config is not None:
+            args = args + ["--config", str(write_config(tmp_path / "config.json", **config))]
+        assert main(args + ["--out", str(tmp_path)]) == 0
+        assert_table_matches(tmp_path / output, PINNED / reference)
+
+    @pytest.mark.parametrize("measure", ["legendre", "chebyshev", "jacobi(0.5,1.5)", "hermite"])
+    def test_diagnose_matches_pinned_output(self, measure, capsys):
+        assert main(["diagnose", "--measure", measure]) == 0
+        reference = "diagnose_" + measure.replace("(", "_").replace(",", "_").rstrip(")")
+        assert_report_matches(capsys.readouterr().out, PINNED / f"{reference}.txt")
+
+    def test_rmse_blas_thread_counts_agree(self, tmp_path):
+        config = write_config(tmp_path / "config.json", trials=3)
+        outputs = []
+        for threads in ("1", "2"):
+            run_cli(["rmse", "--config", str(config), "--target", "f2"], tmp_path / threads,
+                    threads)
+            outputs.append(tmp_path / threads / "rmse.csv")
+            assert_table_matches(outputs[-1], PINNED / "rmse_f2_trials3.csv")
+        assert_table_matches(outputs[0], outputs[1])

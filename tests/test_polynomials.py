@@ -9,13 +9,13 @@ from gradpce.polynomials import (
     JacobiParams,
     Measure,
     PolynomialFamily,
-    density,
     density_ratio_to_chebyshev,
     derivative_constant,
 )
 
 from _oracles import (
     central_difference,
+    density,
     gram_schmidt_values,
     hermite_rule,
     jacobi_rule,
@@ -27,17 +27,23 @@ from _oracles import (
 PARAM_GRID = [(-0.5, -0.5), (0.0, 0.0), (-0.5, 1.0), (0.5, 0.5), (1.0, 2.5), (2.5, 0.0)]
 
 
+def degree_column(fam, n, x):
+    """Value and derivative of the degree-n polynomial: column n of the table."""
+    values, derivs = fam.eval_table(x, n)
+    return values[:, n], derivs[:, n]
+
+
 class TestEvaluation:
     def test_legendre_degree_one_hand_value(self):
         fam = PolynomialFamily.legendre(4)
-        value, deriv = fam.eval(1, 1.0)
+        value, deriv = degree_column(fam, 1, 1.0)
         # Orthonormal under the uniform probability measure: p_1(x) = sqrt(3) x.
         assert value[0] == pytest.approx(math.sqrt(3.0), abs=1e-14)
         assert deriv[0] == pytest.approx(math.sqrt(3.0), abs=1e-14)
 
     def test_chebyshev_degree_one_hand_value(self):
         fam = PolynomialFamily.chebyshev(4)
-        value, _ = fam.eval(1, 0.5)
+        value, _ = degree_column(fam, 1, 0.5)
         assert value[0] == pytest.approx(math.sqrt(2.0) * 0.5, abs=1e-14)
 
     @pytest.mark.parametrize("alpha,beta", PARAM_GRID)
@@ -59,29 +65,29 @@ class TestEvaluation:
 
     def test_constant_is_one(self):
         for fam in (PolynomialFamily.jacobi(1.0, 2.5, 2), PolynomialFamily.hermite(2)):
-            value, deriv = fam.eval(0, np.array([-0.3, 0.9]))
+            value, deriv = degree_column(fam, 0, np.array([-0.3, 0.9]))
             np.testing.assert_array_equal(value, 1.0)
             np.testing.assert_array_equal(deriv, 0.0)
 
     def test_clamps_roundoff_overshoot(self):
         fam = PolynomialFamily.legendre(3)
-        value, _ = fam.eval(2, 1.0 + 1e-14)
-        exact, _ = fam.eval(2, 1.0)
+        value, _ = degree_column(fam, 2, 1.0 + 1e-14)
+        exact, _ = degree_column(fam, 2, 1.0)
         assert value[0] == exact[0]
 
     def test_rejects_points_outside_support(self):
         fam = PolynomialFamily.legendre(3)
         with pytest.raises(ValueError):
-            fam.eval(2, 1.1)
+            degree_column(fam, 2, 1.1)
 
     def test_rejects_degree_overflow(self):
         fam = PolynomialFamily.legendre(5)
         with pytest.raises(ValueError):
-            fam.eval(6, 0.0)
+            degree_column(fam, 6, 0.0)
 
     def test_hermite_unbounded_support(self):
         fam = PolynomialFamily.hermite(6)
-        value, _ = fam.eval(6, 8.0)
+        value, _ = degree_column(fam, 6, 8.0)
         assert np.isfinite(value[0])
 
 
@@ -135,8 +141,8 @@ class TestDerivatives:
         fam = PolynomialFamily.jacobi(0.5, 1.5, 8)
         x = np.linspace(-0.8, 0.8, 9)
         for n in (1, 4, 8):
-            fd = central_difference(lambda t: fam.eval(n, t)[0], x)
-            _, deriv = fam.eval(n, x)
+            fd = central_difference(lambda t: degree_column(fam, n, t)[0], x)
+            _, deriv = degree_column(fam, n, x)
             np.testing.assert_allclose(deriv, fd, rtol=1e-7, atol=1e-7)
 
     def test_hermite_derivative_identity(self):
