@@ -30,7 +30,7 @@ import numpy as np
 from .design import sampling_measure
 from .harness import ResultTable, check_modes, fit_sparse_expansion, grid_table, mode_data
 from .pce import PceBasis
-from .polynomials import Measure, PolynomialFamily, tensor_gauss_rule
+from .polynomials import Measure, tensor_gauss_rule
 from .sampling import sample, split_stream
 
 _MAX_MESH_WIDTH = 1.0 / 64.0
@@ -313,8 +313,7 @@ def reference_moments(model: DiffusionModel) -> tuple[float, float]:
     """
     if model.dim > _QUADRATURE_DIM_CAP:
         raise ValueError(f"quadrature reference capped at dim {_QUADRATURE_DIM_CAP}")
-    family = PolynomialFamily.legendre(_QUADRATURE_POINTS - 1)
-    nodes, weights = tensor_gauss_rule([family] * model.dim, _QUADRATURE_POINTS)
+    nodes, weights = tensor_gauss_rule([Measure.uniform()] * model.dim, _QUADRATURE_POINTS)
     values = np.concatenate([_evaluate_batch(model, nodes[start:start + _REFERENCE_BATCH])[0]
                              for start in range(0, len(nodes), _REFERENCE_BATCH)])
     mean = float(weights @ values)

@@ -71,7 +71,15 @@ def _row_weights(basis: PceBasis, points: np.ndarray, directions: tuple[int, ...
         raised = density_ratio_to_chebyshev(params.raised(), points[:, axis])
         parts = [raised if j == axis else ratios[j] for j in range(basis.dim)]
         blocks.append(np.sqrt(np.prod(parts, axis=0)))
-    return np.concatenate(blocks)
+    weights = np.concatenate(blocks)
+    # A zero weight at an interior point is an underflow, not the density's own zero.
+    inside = np.tile(np.abs(points).max(axis=1) < 1.0, len(blocks))
+    if np.any(inside & (weights == 0.0)):
+        raise ValueError(
+            f"Jacobi parameters alpha={params.alpha}, beta={params.beta} are too large for "
+            "these sample points: a row weight underflows to 0"
+        )
+    return weights
 
 
 def column_normalizer(basis: PceBasis, directions=None) -> np.ndarray:
@@ -334,13 +342,13 @@ def expected_gram(basis: PceBasis, directions=None) -> np.ndarray:
     dirs = _normalize_directions(basis.dim, directions)
     m = basis.degree + 1
     p = column_normalizer(basis, dirs)
-    families = [basis.family] * basis.dim
-    pts, w = tensor_gauss_rule(families, m)
+    measures = [basis.family.measure] * basis.dim
+    pts, w = tensor_gauss_rule(measures, m)
     mat = basis.matrix(pts)
     gram = (mat * w[:, None]).T @ mat
-    raised = basis.family.raised(basis.degree)
+    raised = basis.family.measure.raised()
     for axis in dirs:
-        pts, w = tensor_gauss_rule(families[:axis] + [raised] + families[axis + 1:], m)
+        pts, w = tensor_gauss_rule(measures[:axis] + [raised] + measures[axis + 1:], m)
         grad = basis.gradient_matrix(pts, axis)
         gram += (grad * w[:, None]).T @ grad
     return (gram * p[None, :]) * p[:, None]
@@ -356,11 +364,8 @@ def isotropy_gap(basis: PceBasis, directions=None) -> float:
 
 
 def numeric_nullspace_dim(matrix: np.ndarray, tol: float = 1e-10) -> int:
-    """Number of singular values at or below tol times the largest."""
-    s = np.linalg.svd(np.asarray(matrix, float), compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return matrix.shape[1]
-    return int(matrix.shape[1] - np.count_nonzero(s > tol * s[0]))
+    """Column count minus the numeric rank: singular values above tol times the largest."""
+    return int(matrix.shape[1] - np.linalg.matrix_rank(matrix, rtol=tol))
 
 
 def nullspace_containment(phi: np.ndarray, phi_hat: np.ndarray, tol: float = 1e-10) -> bool:

@@ -40,8 +40,6 @@ _RMSE_OPT_TOL = 1e-8
 class TargetFunction:
     """Benchmark function on [-1, 1]^dim with an analytic gradient."""
 
-    name: str
-    description: str
     values: Callable[[np.ndarray], np.ndarray]
     gradients: Callable[[np.ndarray], np.ndarray]
 
@@ -80,15 +78,9 @@ def _sinusoids_gradient(points: np.ndarray) -> np.ndarray:
 
 
 TARGETS = {
-    "f1": TargetFunction(
-        "f1", "sum of squared coordinates", _sum_of_squares, _sum_of_squares_gradient
-    ),
-    "f2": TargetFunction(
-        "f2", "gaussian bump centered off the origin", _gaussian_bump, _gaussian_bump_gradient
-    ),
-    "f3": TargetFunction(
-        "f3", "sum of shifted sinusoids", _sinusoids, _sinusoids_gradient
-    ),
+    "f1": TargetFunction(_sum_of_squares, _sum_of_squares_gradient),
+    "f2": TargetFunction(_gaussian_bump, _gaussian_bump_gradient),
+    "f3": TargetFunction(_sinusoids, _sinusoids_gradient),
 }
 
 

@@ -14,8 +14,8 @@ import numpy as np
 
 from .polynomials import Measure, PolynomialFamily
 
-# Refuse to materialize index sets larger than this without an explicit cap.
-DEFAULT_INDEX_CAP = 5_000_000
+# Refuse to materialize index sets larger than this.
+INDEX_CAP = 5_000_000
 
 
 def _all_indices(dim: int, degree: int) -> np.ndarray:
@@ -52,17 +52,15 @@ class MultiIndexSet:
         return (tuple(int(v) for v in row) for row in self.indices)
 
 
-def total_degree_set(dim: int, degree: int, cap: int = DEFAULT_INDEX_CAP) -> MultiIndexSet:
+def total_degree_set(dim: int, degree: int) -> MultiIndexSet:
     """Multi-index set {k : |k| <= degree} in graded-lexicographic order."""
     if dim < 1:
         raise ValueError("dimension must be at least 1")
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     size = math.comb(dim + degree, degree)
-    if size > cap:
-        raise ValueError(
-            f"index set of size {size} exceeds the cap {cap}; raise cap explicitly"
-        )
+    if size > INDEX_CAP:
+        raise ValueError(f"index set of size {size} exceeds the cap {INDEX_CAP}")
     idx = _all_indices(dim, degree)
     totals = idx.sum(axis=1)
     order = np.lexsort(tuple(idx[:, j] for j in range(dim - 1, -1, -1)) + (totals,))

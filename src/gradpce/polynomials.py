@@ -4,11 +4,13 @@ Supports Jacobi polynomials (including the Legendre and Chebyshev special
 cases) orthonormal under the Beta-type density on [-1, 1], and probabilists'
 Hermite polynomials orthonormal under the standard Gaussian.  All evaluation
 runs through the three-term recurrence of the orthonormal family, which also
-yields derivatives exactly.  Gauss rules take their nodes from numpy's
-symmetric eigensolver applied to the Jacobi matrix, the tridiagonal matrix of
-the same recurrence coefficients, and their weights from the Christoffel
-function of the orthonormal table, which keeps the tiny tail weights of the
-Hermite and large-parameter Jacobi rules accurate to relative precision.
+yields derivatives exactly.  A Gauss rule depends on its measure and node
+count alone, so ``gauss_rule`` builds it from the measure's recurrence with
+no family: its nodes come from numpy's symmetric eigensolver applied to the
+Jacobi matrix, the tridiagonal matrix of the recurrence coefficients, and its
+weights from the Christoffel function of the orthonormal values, which keeps
+the tiny tail weights of the Hermite and large-parameter Jacobi rules
+accurate to relative precision.
 """
 
 from __future__ import annotations
@@ -127,6 +129,12 @@ class Measure:
             return "uniform"
         return f"jacobi({self.params.alpha:g},{self.params.beta:g})"
 
+    def raised(self) -> "Measure":
+        """Measure of the family that derivatives of this measure's family map into."""
+        if self.kind == "gaussian":
+            return self
+        return Measure("jacobi", self.params.raised())
+
 
 def density_ratio_to_chebyshev(params: JacobiParams, x) -> np.ndarray:
     """Ratio of the Jacobi density to the Chebyshev (arcsine) density.
@@ -193,11 +201,49 @@ def _jacobi_recurrence(params: JacobiParams, count: int) -> tuple[np.ndarray, np
     return rec_a, rec_b
 
 
-def _hermite_recurrence(count: int) -> tuple[np.ndarray, np.ndarray]:
-    rec_a = np.zeros(count)
-    rec_b = np.arange(count, dtype=float)
-    rec_b[0] = 1.0
-    return rec_a, rec_b
+def _recurrence(measure: Measure, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """First ``count`` coefficients (a_k, sqrt(b_k)) of the measure's recurrence."""
+    if measure.kind == "jacobi":
+        rec_a, rec_b = _jacobi_recurrence(measure.params, count)
+    else:
+        rec_a = np.zeros(count)
+        rec_b = np.arange(count, dtype=float)
+        rec_b[0] = 1.0
+    return rec_a, np.sqrt(rec_b)
+
+
+def _values(x: np.ndarray, a: np.ndarray, sqrt_b: np.ndarray, deg: int) -> np.ndarray:
+    """Orthonormal p_0 .. p_deg at the points x, shape (len(x), deg + 1)."""
+    values = np.zeros((x.shape[0], deg + 1))
+    values[:, 0] = 1.0
+    for n in range(deg):
+        prev = values[:, n - 1] if n > 0 else 0.0
+        values[:, n + 1] = ((x - a[n]) * values[:, n] - sqrt_b[n] * prev) / sqrt_b[n + 1]
+    return values
+
+
+def gauss_rule(measure: Measure, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """m-point Gauss rule of a probability measure.
+
+    Nodes ascend and the weights sum to 1; the rule integrates polynomials
+    up to degree 2m-1 exactly.
+
+    The nodes are the eigenvalues of the m x m Jacobi matrix.  Each weight is
+    the Christoffel number w_i = 1 / sum_{k<m} p_k(x_i)^2 of the orthonormal
+    table, not the squared first eigenvector component (Golub-Welsch): the
+    eigenvector is accurate only relative to its largest entry, so weights
+    far below machine epsilon (about 1e-22 in the tail of a 31-point Hermite
+    rule) lose all relative accuracy, and how much depends on the LAPACK
+    build.  The Christoffel sum has only positive terms and stays relatively
+    accurate at every node.
+    """
+    if m < 1:
+        raise ValueError("quadrature needs at least one node")
+    a, sqrt_b = _recurrence(measure, m)
+    off = sqrt_b[1:]
+    nodes = np.linalg.eigvalsh(np.diag(a) + np.diag(off, 1) + np.diag(off, -1))
+    values = _values(nodes, a, sqrt_b, m - 1)
+    return nodes, 1.0 / np.sum(values * values, axis=1)
 
 
 class PolynomialFamily:
@@ -207,19 +253,13 @@ class PolynomialFamily:
     raises rather than silently extending it.
     """
 
-    def __init__(self, measure: Measure, max_degree: int = 64, _validate: bool = True):
+    def __init__(self, measure: Measure, max_degree: int = 64):
         if max_degree < 0:
             raise ValueError("max_degree must be nonnegative")
         self.measure = measure
         self.max_degree = int(max_degree)
-        count = self.max_degree + 2
-        if measure.kind == "jacobi":
-            rec_a, rec_b = _jacobi_recurrence(measure.params, count)
-        else:
-            rec_a, rec_b = _hermite_recurrence(count)
-        self._rec_a = rec_a
-        self._rec_sqrt_b = np.sqrt(rec_b)
-        if _validate and measure.kind == "jacobi" and self.max_degree >= 1:
+        self._rec_a, self._rec_sqrt_b = _recurrence(measure, self.max_degree + 1)
+        if measure.kind == "jacobi" and self.max_degree >= 1:
             self._check_derivative_constants()
 
     # -- constructors ------------------------------------------------------
@@ -249,13 +289,6 @@ class PolynomialFamily:
     @property
     def params(self) -> JacobiParams | None:
         return self.measure.params
-
-    def raised(self, max_degree: int | None = None) -> "PolynomialFamily":
-        """Family that derivatives of this family are proportional to."""
-        if self.kind != "jacobi":
-            return self
-        deg = self.max_degree if max_degree is None else max_degree
-        return PolynomialFamily(Measure("jacobi", self.params.raised()), deg)
 
     def derivative_constant(self, n: int) -> float:
         if self.kind == "jacobi":
@@ -289,51 +322,14 @@ class PolynomialFamily:
                 f"degree {deg} exceeds tabulated maximum {self.max_degree}"
             )
         x = self._prepare_points(x)
-        npts = x.shape[0]
-        values = np.zeros((npts, deg + 1))
-        derivs = np.zeros((npts, deg + 1))
-        values[:, 0] = 1.0
         a, sb = self._rec_a, self._rec_sqrt_b
+        values = _values(x, a, sb, deg)
+        # The recurrence differentiated term by term.
+        derivs = np.zeros_like(values)
         for n in range(deg):
-            shifted = x - a[n]
-            prev_v = values[:, n - 1] if n > 0 else 0.0
-            prev_d = derivs[:, n - 1] if n > 0 else 0.0
-            values[:, n + 1] = (shifted * values[:, n] - sb[n] * prev_v) / sb[n + 1]
-            derivs[:, n + 1] = (
-                values[:, n] + shifted * derivs[:, n] - sb[n] * prev_d
-            ) / sb[n + 1]
+            prev = derivs[:, n - 1] if n > 0 else 0.0
+            derivs[:, n + 1] = (values[:, n] + (x - a[n]) * derivs[:, n] - sb[n] * prev) / sb[n + 1]
         return values, derivs
-
-    # -- quadrature --------------------------------------------------------
-
-    def gauss_quadrature(self, m: int) -> tuple[np.ndarray, np.ndarray]:
-        """m-point Gauss rule for the family's probability measure.
-
-        Nodes ascend and the weights sum to 1; the rule integrates
-        polynomials up to degree 2m-1 exactly.
-
-        The nodes are the eigenvalues of the m x m Jacobi matrix.  Each
-        weight is the Christoffel number w_i = 1 / sum_{k<m} p_k(x_i)^2 of the
-        orthonormal table, not the squared first eigenvector component
-        (Golub-Welsch): the eigenvector is accurate only relative to its
-        largest entry, so weights far below machine epsilon (about 1e-22 in
-        the tail of a 31-point Hermite rule) lose all relative accuracy, and
-        how much depends on the LAPACK build.  The Christoffel sum has only
-        positive terms and stays relatively accurate at every node.
-        """
-        if m < 1:
-            raise ValueError("quadrature needs at least one node")
-        if m == 1:
-            return self._rec_a[:1].copy(), np.ones(1)
-        family = self
-        if m > self.max_degree + 1:
-            family = PolynomialFamily(self.measure, m - 1, _validate=False)
-        off = family._rec_sqrt_b[1:m]
-        jacobi_matrix = np.diag(family._rec_a[:m]) + np.diag(off, 1) + np.diag(off, -1)
-        nodes = np.linalg.eigvalsh(jacobi_matrix)
-        values, _ = family.eval_table(nodes, m - 1)
-        weights = 1.0 / np.sum(values * values, axis=1)
-        return nodes, weights
 
     # -- validation --------------------------------------------------------
 
@@ -343,13 +339,11 @@ class PolynomialFamily:
         Projects d/dx p_n onto the raised orthonormal family under the raised
         measure; the projection coefficient must reproduce the closed form.
         """
-        raised = PolynomialFamily(
-            Measure("jacobi", self.params.raised()), self.max_degree, _validate=False
-        )
+        raised = self.measure.raised()
         m = self.max_degree + 1
-        nodes, weights = raised.gauss_quadrature(m)
+        nodes, weights = gauss_rule(raised, m)
         _, derivs = self.eval_table(nodes)
-        raised_vals, _ = raised.eval_table(nodes)
+        raised_vals = _values(nodes, *_recurrence(raised, m), self.max_degree)
         for n in range(1, self.max_degree + 1):
             projected = float(np.sum(weights * derivs[:, n] * raised_vals[:, n - 1]))
             closed = self.derivative_constant(n)
@@ -361,16 +355,16 @@ class PolynomialFamily:
                 )
 
 
-def tensor_gauss_rule(families, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Tensor product of each family's m-point Gauss rule.
+def tensor_gauss_rule(measures, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tensor product of each measure's m-point Gauss rule.
 
     Returns the points as rows (the last coordinate varies fastest) and
     their weights, the products of the one-dimensional weights.
     """
     nodes_1d = []
     weights = np.ones(1)
-    for fam in families:
-        x, w = fam.gauss_quadrature(m)
+    for measure in measures:
+        x, w = gauss_rule(measure, m)
         nodes_1d.append(x)
         weights = np.multiply.outer(weights, w)
     grids = np.meshgrid(*nodes_1d, indexing="ij")

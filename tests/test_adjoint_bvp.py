@@ -17,7 +17,6 @@ from gradpce.adjoint_bvp import (
     solve_bvp,
 )
 from gradpce.harness import MODES
-from gradpce.polynomials import PolynomialFamily
 from gradpce.sampling import generator, split_stream
 
 from _oracles import diffusion_qoi_and_gradient, precise_diffusion_qoi_and_gradient
@@ -285,13 +284,6 @@ class TestSurrogate:
         standard_error = values.std(ddof=1) / math.sqrt(values.size)
         assert abs(values.mean() - mean) <= 3.0 * standard_error
         assert std == pytest.approx(values.std(ddof=1), rel=0.05)
-
-    def test_reference_rule_matches_the_degree_64_rule(self):
-        m = adjoint_bvp._QUADRATURE_POINTS
-        nodes, weights = PolynomialFamily.legendre(m - 1).gauss_quadrature(m)
-        wide_nodes, wide_weights = PolynomialFamily.legendre(64).gauss_quadrature(m)
-        np.testing.assert_array_equal(nodes, wide_nodes)
-        np.testing.assert_array_equal(weights, wide_weights)
 
     def test_reference_moments_pinned_at_dim3(self):
         # Values of the per-point banded Cholesky solver the batched solves replaced.

@@ -225,11 +225,17 @@ class TestDiagnose:
         ("jacobi(1e8,0)", "error: Jacobi parameters alpha=100000000.0, beta=0.0: derivative"),
         ("jacobi(1e6,0)", "error: Jacobi parameters alpha=1000000.0, beta=0.0 are too large: "
                           "the density normalization underflows"),
+        ("jacobi(1000,0)", "error: Jacobi parameters alpha=1000.0, beta=0.0 are too large for "
+                           "these sample points: a row weight underflows to 0"),
+        ("jacobi(300,0)", "error: Jacobi parameters alpha=300.0, beta=0.0 are too large for "
+                          "these sample points"),
+        ("jacobi(100,0)", "error: Jacobi parameters alpha=100.0, beta=0.0 are too large for "
+                          "these sample points"),
     ])
     def test_bad_jacobi_exponents_end_in_one_error_line(self, measure, message, capsys):
-        # Exponents too large for the recurrence, the derivative self-check or
-        # the density normalization are named in the error line, and the
-        # failure emits no warning.
+        # Exponents too large for the recurrence, the derivative self-check,
+        # the density normalization or the sample points' row weights are
+        # named in the error line, and the failure emits no warning.
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code = main(["diagnose", "--measure", measure])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gradpce import pce
 from gradpce.pce import PceBasis, total_degree_set
 from gradpce.polynomials import Measure, PolynomialFamily
 
@@ -38,10 +39,14 @@ class TestTotalDegreeSet:
         assert len(set(keys)) == len(keys)
         assert all(sum(k) <= n for k in s)
 
-    def test_cap_guard(self):
-        with pytest.raises(ValueError, match="cap"):
-            total_degree_set(12, 12, cap=1000)
-        assert len(total_degree_set(12, 12, cap=3_000_000)) == math.comb(24, 12)
+    def test_cap_guard(self, monkeypatch):
+        # 9,657,700 terms: refused before any index array is built.
+        assert math.comb(12 + 14, 14) > pce.INDEX_CAP
+        with monkeypatch.context() as patch:
+            patch.setattr(pce, "_all_indices", lambda dim, degree: pytest.fail("array built"))
+            with pytest.raises(ValueError, match="exceeds the cap"):
+                total_degree_set(12, 14)
+        assert len(total_degree_set(12, 12)) == math.comb(24, 12)
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):

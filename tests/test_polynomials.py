@@ -5,12 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gradpce.adjoint_bvp import DiffusionModel, reference_moments
+from gradpce.design import isotropy_gap
+from gradpce.pce import PceBasis
 from gradpce.polynomials import (
     JacobiParams,
     Measure,
     PolynomialFamily,
+    _recurrence,
     density_ratio_to_chebyshev,
     derivative_constant,
+    gauss_rule,
 )
 
 from _oracles import (
@@ -126,7 +131,7 @@ class TestDerivatives:
         """d/dx p_n = c(n) q_{n-1} with q orthonormal under the raised measure."""
         deg = 12
         fam = PolynomialFamily.jacobi(alpha, beta, deg)
-        raised = fam.raised()
+        raised = PolynomialFamily(fam.measure.raised(), deg)
         x = np.linspace(-0.9, 0.9, 13)
         _, derivs = fam.eval_table(x, deg)
         raised_vals, _ = raised.eval_table(x, deg)
@@ -177,30 +182,29 @@ class TestDerivatives:
 
 class TestQuadrature:
     def test_single_node_rule(self):
-        nodes, weights = PolynomialFamily.legendre(4).gauss_quadrature(1)
+        nodes, weights = gauss_rule(Measure.uniform(), 1)
         np.testing.assert_array_equal(nodes, [0.0])
         np.testing.assert_array_equal(weights, [1.0])
 
     def test_legendre_integrates_quartic(self):
-        nodes, weights = PolynomialFamily.legendre(8).gauss_quadrature(5)
+        nodes, weights = gauss_rule(Measure.uniform(), 5)
         assert np.sum(weights * nodes**4) == pytest.approx(0.2, abs=1e-14)
 
     def test_chebyshev_second_moment(self):
-        nodes, weights = PolynomialFamily.chebyshev(8).gauss_quadrature(3)
+        nodes, weights = gauss_rule(Measure.chebyshev(), 3)
         assert np.sum(weights * nodes**2) == pytest.approx(0.5, abs=1e-14)
 
     @pytest.mark.parametrize(
         "alpha,beta,m", [(0.0, 0.0, 10), (-0.5, -0.5, 9), (0.5, 1.5, 12), (2.5, 0.0, 7)]
     )
     def test_matches_scipy_rule(self, alpha, beta, m):
-        fam = PolynomialFamily.jacobi(alpha, beta, 4)
-        nodes, weights = fam.gauss_quadrature(m)
+        nodes, weights = gauss_rule(Measure.jacobi(alpha, beta), m)
         ref_nodes, ref_weights = jacobi_rule(alpha, beta, m)
         np.testing.assert_allclose(nodes, ref_nodes, atol=1e-12)
         np.testing.assert_allclose(weights, ref_weights, atol=1e-12)
 
     def test_hermite_matches_scipy_rule(self):
-        nodes, weights = PolynomialFamily.hermite(4).gauss_quadrature(10)
+        nodes, weights = gauss_rule(Measure.gaussian(), 10)
         ref_nodes, ref_weights = hermite_rule(10)
         np.testing.assert_allclose(nodes, ref_nodes, atol=1e-10)
         np.testing.assert_allclose(weights, ref_weights, atol=1e-12)
@@ -209,7 +213,7 @@ class TestQuadrature:
     def test_weights_sum_to_one_and_exactness(self, alpha, beta):
         m = 9
         fam = PolynomialFamily.jacobi(alpha, beta, 20)
-        nodes, weights = fam.gauss_quadrature(m)
+        nodes, weights = gauss_rule(fam.measure, m)
         assert weights.sum() == pytest.approx(1.0, abs=1e-13)
         # Exact up to degree 2m-1: orthonormal moments vanish except degree 0.
         values, _ = fam.eval_table(nodes, 2 * m - 1)
@@ -232,19 +236,14 @@ class TestQuadrature:
     def test_large_rules_keep_tail_weights(self, measure, m, precise):
         """Weights far below machine epsilon stay accurate to relative precision.
 
-        The rule is taken from a short table (extended on demand) and from a
-        full one; both must agree, integrate the Gramian exactly and match a
-        reference rule, whose tail weights only a relative tolerance resolves.
-        The largest rule of each family is checked against a 40-digit rule:
+        The rule must integrate the Gramian exactly and match a reference
+        rule, whose tail weights only a relative tolerance resolves. The
+        largest rule of each family is checked against a 40-digit rule:
         scipy's own jacobi(5,0) rule at m=150 is accurate only to 2.1e-11,
         too close to the tolerance to tell the program's error apart.
         """
-        fam = PolynomialFamily(measure, m - 1)
-        nodes, weights = fam.gauss_quadrature(m)
-        short_nodes, short_weights = PolynomialFamily(measure, 4).gauss_quadrature(m)
-        np.testing.assert_array_equal(short_nodes, nodes)
-        np.testing.assert_array_equal(short_weights, weights)
-        values, _ = fam.eval_table(nodes)
+        nodes, weights = gauss_rule(measure, m)
+        values, _ = PolynomialFamily(measure, m - 1).eval_table(nodes)
         gram = (values * weights[:, None]).T @ values
         assert np.abs(gram - np.eye(m)).max() <= 1e-12
         if measure.kind == "gaussian":
@@ -262,9 +261,9 @@ class TestQuadrature:
         ids=["hermite-80", "jacobi(5,0)-150"],
     )
     def test_nodes_match_tridiagonal_eigensolver(self, measure, m):
-        fam = PolynomialFamily(measure, m - 1)
-        nodes, _ = fam.gauss_quadrature(m)
-        ref = tridiagonal_eigenvalues(fam._rec_a[:m], fam._rec_sqrt_b[1:m])
+        nodes, _ = gauss_rule(measure, m)
+        a, sqrt_b = _recurrence(measure, m)
+        ref = tridiagonal_eigenvalues(a, sqrt_b[1:])
         # The largest |eigenvalue| of the symmetric Jacobi matrix is its 2-norm.
         np.testing.assert_allclose(nodes, ref, rtol=0.0, atol=1e-14 * np.abs(ref).max())
 
@@ -274,11 +273,28 @@ class TestQuadrature:
         st.floats(min_value=-0.5, max_value=3.0),
     )
     def test_random_parameters_match_scipy(self, alpha, beta):
-        fam = PolynomialFamily.jacobi(alpha, beta, 4)
-        nodes, weights = fam.gauss_quadrature(8)
+        nodes, weights = gauss_rule(Measure.jacobi(alpha, beta), 8)
         ref_nodes, ref_weights = jacobi_rule(alpha, beta, 8)
         np.testing.assert_allclose(nodes, ref_nodes, atol=1e-11)
         np.testing.assert_allclose(weights, ref_weights, atol=1e-11)
+
+
+def test_rules_build_no_family(monkeypatch):
+    """A basis builds its one family; rules for isotropy and the reference build none."""
+    calls = []
+    init = PolynomialFamily.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PolynomialFamily, "__init__", counting_init)
+    basis = PceBasis.from_measure(Measure.jacobi(0.5, 1.5), 2, 3)
+    assert len(calls) == 1
+    isotropy_gap(basis)
+    # The cache's wrapped function: the model's moments are computed afresh.
+    reference_moments.__wrapped__(DiffusionModel(dim=1))
+    assert len(calls) == 1
 
 
 class TestDensities:
@@ -332,6 +348,11 @@ class TestMeasure:
     def test_parse_roundtrip(self):
         for label in ("chebyshev", "uniform", "gaussian", "jacobi(0.5,1.5)"):
             assert Measure.parse(Measure.parse(label).label) == Measure.parse(label)
+
+    def test_raised(self):
+        assert Measure.jacobi(0.5, 1.5).raised() == Measure.jacobi(1.5, 2.5)
+        assert Measure.chebyshev().raised() == Measure.jacobi(0.5, 0.5)
+        assert Measure.gaussian().raised() == Measure.gaussian()
 
     def test_parse_aliases(self):
         assert Measure.parse("legendre") == Measure.uniform()
