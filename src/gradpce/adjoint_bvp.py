@@ -27,11 +27,11 @@ from typing import Callable
 
 import numpy as np
 
-from .design import sampling_measure
-from .harness import ResultTable, check_modes, fit_sparse_expansion, grid_table, mode_data
+from .harness import (SURROGATE_OPT_TOL, ResultTable, check_modes, fit_sparse_expansion,
+                      grid_table, mode_data)
 from .pce import PceBasis
 from .polynomials import Measure, tensor_gauss_rule
-from .sampling import sample, split_stream
+from .sampling import split_stream
 
 _MAX_MESH_WIDTH = 1.0 / 64.0
 _RESIDUAL_TOL = 1e-12
@@ -262,8 +262,6 @@ class SurrogateResult:
     coefficients: np.ndarray
     mean: float
     std: float
-    n_samples: int
-    mode: str
 
 
 def _evaluate_batch(model: DiffusionModel, points: np.ndarray, directions=()):
@@ -275,18 +273,15 @@ def _evaluate_batch(model: DiffusionModel, points: np.ndarray, directions=()):
 def _surrogates(model: DiffusionModel, basis: PceBasis, modes, n_samples: int,
                 seed: int) -> list[SurrogateResult]:
     """One surrogate per mode, all fitted from the same draw of sample points."""
-    full = sample(sampling_measure(Measure.uniform()), model.dim,
-                  (1 + model.dim) * n_samples, seed)
 
     def evaluate(design):
         return design.stack(*_evaluate_batch(model, design.batch.points, design.directions))
 
-    fits = mode_data(basis, modes, full, n_samples, range(model.dim), evaluate)
     results = []
-    for mode, (design, data) in zip(modes, fits):
-        coeffs = fit_sparse_expansion(design, data, epsilon=None, opt_tol=1e-8)
+    for design, data in mode_data(basis, modes, n_samples, range(model.dim), seed, evaluate):
+        coeffs = fit_sparse_expansion(design, data, epsilon=None, opt_tol=SURROGATE_OPT_TOL)
         std = math.sqrt(max(float(coeffs[1:] @ coeffs[1:]), 0.0))
-        results.append(SurrogateResult(coeffs, float(coeffs[0]), std, n_samples, mode))
+        results.append(SurrogateResult(coeffs, float(coeffs[0]), std))
     return results
 
 

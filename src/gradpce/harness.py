@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, fields
 from typing import Callable
 
@@ -18,7 +19,7 @@ from .design import GradientDesign, assemble_gradient_enhanced, mic, sampling_me
 from .l1solver import SolveSpec, solve
 from .pce import PceBasis
 from .polynomials import Measure
-from .sampling import SampleBatch, generator, sample, split_stream
+from .sampling import generator, sample, split_stream
 
 SUCCESS_TOL = 1e-3
 MODES = ("standard", "gradient-enhanced", "standard-double")
@@ -30,7 +31,12 @@ _RELATIVE_EPSILON = 1e-8
 _VALIDATION_STREAM = 0x56414C
 _VALIDATION_POINTS = 10_000
 _RECOVERY_OPT_TOL = 1e-6
-_RMSE_OPT_TOL = 1e-8
+# The type of each scalar config field; trials and epsilon may also be None.
+_FIELD_TYPES = {"kind": str, "dim": int, "degree": int, "measure": str, "sparsity": int,
+                "sample_count": int, "trials": int, "gradient_fraction": float,
+                "target": str, "epsilon": float, "seed": int}
+# Solver tolerance of a surrogate fit: the rmse benchmark and the bvp surrogates.
+SURROGATE_OPT_TOL = 1e-8
 
 
 # -- test functions ----------------------------------------------------------
@@ -109,6 +115,15 @@ def direction_count(fraction: float, dim: int) -> int:
     return int(math.ceil(exact))
 
 
+def _checked(name: str, value, cls: type):
+    """``value`` as a ``cls``; a boolean or a value of another type raises ValueError."""
+    abc, what = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number"),
+                 str: (str, "a string")}[cls]
+    if isinstance(value, bool) or not isinstance(value, abc):
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    return cls(value)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Declarative description of one benchmark run.
@@ -136,9 +151,15 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "sample_grid", tuple(int(n) for n in self.sample_grid))
-        object.__setattr__(self, "sparsity_grid", tuple(int(s) for s in self.sparsity_grid))
-        object.__setattr__(self, "modes", tuple(self.modes))
+        for name, cls in _FIELD_TYPES.items():
+            if getattr(self, name) is not None or name not in ("trials", "epsilon"):
+                _checked(name, getattr(self, name), cls)
+        for name, cls in (("sample_grid", int), ("sparsity_grid", int), ("modes", str)):
+            try:
+                entries = tuple(_checked(f"{name} entries", v, cls) for v in getattr(self, name))
+            except TypeError:
+                raise ValueError(f"{name} must be a list, got {getattr(self, name)!r}") from None
+            object.__setattr__(self, name, entries)
         if self.kind not in KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if self.dim < 1 or self.degree < 0:
@@ -158,16 +179,12 @@ class ExperimentConfig:
         check_modes(self.modes)
         if self.kind == "rmse" and self.target not in TARGETS:
             raise ValueError(f"unknown target {self.target!r}")
-        if self.epsilon is not None and self.epsilon < 0.0:
-            raise ValueError("epsilon must be >= 0")
+        if self.epsilon is not None and not 0.0 <= self.epsilon < math.inf:
+            raise ValueError("epsilon must be finite and >= 0")
 
     @property
     def effective_trials(self) -> int:
         return self.trials if self.trials is not None else _DEFAULT_TRIALS[self.kind]
-
-    @property
-    def direction_count(self) -> int:
-        return direction_count(self.gradient_fraction, self.dim)
 
     def to_dict(self) -> dict:
         out = {}
@@ -272,19 +289,22 @@ def fit_sparse_expansion(
     return design.unscale(result.coefficients)
 
 
-def mode_data(basis: PceBasis, modes, full: SampleBatch, n: int, directions, evaluate):
-    """The (design, data) of each mode, in mode order.
+def mode_data(basis: PceBasis, modes, n: int, directions, seed: int, evaluate):
+    """The (design, data) of each mode at one grid point, in mode order.
 
-    ``full`` holds the (1 + q) * n points drawn for one grid point, where q is
-    the number of gradient directions. ``standard`` fits the values at the
-    first n points, ``gradient-enhanced`` adds the gradients along
-    ``directions`` there, and ``standard-double`` spends the gradient budget
-    on values at all (1 + q) * n points. ``evaluate(design)`` returns the
-    stacked data of a design's rows. At most two systems are built and
-    evaluated: one on the first n points, whose value-only system and data
-    the standard mode cuts from it, and one on the whole batch.
+    Draws the grid point's (1 + q) * n points, where q is the number of
+    gradient directions, from the sampling measure paired with the basis on
+    the stream ``seed``. ``standard`` fits the values at the first n points,
+    ``gradient-enhanced`` adds the gradients along ``directions`` there, and
+    ``standard-double`` spends the gradient budget on values at all
+    (1 + q) * n points. ``evaluate(design)`` returns the stacked data of a
+    design's rows. At most two systems are built and evaluated: one on the
+    first n points, whose value-only system and data the standard mode cuts
+    from it, and one on the whole draw.
     """
     check_modes(modes)
+    full = sample(sampling_measure(basis.family.measure), basis.dim,
+                  (1 + len(directions)) * n, seed)
     fits = {}
     if "standard" in modes or "gradient-enhanced" in modes:
         dirs = tuple(directions) if "gradient-enhanced" in modes else ()
@@ -313,16 +333,16 @@ def _choose_directions(rng: np.random.Generator, dim: int, count: int) -> tuple[
     return tuple(sorted(int(a) for a in rng.choice(dim, size=count, replace=False)))
 
 
-def _trial_start(config: ExperimentConfig, basis: PceBasis, trial: int):
-    """A trial's sampling measure, seed, generator and gradient directions."""
+def _trial_start(config: ExperimentConfig, trial: int):
+    """A trial's seed, generator and gradient directions."""
     trial_seed = split_stream(config.seed, trial)
     rng = generator(split_stream(trial_seed, 0))
-    dirs = _choose_directions(rng, config.dim, config.direction_count)
-    return sampling_measure(basis.family.measure), trial_seed, rng, dirs
+    count = direction_count(config.gradient_fraction, config.dim)
+    return trial_seed, rng, _choose_directions(rng, config.dim, count)
 
 
 def _recovery_trial(config: ExperimentConfig, basis: PceBasis, grid, trial: int):
-    measure, trial_seed, rng, dirs = _trial_start(config, basis, trial)
+    trial_seed, rng, dirs = _trial_start(config, trial)
     s_values = [config.sparsity] * len(grid) if config.kind == "recovery-vs-N" else list(grid)
     s_max = max(s_values)
     support = rng.choice(basis.size, size=s_max, replace=False) if s_max else np.empty(0, int)
@@ -334,8 +354,7 @@ def _recovery_trial(config: ExperimentConfig, basis: PceBasis, grid, trial: int)
         s = s_values[gi]
         coeffs = np.zeros(basis.size)
         coeffs[support[:s]] = spikes[:s]
-        full = sample(measure, config.dim, (1 + len(dirs)) * n, split_stream(trial_seed, gi + 1))
-        fits = mode_data(basis, config.modes, full, n, dirs,
+        fits = mode_data(basis, config.modes, n, dirs, split_stream(trial_seed, gi + 1),
                          lambda design: design.phi_tilde @ coeffs)
         errors.append(_mode_scores(
             fits, lambda estimate: float(np.abs(estimate - coeffs).max()),
@@ -363,7 +382,8 @@ def run_recovery_benchmark(config: ExperimentConfig) -> ResultTable:
 
 
 def _mic_trial(config: ExperimentConfig, basis: PceBasis, trial: int):
-    measure, trial_seed, _, dirs = _trial_start(config, basis, trial)
+    trial_seed, _, dirs = _trial_start(config, trial)
+    measure = sampling_measure(basis.family.measure)
     out = []
     for gi, n in enumerate(config.sample_grid):
         batch = sample(measure, config.dim, n, split_stream(trial_seed, gi + 1))
@@ -388,7 +408,7 @@ def run_mic_sweep(config: ExperimentConfig) -> ResultTable:
 
 
 def _rmse_trial(config, basis, target: TargetFunction, val_matrix, val_truth, trial: int):
-    measure, trial_seed, _, dirs = _trial_start(config, basis, trial)
+    trial_seed, _, dirs = _trial_start(config, trial)
     scale = math.sqrt(val_matrix.shape[0])
 
     def evaluate(design):
@@ -401,9 +421,8 @@ def _rmse_trial(config, basis, target: TargetFunction, val_matrix, val_truth, tr
 
     out = []
     for gi, n in enumerate(config.sample_grid):
-        full = sample(measure, config.dim, (1 + len(dirs)) * n, split_stream(trial_seed, gi + 1))
-        fits = mode_data(basis, config.modes, full, n, dirs, evaluate)
-        out.append(_mode_scores(fits, rmse, config.epsilon, _RMSE_OPT_TOL))
+        fits = mode_data(basis, config.modes, n, dirs, split_stream(trial_seed, gi + 1), evaluate)
+        out.append(_mode_scores(fits, rmse, config.epsilon, SURROGATE_OPT_TOL))
     return out
 
 

@@ -69,10 +69,11 @@ class SolveSpec:
             raise ValueError("matrix and rhs must be finite")
         if np.any(np.linalg.norm(self.matrix, axis=0) == 0.0):
             raise ValueError("matrix has an all-zero column")
-        if self.epsilon < 0.0:
-            raise ValueError("epsilon must be nonnegative")
-        if self.opt_tol <= 0.0 or self.max_iters < 1:
-            raise ValueError("opt_tol must be positive and max_iters at least 1")
+        # Written so that NaN fails them too.
+        if not 0.0 <= self.epsilon < np.inf:
+            raise ValueError("epsilon must be finite and nonnegative")
+        if not 0.0 < self.opt_tol < np.inf or self.max_iters < 1:
+            raise ValueError("opt_tol must be finite and positive and max_iters at least 1")
 
 
 @dataclass(frozen=True)

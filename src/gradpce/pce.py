@@ -91,18 +91,6 @@ class PceBasis:
     def legendre(dim: int, degree: int) -> "PceBasis":
         return PceBasis.from_measure(Measure.uniform(), dim, degree)
 
-    @staticmethod
-    def chebyshev(dim: int, degree: int) -> "PceBasis":
-        return PceBasis.from_measure(Measure.chebyshev(), dim, degree)
-
-    @staticmethod
-    def jacobi(alpha: float, beta: float, dim: int, degree: int) -> "PceBasis":
-        return PceBasis.from_measure(Measure.jacobi(alpha, beta), dim, degree)
-
-    @staticmethod
-    def hermite(dim: int, degree: int) -> "PceBasis":
-        return PceBasis.from_measure(Measure.gaussian(), dim, degree)
-
     # -- properties --------------------------------------------------------
 
     @property

@@ -150,22 +150,6 @@ def density_ratio_to_chebyshev(params: JacobiParams, x) -> np.ndarray:
     return scale * (1.0 - x) ** (params.alpha + 0.5) * (1.0 + x) ** (params.beta + 0.5)
 
 
-def derivative_constant(n: int, params: JacobiParams) -> float:
-    """Factor c(n) in d/dx p_n = c(n) q_{n-1}, q from the raised family.
-
-    Both families are orthonormal under their own probability measures.
-    Returns 0 for n = 0.
-    """
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    if n == 0:
-        return 0.0
-    a, b = params.alpha, params.beta
-    num = n * (n + a + b + 1.0) * (a + b + 2.0) * (a + b + 3.0)
-    den = 4.0 * (a + 1.0) * (b + 1.0)
-    return math.sqrt(num / den)
-
-
 def _jacobi_recurrence(params: JacobiParams, count: int) -> tuple[np.ndarray, np.ndarray]:
     """First ``count`` recurrence coefficients (a_k, b_k) of the monic
     Jacobi family under the normalized (probability) measure, so b_0 = 1.
@@ -253,7 +237,7 @@ class PolynomialFamily:
     raises rather than silently extending it.
     """
 
-    def __init__(self, measure: Measure, max_degree: int = 64):
+    def __init__(self, measure: Measure, max_degree: int):
         if max_degree < 0:
             raise ValueError("max_degree must be nonnegative")
         self.measure = measure
@@ -261,24 +245,6 @@ class PolynomialFamily:
         self._rec_a, self._rec_sqrt_b = _recurrence(measure, self.max_degree + 1)
         if measure.kind == "jacobi" and self.max_degree >= 1:
             self._check_derivative_constants()
-
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def jacobi(alpha: float, beta: float, max_degree: int = 64) -> "PolynomialFamily":
-        return PolynomialFamily(Measure.jacobi(alpha, beta), max_degree)
-
-    @staticmethod
-    def legendre(max_degree: int = 64) -> "PolynomialFamily":
-        return PolynomialFamily(Measure.uniform(), max_degree)
-
-    @staticmethod
-    def chebyshev(max_degree: int = 64) -> "PolynomialFamily":
-        return PolynomialFamily(Measure.chebyshev(), max_degree)
-
-    @staticmethod
-    def hermite(max_degree: int = 64) -> "PolynomialFamily":
-        return PolynomialFamily(Measure.gaussian(), max_degree)
 
     # -- properties --------------------------------------------------------
 
@@ -291,11 +257,21 @@ class PolynomialFamily:
         return self.measure.params
 
     def derivative_constant(self, n: int) -> float:
-        if self.kind == "jacobi":
-            return derivative_constant(n, self.params)
+        """Factor c(n) in d/dx p_n = c(n) q_{n-1}, q from the raised family.
+
+        Both families are orthonormal under their own probability measures.
+        Returns 0 for n = 0.
+        """
         if n < 0:
             raise ValueError("degree must be nonnegative")
-        return math.sqrt(float(n))
+        if self.kind == "gaussian":
+            return math.sqrt(float(n))
+        if n == 0:
+            return 0.0
+        a, b = self.params.alpha, self.params.beta
+        num = n * (n + a + b + 1.0) * (a + b + 2.0) * (a + b + 3.0)
+        den = 4.0 * (a + 1.0) * (b + 1.0)
+        return math.sqrt(num / den)
 
     # -- evaluation --------------------------------------------------------
 

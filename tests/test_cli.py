@@ -264,6 +264,20 @@ class TestParsing:
         assert code == 1
         assert "turbo" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("overrides", [
+        {"sample_grid": 5}, {"dim": "2"}, {"trials": 2.5}, {"seed": "x"}, {"epsilon": "0"},
+        {"measure": 5}, {"modes": 5}, {"sample_grid": [20.7]},
+        {"degree": True, "sparsity": 1, "trials": 1},
+        {"target": 5}, {"epsilon": float("nan")}, {"epsilon": float("inf")},
+    ])
+    def test_ill_typed_config_ends_in_one_error_line(self, overrides, tmp_path, capsys):
+        config = write_config(tmp_path / "config.json", **overrides)
+        code = main(["recover", "--config", str(config), "--out", str(tmp_path)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not list(tmp_path.glob("recover.*"))
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["recover", "--config", str(tmp_path / "nope.json")])
         assert code == 1

@@ -86,7 +86,7 @@ class TestConfig:
         assert config.effective_trials == 100
         assert ExperimentConfig("rmse").effective_trials == 10
         assert ExperimentConfig("mic-sweep").effective_trials == 10
-        assert config.direction_count == 2
+        assert direction_count(config.gradient_fraction, config.dim) == 2
 
     def test_round_trip(self):
         config = ExperimentConfig(
@@ -114,6 +114,23 @@ class TestConfig:
             ExperimentConfig("rmse", trials=0)
         with pytest.raises(ValueError, match="measure"):
             ExperimentConfig("rmse", measure="cosine")
+
+    @pytest.mark.parametrize("field,value", [
+        ("epsilon", math.nan), ("epsilon", math.inf), ("epsilon", -1.0),
+        ("dim", 2.0), ("degree", True), ("trials", "3"), ("seed", None), ("epsilon", "0"),
+        ("gradient_fraction", False), ("kind", 5), ("measure", 5), ("target", ["f1"]),
+        ("sample_grid", 5), ("sample_grid", [20.7]), ("sparsity_grid", [True]),
+        ("modes", 5), ("modes", [1]),
+    ])
+    def test_ill_typed_or_non_finite_fields_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig(**{"kind": "recovery-vs-N", field: value})
+
+    def test_numpy_integers_accepted(self):
+        config = ExperimentConfig("rmse", dim=np.int64(3), sample_grid=np.array([10, 20]),
+                                  seed=np.int64(7), epsilon=np.float64(0.5))
+        assert config.sample_grid == (10, 20)
+        assert all(type(n) is int for n in config.sample_grid)
 
     def test_outcome_success_boundary(self, monkeypatch):
         # Success is inclusive: an error of exactly SUCCESS_TOL counts and one
@@ -171,7 +188,7 @@ class TestFit:
     def test_hermite_gradient_fit_recovers_sparse_coefficients(self):
         # d=2, degree 6: 28 terms; 12 Gaussian samples with both partial
         # derivatives give 36 rows, and every 3-sparse expansion must come back.
-        basis = PceBasis.hermite(2, 6)
+        basis = PceBasis.from_measure(Measure.gaussian(), 2, 6)
         assert basis.size == 28
         worst = 0.0
         for seed in range(20):
@@ -439,6 +456,21 @@ def test_sampling_measure_pairing():
     assert sampling_measure(Measure.uniform()) == Measure.chebyshev()
     assert sampling_measure(Measure.chebyshev()) == Measure.chebyshev()
     assert sampling_measure(Measure.gaussian()) == Measure.gaussian()
+
+
+@pytest.mark.parametrize("measure,paired", [(Measure.uniform(), Measure.chebyshev()),
+                                            (Measure.gaussian(), Measure.gaussian())])
+def test_mode_data_draws_from_the_paired_measure(measure, paired):
+    basis = PceBasis.from_measure(measure, 3, 3)
+    n, dirs, seed = 7, (0, 2), 11
+    fits = harness.mode_data(basis, ("standard-double", "gradient-enhanced"), n, dirs, seed,
+                             lambda design: np.zeros(design.w.shape))
+    (double, _), (enhanced, _) = fits
+    expected = sample(paired, 3, (1 + len(dirs)) * n, seed)
+    assert double.batch.measure == enhanced.batch.measure == paired
+    assert double.batch.points.tobytes() == expected.points.tobytes()
+    assert enhanced.batch.points.tobytes() == expected.points[:n].tobytes()
+    assert enhanced.directions == dirs
 
 
 def test_matrix_ids_frozen():

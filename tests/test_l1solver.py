@@ -362,6 +362,15 @@ class TestSolve:
         with pytest.raises(ValueError, match="epsilon"):
             SolveSpec(np.eye(2), np.ones(2), epsilon=-1.0)
 
+    @pytest.mark.parametrize("control,value", [("epsilon", np.nan), ("epsilon", np.inf),
+                                               ("opt_tol", np.nan), ("opt_tol", np.inf),
+                                               ("opt_tol", 0.0)])
+    def test_non_finite_controls_rejected(self, control, value):
+        # A NaN epsilon would end unconverged after one step, and an infinite
+        # one would return the zero vector as converged.
+        with pytest.raises(ValueError, match=f"{control} must be finite"):
+            SolveSpec(np.eye(2), np.ones(2), **{control: value})
+
 
 class TestHarnessScale:
     """The LASSO path on the solves the drivers make."""
@@ -457,7 +466,7 @@ def test_package_runs_without_scipy():
         "import sys\n"
         "sys.modules['scipy'] = None\n"
         "import gradpce\n"
-        "gradpce.PolynomialFamily.jacobi(5, 0, 149)\n"
+        "gradpce.PolynomialFamily(gradpce.Measure.jacobi(5, 0), 149)\n"
         "gradpce.sample(gradpce.Measure.jacobi(1.5, 0.5), 2, 100, seed=1)\n"
         "gradpce.reference_moments(gradpce.DiffusionModel(dim=1))\n"
     )

@@ -14,7 +14,6 @@ from gradpce.polynomials import (
     PolynomialFamily,
     _recurrence,
     density_ratio_to_chebyshev,
-    derivative_constant,
     gauss_rule,
 )
 
@@ -40,21 +39,21 @@ def degree_column(fam, n, x):
 
 class TestEvaluation:
     def test_legendre_degree_one_hand_value(self):
-        fam = PolynomialFamily.legendre(4)
+        fam = PolynomialFamily(Measure.uniform(), 4)
         value, deriv = degree_column(fam, 1, 1.0)
         # Orthonormal under the uniform probability measure: p_1(x) = sqrt(3) x.
         assert value[0] == pytest.approx(math.sqrt(3.0), abs=1e-14)
         assert deriv[0] == pytest.approx(math.sqrt(3.0), abs=1e-14)
 
     def test_chebyshev_degree_one_hand_value(self):
-        fam = PolynomialFamily.chebyshev(4)
+        fam = PolynomialFamily(Measure.chebyshev(), 4)
         value, _ = degree_column(fam, 1, 0.5)
         assert value[0] == pytest.approx(math.sqrt(2.0) * 0.5, abs=1e-14)
 
     @pytest.mark.parametrize("alpha,beta", PARAM_GRID)
     def test_matches_gram_schmidt_oracle(self, alpha, beta):
         deg = 10
-        fam = PolynomialFamily.jacobi(alpha, beta, deg)
+        fam = PolynomialFamily(Measure.jacobi(alpha, beta), deg)
         x = np.linspace(-0.95, 0.95, 17)
         expected = gram_schmidt_values(jacobi_rule(alpha, beta, 4 * deg), deg, x)
         values, _ = fam.eval_table(x, deg)
@@ -62,36 +61,37 @@ class TestEvaluation:
 
     def test_hermite_matches_gram_schmidt_oracle(self):
         deg = 10
-        fam = PolynomialFamily.hermite(deg)
+        fam = PolynomialFamily(Measure.gaussian(), deg)
         x = np.linspace(-2.5, 2.5, 11)
         expected = gram_schmidt_values(hermite_rule(60), deg, x)
         values, _ = fam.eval_table(x, deg)
         np.testing.assert_allclose(values, expected, atol=1e-8)
 
     def test_constant_is_one(self):
-        for fam in (PolynomialFamily.jacobi(1.0, 2.5, 2), PolynomialFamily.hermite(2)):
+        for measure in (Measure.jacobi(1.0, 2.5), Measure.gaussian()):
+            fam = PolynomialFamily(measure, 2)
             value, deriv = degree_column(fam, 0, np.array([-0.3, 0.9]))
             np.testing.assert_array_equal(value, 1.0)
             np.testing.assert_array_equal(deriv, 0.0)
 
     def test_clamps_roundoff_overshoot(self):
-        fam = PolynomialFamily.legendre(3)
+        fam = PolynomialFamily(Measure.uniform(), 3)
         value, _ = degree_column(fam, 2, 1.0 + 1e-14)
         exact, _ = degree_column(fam, 2, 1.0)
         assert value[0] == exact[0]
 
     def test_rejects_points_outside_support(self):
-        fam = PolynomialFamily.legendre(3)
+        fam = PolynomialFamily(Measure.uniform(), 3)
         with pytest.raises(ValueError):
             degree_column(fam, 2, 1.1)
 
     def test_rejects_degree_overflow(self):
-        fam = PolynomialFamily.legendre(5)
+        fam = PolynomialFamily(Measure.uniform(), 5)
         with pytest.raises(ValueError):
             degree_column(fam, 6, 0.0)
 
     def test_hermite_unbounded_support(self):
-        fam = PolynomialFamily.hermite(6)
+        fam = PolynomialFamily(Measure.gaussian(), 6)
         value, _ = degree_column(fam, 6, 8.0)
         assert np.isfinite(value[0])
 
@@ -100,7 +100,7 @@ class TestOrthonormality:
     @pytest.mark.parametrize("alpha,beta", PARAM_GRID)
     def test_jacobi_gramian_identity(self, alpha, beta):
         deg = 30
-        fam = PolynomialFamily.jacobi(alpha, beta, deg)
+        fam = PolynomialFamily(Measure.jacobi(alpha, beta), deg)
         nodes, weights = jacobi_rule(alpha, beta, deg + 1)
         values, _ = fam.eval_table(nodes, deg)
         gram = (values * weights[:, None]).T @ values
@@ -108,7 +108,7 @@ class TestOrthonormality:
 
     def test_hermite_gramian_identity(self):
         deg = 30
-        fam = PolynomialFamily.hermite(deg)
+        fam = PolynomialFamily(Measure.gaussian(), deg)
         nodes, weights = hermite_rule(deg + 1)
         values, _ = fam.eval_table(nodes, deg)
         gram = (values * weights[:, None]).T @ values
@@ -117,20 +117,20 @@ class TestOrthonormality:
 
 class TestDerivatives:
     def test_constant_values(self):
-        assert derivative_constant(0, JacobiParams(1.0, 2.0)) == 0.0
-        assert derivative_constant(1, JacobiParams(0.0, 0.0)) == pytest.approx(
+        assert PolynomialFamily(Measure.jacobi(1.0, 2.0), 1).derivative_constant(0) == 0.0
+        assert PolynomialFamily(Measure.uniform(), 1).derivative_constant(1) == pytest.approx(
             math.sqrt(3.0), rel=1e-15
         )
-        assert derivative_constant(1, JacobiParams(-0.5, -0.5)) == pytest.approx(
+        assert PolynomialFamily(Measure.chebyshev(), 1).derivative_constant(1) == pytest.approx(
             math.sqrt(2.0), rel=1e-15
         )
-        assert PolynomialFamily.hermite(5).derivative_constant(4) == 2.0
+        assert PolynomialFamily(Measure.gaussian(), 5).derivative_constant(4) == 2.0
 
     @pytest.mark.parametrize("alpha,beta", PARAM_GRID)
     def test_derivative_maps_to_raised_family(self, alpha, beta):
         """d/dx p_n = c(n) q_{n-1} with q orthonormal under the raised measure."""
         deg = 12
-        fam = PolynomialFamily.jacobi(alpha, beta, deg)
+        fam = PolynomialFamily(Measure.jacobi(alpha, beta), deg)
         raised = PolynomialFamily(fam.measure.raised(), deg)
         x = np.linspace(-0.9, 0.9, 13)
         _, derivs = fam.eval_table(x, deg)
@@ -143,7 +143,7 @@ class TestDerivatives:
             )
 
     def test_derivative_matches_finite_difference(self):
-        fam = PolynomialFamily.jacobi(0.5, 1.5, 8)
+        fam = PolynomialFamily(Measure.jacobi(0.5, 1.5), 8)
         x = np.linspace(-0.8, 0.8, 9)
         for n in (1, 4, 8):
             fd = central_difference(lambda t: degree_column(fam, n, t)[0], x)
@@ -151,7 +151,7 @@ class TestDerivatives:
             np.testing.assert_allclose(deriv, fd, rtol=1e-7, atol=1e-7)
 
     def test_hermite_derivative_identity(self):
-        fam = PolynomialFamily.hermite(10)
+        fam = PolynomialFamily(Measure.gaussian(), 10)
         x = np.linspace(-3.0, 3.0, 11)
         values, derivs = fam.eval_table(x, 10)
         for n in range(1, 11):
@@ -160,22 +160,22 @@ class TestDerivatives:
             )
 
     def test_tampered_constant_detected_by_quadrature_check(self):
-        fam = PolynomialFamily.jacobi(0.0, 0.0, 6)
-        fam.derivative_constant = lambda n: 0.9 * derivative_constant(n, fam.params)
+        fam = PolynomialFamily(Measure.jacobi(0.0, 0.0), 6)
+        closed = fam.derivative_constant
+        fam.derivative_constant = lambda n: 0.9 * closed(n)
         with pytest.raises(ValueError, match="derivative constant"):
             fam._check_derivative_constants()
 
     @pytest.mark.parametrize("alpha,beta,deg", [(10.0, 10.0, 100), (5.0, 0.0, 150)])
     def test_large_parameter_families_pass_quadrature_check(self, alpha, beta, deg):
         """The self-check needs a rule whose tail weights are accurate."""
-        fam = PolynomialFamily.jacobi(alpha, beta, deg)
+        fam = PolynomialFamily(Measure.jacobi(alpha, beta), deg)
         assert fam.max_degree == deg
 
     def test_tampered_constant_detected_at_high_degree(self):
-        fam = PolynomialFamily.jacobi(10.0, 10.0, 100)
-        fam.derivative_constant = lambda n: derivative_constant(n, fam.params) * (
-            1.0 + 1e-8 * (n == 100)
-        )
+        fam = PolynomialFamily(Measure.jacobi(10.0, 10.0), 100)
+        closed = fam.derivative_constant
+        fam.derivative_constant = lambda n: closed(n) * (1.0 + 1e-8 * (n == 100))
         with pytest.raises(ValueError, match="derivative constant mismatch .* degree 100"):
             fam._check_derivative_constants()
 
@@ -212,7 +212,7 @@ class TestQuadrature:
     @pytest.mark.parametrize("alpha,beta", PARAM_GRID)
     def test_weights_sum_to_one_and_exactness(self, alpha, beta):
         m = 9
-        fam = PolynomialFamily.jacobi(alpha, beta, 20)
+        fam = PolynomialFamily(Measure.jacobi(alpha, beta), 20)
         nodes, weights = gauss_rule(fam.measure, m)
         assert weights.sum() == pytest.approx(1.0, abs=1e-13)
         # Exact up to degree 2m-1: orthonormal moments vanish except degree 0.
@@ -337,7 +337,7 @@ class TestDensities:
         # sup_x (rho/rho_c)(x) p_n(x)^2 <= 2e(2 + sqrt(alpha^2 + beta^2))
         x = np.linspace(-1.0, 1.0, 501)
         for alpha, beta in PARAM_GRID:
-            fam = PolynomialFamily.jacobi(alpha, beta, 20)
+            fam = PolynomialFamily(Measure.jacobi(alpha, beta), 20)
             ratio = density_ratio_to_chebyshev(fam.params, x)
             values, _ = fam.eval_table(x, 20)
             bound = 2.0 * math.e * (2.0 + math.hypot(alpha, beta))
