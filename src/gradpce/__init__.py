@@ -16,6 +16,7 @@ from .design import (
     coherence_bound,
     coherence_params,
     coherence_suprema,
+    draw,
     expected_gram,
     isotropy_gap,
     mic,
@@ -31,7 +32,7 @@ from .harness import (
     run_rmse_benchmark,
 )
 from .l1solver import RecoveryResult, SolveSpec, project_l1_ball, solve
-from .pce import MultiIndexSet, PceBasis, total_degree_set
+from .pce import PceBasis, total_degree_set
 from .polynomials import JacobiParams, Measure, PolynomialFamily
 from .sampling import SampleBatch, sample, split_stream
 
@@ -44,7 +45,6 @@ __all__ = [
     "GradientDesign",
     "JacobiParams",
     "Measure",
-    "MultiIndexSet",
     "PceBasis",
     "PolynomialFamily",
     "RecoveryResult",
@@ -57,6 +57,7 @@ __all__ = [
     "coherence_bound",
     "coherence_params",
     "coherence_suprema",
+    "draw",
     "expected_gram",
     "fit_sparse_expansion",
     "isotropy_gap",

@@ -27,8 +27,8 @@ from typing import Callable
 
 import numpy as np
 
-from .harness import (SURROGATE_OPT_TOL, ResultTable, check_modes, fit_sparse_expansion,
-                      grid_table, mode_data)
+from .harness import (SURROGATE_OPT_TOL, ResultTable, check_modes, checked, checked_grid,
+                      fit_sparse_expansion, grid_table, mode_data)
 from .pce import PceBasis
 from .polynomials import Measure, tensor_gauss_rule
 from .sampling import split_stream
@@ -71,16 +71,16 @@ class DiffusionModel:
     constant_value: float | None = None
 
     def __post_init__(self):
-        if self.dim < 1:
+        if checked("dim", self.dim, int) < 1:
             raise ValueError("dim must be >= 1")
-        if self.cells < round(1.0 / _MAX_MESH_WIDTH):
+        if checked("cells", self.cells, int) < round(1.0 / _MAX_MESH_WIDTH):
             raise ValueError("mesh must have at least 64 cells")
         if self.qoi not in QOI_KINDS:
             raise ValueError(f"unknown qoi kind {self.qoi!r}")
         if self.qoi == "midpoint" and self.cells % 2:
             raise ValueError("midpoint qoi needs an even cell count")
-        if self.constant_value is not None and self.constant_value <= 0.0:
-            raise ValueError("constant coefficient must be positive")
+        if self.constant_value is not None and not 0.0 < self.constant_value < math.inf:
+            raise ValueError("constant coefficient must be positive and finite")
 
     @staticmethod
     def constant(value: float = 1.0, dim: int = 1, **kw) -> "DiffusionModel":
@@ -322,11 +322,7 @@ def run_bvp_benchmark(model: DiffusionModel, degree: int, sample_grid,
     """Surrogate moment errors against the quadrature reference per (mode, N)."""
     modes = tuple(modes)
     check_modes(modes)
-    sample_grid = tuple(int(n) for n in sample_grid)
-    if not sample_grid or any(n < 1 for n in sample_grid):
-        raise ValueError("sample_grid must be non-empty with positive entries")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    sample_grid = checked_grid(sample_grid, trials, degree, seed)
     ref_mean, ref_std = reference_moments(model)
     basis = PceBasis.legendre(model.dim, degree)
     per_trial = []

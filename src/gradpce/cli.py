@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 from .adjoint_bvp import DiffusionModel, run_bvp_benchmark
-from .design import assemble_gradient_enhanced, coherence_params, sampling_measure
+from .design import assemble_gradient_enhanced, coherence_params, draw
 from .harness import (
     ExperimentConfig,
     run_mic_sweep,
@@ -17,7 +17,6 @@ from .harness import (
 )
 from .pce import PceBasis
 from .polynomials import Measure
-from .sampling import sample
 
 _EXPERIMENT_KINDS = {
     "mic-sweep": ("mic-sweep",),
@@ -86,7 +85,7 @@ def _run_bvp(args) -> int:
 def _run_diagnose(args) -> int:
     measure = Measure.parse(args.measure)
     basis = PceBasis.from_measure(measure, args.dim, args.degree)
-    batch = sample(sampling_measure(measure), args.dim, args.samples, args.seed)
+    batch = draw(basis, args.samples, args.seed)
     report = coherence_params(assemble_gradient_enhanced(basis, batch),
                               grid_points=args.grid_points)
     print(f"measure             {measure.label}")

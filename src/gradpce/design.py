@@ -20,10 +20,12 @@ import numpy as np
 
 from .pce import PceBasis
 from .polynomials import JacobiParams, Measure, density_ratio_to_chebyshev, tensor_gauss_rule
-from .sampling import SampleBatch
+from .sampling import SampleBatch, sample
 
 # Guard for exact second-moment computation: tensor rules grow as (n+1)^d.
 _QUADRATURE_DIM_CAP = 4
+# Relative singular-value cut-off of the numeric nullspace checks.
+_NULLSPACE_TOL = 1e-10
 
 
 def sampling_measure(basis_measure: Measure) -> Measure:
@@ -31,6 +33,11 @@ def sampling_measure(basis_measure: Measure) -> Measure:
     if basis_measure.kind == "gaussian":
         return Measure.gaussian()
     return Measure.chebyshev()
+
+
+def draw(basis: PceBasis, count: int, seed: int) -> SampleBatch:
+    """``count`` points from the sampling measure paired with the basis."""
+    return sample(sampling_measure(basis.family.measure), basis.dim, count, seed)
 
 
 def _check_pairing(basis: PceBasis, batch: SampleBatch) -> None:
@@ -90,7 +97,7 @@ def column_normalizer(basis: PceBasis, directions=None) -> np.ndarray:
     Hermite).
     """
     dirs = _normalize_directions(basis.dim, directions)
-    idx = basis.index_set.indices
+    idx = basis.indices
     consts = np.array([basis.family.derivative_constant(n) for n in range(basis.degree + 1)])
     energy = np.ones(basis.size)
     for axis in dirs:
@@ -261,13 +268,19 @@ class CoherenceReport:
         return self.bound_growth * self.coherence_bound
 
 
-def _grid_suprema(basis: PceBasis, directions, p: np.ndarray, points: int) -> tuple[float, float]:
-    """Suprema of the weighted squares over a tensor grid (dim <= 2)."""
+def coherence_suprema(basis: PceBasis, directions=None, grid_points: int = 2001) -> tuple[float, float]:
+    """Grid-scanned suprema (value, stacked) of the weighted squared basis.
+
+    Sample-free counterpart of the suprema in :func:`coherence_params`; limited
+    to Jacobi bases of dimension <= 2, where a tensor grid is affordable.
+    """
     if basis.kind != "jacobi":
         raise ValueError("grid scan is defined for Jacobi bases on [-1, 1] only")
     if basis.dim > 2:
         raise ValueError("grid scan supported for dimension <= 2 only")
-    grid = np.linspace(-1.0, 1.0, points)
+    dirs = _normalize_directions(basis.dim, directions)
+    p = column_normalizer(basis, dirs)
+    grid = np.linspace(-1.0, 1.0, grid_points)
     params = basis.family.params
     table, derivs = basis.family.eval_table(grid, basis.degree)
     # Tables of ratio * p_n^2 and raised-ratio * p_n'^2, shared by every dimension.
@@ -275,27 +288,16 @@ def _grid_suprema(basis: PceBasis, directions, p: np.ndarray, points: int) -> tu
     deriv_table = density_ratio_to_chebyshev(params.raised(), grid)[:, None] * derivs**2
     mu_sup = 0.0
     beta_sup = 0.0
-    for col, index in enumerate(basis.index_set):
+    for col, index in enumerate(basis.indices.tolist()):
         values = [value_table[:, k] for k in index]
         # Value term factorizes, so its sup is the product of the 1-d sups.
         mu_sup = max(mu_sup, math.prod(float(v.max()) for v in values))
         total = reduce(np.multiply.outer, values)
-        for j in directions:
+        for j in dirs:
             factors = values[:j] + [deriv_table[:, index[j]]] + values[j + 1:]
             total = total + reduce(np.multiply.outer, factors)
         beta_sup = max(beta_sup, float(p[col] ** 2 * total.max()))
     return mu_sup, beta_sup
-
-
-def coherence_suprema(basis: PceBasis, directions=None, grid_points: int = 2001) -> tuple[float, float]:
-    """Grid-scanned suprema (value, stacked) of the weighted squared basis.
-
-    Sample-free counterpart of the suprema in :func:`coherence_params`; limited
-    to dimension <= 2 where a tensor grid is affordable.
-    """
-    dirs = _normalize_directions(basis.dim, directions)
-    p = column_normalizer(basis, dirs)
-    return _grid_suprema(basis, dirs, p, grid_points)
 
 
 def coherence_params(design: GradientDesign, grid_points: int | None = None) -> CoherenceReport:
@@ -314,7 +316,7 @@ def coherence_params(design: GradientDesign, grid_points: int | None = None) -> 
         stacked_sq += weighted[j * n : (j + 1) * n] ** 2
     beta = float((stacked_sq * design.p[None, :] ** 2).max())
     if grid_points:
-        g_mu, g_beta = _grid_suprema(design.basis, design.directions, design.p, grid_points)
+        g_mu, g_beta = coherence_suprema(design.basis, design.directions, grid_points)
         mu = max(mu, g_mu)
         beta = max(beta, g_beta)
     if design.basis.kind == "jacobi":
@@ -363,16 +365,16 @@ def isotropy_gap(basis: PceBasis, directions=None) -> float:
 # -- nullspace comparison ---------------------------------------------------
 
 
-def numeric_nullspace_dim(matrix: np.ndarray, tol: float = 1e-10) -> int:
-    """Column count minus the numeric rank: singular values above tol times the largest."""
-    return int(matrix.shape[1] - np.linalg.matrix_rank(matrix, rtol=tol))
+def numeric_nullspace_dim(matrix: np.ndarray) -> int:
+    """Column count minus the numeric rank: singular values above 1e-10 times the largest."""
+    return int(matrix.shape[1] - np.linalg.matrix_rank(matrix, rtol=_NULLSPACE_TOL))
 
 
-def nullspace_containment(phi: np.ndarray, phi_hat: np.ndarray, tol: float = 1e-10) -> bool:
+def nullspace_containment(phi: np.ndarray, phi_hat: np.ndarray) -> bool:
     """Whether the numeric nullspace of phi_hat lies inside that of phi.
 
-    Every right-singular vector of phi_hat with singular value <= tol times
-    the largest must be mapped by phi to a vector of norm <= tol * ||phi||.
+    Every right-singular vector of phi_hat with singular value <= 1e-10 times
+    the largest must be mapped by phi to a vector of norm <= 1e-10 * ||phi||.
     """
     phi = np.asarray(phi, dtype=float)
     phi_hat = np.asarray(phi_hat, dtype=float)
@@ -381,10 +383,10 @@ def nullspace_containment(phi: np.ndarray, phi_hat: np.ndarray, tol: float = 1e-
     _, s, vt = np.linalg.svd(phi_hat, full_matrices=True)
     smax = s[0] if s.size else 0.0
     null_mask = np.ones(phi_hat.shape[1], dtype=bool)
-    null_mask[: s.size] = ~(s > tol * smax)
+    null_mask[: s.size] = ~(s > _NULLSPACE_TOL * smax)
     basis_vectors = vt[null_mask]
     if basis_vectors.size == 0:
         return True
     phi_norm = np.linalg.norm(phi, 2)
     images = phi @ basis_vectors.T
-    return bool(np.all(np.linalg.norm(images, axis=0) <= tol * phi_norm))
+    return bool(np.all(np.linalg.norm(images, axis=0) <= _NULLSPACE_TOL * phi_norm))

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .design import GradientDesign, assemble_gradient_enhanced, mic, sampling_measure
+from .design import GradientDesign, assemble_gradient_enhanced, draw, mic
 from .l1solver import SolveSpec, solve
 from .pce import PceBasis
 from .polynomials import Measure
@@ -31,10 +31,9 @@ _RELATIVE_EPSILON = 1e-8
 _VALIDATION_STREAM = 0x56414C
 _VALIDATION_POINTS = 10_000
 _RECOVERY_OPT_TOL = 1e-6
-# The type of each scalar config field; trials and epsilon may also be None.
-_FIELD_TYPES = {"kind": str, "dim": int, "degree": int, "measure": str, "sparsity": int,
-                "sample_count": int, "trials": int, "gradient_fraction": float,
-                "target": str, "epsilon": float, "seed": int}
+# The type of each scalar config field outside checked_grid; epsilon may also be None.
+_FIELD_TYPES = {"kind": str, "dim": int, "measure": str, "sparsity": int, "sample_count": int,
+                "gradient_fraction": float, "target": str, "epsilon": float}
 # Solver tolerance of a surrogate fit: the rmse benchmark and the bvp surrogates.
 SURROGATE_OPT_TOL = 1e-8
 
@@ -115,13 +114,37 @@ def direction_count(fraction: float, dim: int) -> int:
     return int(math.ceil(exact))
 
 
-def _checked(name: str, value, cls: type):
+def checked(name: str, value, cls: type):
     """``value`` as a ``cls``; a boolean or a value of another type raises ValueError."""
     abc, what = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number"),
                  str: (str, "a string")}[cls]
     if isinstance(value, bool) or not isinstance(value, abc):
         raise ValueError(f"{name} must be {what}, got {value!r}")
     return cls(value)
+
+
+def checked_entries(name: str, values, cls: type) -> tuple:
+    """``values`` as a tuple of ``cls``; a non-list or an ill-typed entry raises ValueError."""
+    try:
+        return tuple(checked(f"{name} entries", v, cls) for v in values)
+    except TypeError:
+        raise ValueError(f"{name} must be a list, got {values!r}") from None
+
+
+def checked_grid(sample_grid, trials, degree, seed) -> tuple[int, ...]:
+    """The sample grid of a grid benchmark as a tuple, after checking it and its run.
+
+    The grid must be a non-empty list of positive integers, ``trials`` an
+    integer >= 1, ``degree`` an integer >= 0 and ``seed`` an integer.
+    """
+    checked("seed", seed, int)
+    for name, value, least in (("trials", trials, 1), ("degree", degree, 0)):
+        if checked(name, value, int) < least:
+            raise ValueError(f"{name} must be >= {least}")
+    grid = checked_entries("sample_grid", sample_grid, int)
+    if not grid or any(n < 1 for n in grid):
+        raise ValueError("sample_grid must be non-empty with positive entries")
+    return grid
 
 
 @dataclass(frozen=True)
@@ -152,28 +175,22 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name, cls in _FIELD_TYPES.items():
-            if getattr(self, name) is not None or name not in ("trials", "epsilon"):
-                _checked(name, getattr(self, name), cls)
-        for name, cls in (("sample_grid", int), ("sparsity_grid", int), ("modes", str)):
-            try:
-                entries = tuple(_checked(f"{name} entries", v, cls) for v in getattr(self, name))
-            except TypeError:
-                raise ValueError(f"{name} must be a list, got {getattr(self, name)!r}") from None
-            object.__setattr__(self, name, entries)
+            if getattr(self, name) is not None or name != "epsilon":
+                checked(name, getattr(self, name), cls)
+        for name, cls in (("sparsity_grid", int), ("modes", str)):
+            object.__setattr__(self, name, checked_entries(name, getattr(self, name), cls))
         if self.kind not in KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
-        if self.dim < 1 or self.degree < 0:
-            raise ValueError("dim must be >= 1 and degree >= 0")
+        object.__setattr__(self, "sample_grid", checked_grid(
+            self.sample_grid, self.effective_trials, self.degree, self.seed))
+        if self.dim < 1:
+            raise ValueError("dim must be >= 1")
         Measure.parse(self.measure)
-        if not self.sample_grid or any(n < 1 for n in self.sample_grid):
-            raise ValueError("sample_grid must be non-empty with positive entries")
         if self.kind == "recovery-vs-s":
             if not self.sparsity_grid or any(s < 0 for s in self.sparsity_grid):
                 raise ValueError("sparsity_grid must be non-empty with entries >= 0")
         if self.sparsity < 0 or self.sample_count < 1:
             raise ValueError("sparsity must be >= 0 and sample_count >= 1")
-        if self.trials is not None and self.trials < 1:
-            raise ValueError("trials must be >= 1")
         if not 0.0 <= self.gradient_fraction <= 1.0:
             raise ValueError("gradient_fraction must lie in [0, 1]")
         check_modes(self.modes)
@@ -185,13 +202,6 @@ class ExperimentConfig:
     @property
     def effective_trials(self) -> int:
         return self.trials if self.trials is not None else _DEFAULT_TRIALS[self.kind]
-
-    def to_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            out[f.name] = list(value) if isinstance(value, tuple) else value
-        return out
 
     @staticmethod
     def from_dict(data: dict) -> "ExperimentConfig":
@@ -303,8 +313,7 @@ def mode_data(basis: PceBasis, modes, n: int, directions, seed: int, evaluate):
     from it, and one on the whole draw.
     """
     check_modes(modes)
-    full = sample(sampling_measure(basis.family.measure), basis.dim,
-                  (1 + len(directions)) * n, seed)
+    full = draw(basis, (1 + len(directions)) * n, seed)
     fits = {}
     if "standard" in modes or "gradient-enhanced" in modes:
         dirs = tuple(directions) if "gradient-enhanced" in modes else ()
@@ -383,10 +392,9 @@ def run_recovery_benchmark(config: ExperimentConfig) -> ResultTable:
 
 def _mic_trial(config: ExperimentConfig, basis: PceBasis, trial: int):
     trial_seed, _, dirs = _trial_start(config, trial)
-    measure = sampling_measure(basis.family.measure)
     out = []
     for gi, n in enumerate(config.sample_grid):
-        batch = sample(measure, config.dim, n, split_stream(trial_seed, gi + 1))
+        batch = draw(basis, n, split_stream(trial_seed, gi + 1))
         design = assemble_gradient_enhanced(basis, batch, dirs)
         # mic is invariant under positive column scaling: W * phi_tilde has the mic of phi_hat.
         out.append((mic(design.phi_tilde[:n]), mic(design.phi_tilde),

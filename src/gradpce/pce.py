@@ -37,23 +37,8 @@ def _all_indices(dim: int, degree: int) -> np.ndarray:
     return idx
 
 
-@dataclass(frozen=True)
-class MultiIndexSet:
-    """Immutable ordered collection of d-dimensional multi-indices."""
-
-    dim: int
-    degree: int
-    indices: np.ndarray = field(repr=False)  # (size, dim) int32, graded-lex
-
-    def __len__(self) -> int:
-        return self.indices.shape[0]
-
-    def __iter__(self):
-        return (tuple(int(v) for v in row) for row in self.indices)
-
-
-def total_degree_set(dim: int, degree: int) -> MultiIndexSet:
-    """Multi-index set {k : |k| <= degree} in graded-lexicographic order."""
+def total_degree_set(dim: int, degree: int) -> np.ndarray:
+    """The (size, dim) int32 array of {k : |k| <= degree} in graded-lexicographic order."""
     if dim < 1:
         raise ValueError("dimension must be at least 1")
     if degree < 0:
@@ -64,28 +49,32 @@ def total_degree_set(dim: int, degree: int) -> MultiIndexSet:
     idx = _all_indices(dim, degree)
     totals = idx.sum(axis=1)
     order = np.lexsort(tuple(idx[:, j] for j in range(dim - 1, -1, -1)) + (totals,))
-    return MultiIndexSet(dim, degree, np.ascontiguousarray(idx[order]))
+    return np.ascontiguousarray(idx[order])
 
 
 @dataclass(frozen=True)
 class PceBasis:
     """Tensor-product orthonormal basis over a total-degree index set.
 
-    Every dimension uses the same univariate family.
+    Every dimension uses the same univariate family; ``indices`` holds the
+    multi-indices of the columns, one row each, from :func:`total_degree_set`.
     """
 
-    index_set: MultiIndexSet
     family: PolynomialFamily
+    dim: int
+    degree: int
+    indices: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.family.max_degree < self.index_set.degree:
+        if self.family.max_degree < self.degree:
             raise ValueError("family table shorter than the basis degree")
+        object.__setattr__(self, "indices", total_degree_set(self.dim, self.degree))
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def from_measure(measure: Measure, dim: int, degree: int) -> "PceBasis":
-        return PceBasis(total_degree_set(dim, degree), PolynomialFamily(measure, max(degree, 1)))
+        return PceBasis(PolynomialFamily(measure, max(degree, 1)), dim, degree)
 
     @staticmethod
     def legendre(dim: int, degree: int) -> "PceBasis":
@@ -94,16 +83,8 @@ class PceBasis:
     # -- properties --------------------------------------------------------
 
     @property
-    def dim(self) -> int:
-        return self.index_set.dim
-
-    @property
-    def degree(self) -> int:
-        return self.index_set.degree
-
-    @property
     def size(self) -> int:
-        return len(self.index_set)
+        return self.indices.shape[0]
 
     @property
     def kind(self) -> str:
@@ -113,8 +94,6 @@ class PceBasis:
 
     def _point_array(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[None, :]
         if pts.ndim != 2 or pts.shape[1] != self.dim:
             raise ValueError(f"points must have shape (N, {self.dim})")
         return pts
@@ -136,7 +115,7 @@ class PceBasis:
         values, derivs = self.family.eval_table(pts.T.ravel(), self.degree)
         shape = (self.dim, pts.shape[0], self.degree + 1)
         values, derivs = values.reshape(shape), derivs.reshape(shape)
-        idx = self.index_set.indices
+        idx = self.indices
         blocks = np.empty((len(axes), pts.shape[0], self.size))
         for block, axis in zip(blocks, axes):
             tables = [derivs[j] if j == axis else values[j] for j in range(self.dim)]

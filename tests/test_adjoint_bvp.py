@@ -49,6 +49,14 @@ class TestModel:
         with pytest.raises(ValueError, match="constant"):
             DiffusionModel.constant(-1.0)
 
+    @pytest.mark.parametrize("field,value", [
+        ("dim", 2.5), ("dim", True), ("cells", 100.5),
+        ("constant_value", math.nan), ("constant_value", math.inf),
+    ])
+    def test_ill_typed_or_non_finite_fields_rejected(self, field, value):
+        with pytest.raises(ValueError, match="constant" if field == "constant_value" else field):
+            DiffusionModel(**{"dim": 1, field: value})
+
     def test_decay_weights_strictly_decreasing_in_frequency(self):
         model = DiffusionModel(dim=9)
         weights = model.decay_weights()
@@ -334,6 +342,17 @@ class TestBenchmark:
         assert solves == [(adjoint_bvp._QUADRATURE_POINTS, False)]
         reference_moments(DiffusionModel(dim=1, cells=64))
         assert solves == [(adjoint_bvp._QUADRATURE_POINTS, False)]
+
+    @pytest.mark.parametrize("field,value", [
+        ("sample_grid", (10.7,)), ("sample_grid", 10), ("trials", 1.5), ("seed", 1.5),
+        ("degree", True), ("degree", -1),
+    ])
+    def test_run_inputs_checked_before_any_solve(self, solves, field, value):
+        reference_moments.cache_clear()
+        args = {"degree": 2, "sample_grid": (5,), field: value}
+        with pytest.raises(ValueError, match=field):
+            run_bvp_benchmark(DiffusionModel(dim=1, cells=64), **args)
+        assert solves == []
 
     def test_one_diffusion_batch_per_grid_point(self, solves):
         # Standard and gradient-enhanced fit the same first N points, so one

@@ -315,20 +315,30 @@ class TestPinnedOutputs:
         ("recover_vs_s_trials10.csv", ["recover"], {"kind": "recovery-vs-s", "trials": 10},
          "recover.csv"),
         ("rmse_f2_trials3.csv", ["rmse", "--target", "f2"], {"trials": 3}, "rmse.csv"),
+        ("rmse_f3_trials3.csv", ["rmse", "--target", "f3"], {"trials": 3}, "rmse.csv"),
         ("bvp.csv", ["bvp"], None, "bvp.csv"),
         ("bvp_d3.csv", ["bvp", "--d", "3"], None, "bvp.csv"),
-    ], ids=["recover-N", "recover-s", "rmse-f2", "bvp", "bvp-d3"])
+        ("bvp_midpoint_double.csv",
+         ["bvp", "--qoi", "midpoint", "--mode", "standard,gradient-enhanced,standard-double"],
+         None, "bvp.csv"),
+    ], ids=["recover-N", "recover-s", "rmse-f2", "rmse-f3", "bvp", "bvp-d3",
+            "bvp-midpoint-double"])
     def test_table_matches_pinned_output(self, reference, args, config, output, tmp_path):
         if config is not None:
             args = args + ["--config", str(write_config(tmp_path / "config.json", **config))]
         assert main(args + ["--out", str(tmp_path)]) == 0
         assert_table_matches(tmp_path / output, PINNED / reference)
 
-    @pytest.mark.parametrize("measure", ["legendre", "chebyshev", "jacobi(0.5,1.5)", "hermite"])
-    def test_diagnose_matches_pinned_output(self, measure, capsys):
-        assert main(["diagnose", "--measure", measure]) == 0
-        reference = "diagnose_" + measure.replace("(", "_").replace(",", "_").rstrip(")")
-        assert_report_matches(capsys.readouterr().out, PINNED / f"{reference}.txt")
+    @pytest.mark.parametrize("args, reference", [
+        (["--measure", "legendre"], "diagnose_legendre.txt"),
+        (["--measure", "chebyshev"], "diagnose_chebyshev.txt"),
+        (["--measure", "jacobi(0.5,1.5)"], "diagnose_jacobi_0.5_1.5.txt"),
+        (["--measure", "hermite"], "diagnose_hermite.txt"),
+        (["--grid-points", "101"], "diagnose_legendre_grid101.txt"),
+    ], ids=["legendre", "chebyshev", "jacobi(0.5,1.5)", "hermite", "legendre-grid101"])
+    def test_diagnose_matches_pinned_output(self, args, reference, capsys):
+        assert main(["diagnose", *args]) == 0
+        assert_report_matches(capsys.readouterr().out, PINNED / reference)
 
     def test_rmse_blas_thread_counts_agree(self, tmp_path):
         config = write_config(tmp_path / "config.json", trials=3)

@@ -144,7 +144,7 @@ class TestAssembly:
         basis = PceBasis.from_measure(Measure.jacobi(1.0, 0.5), 3, 4)
         batch = sample(Measure.chebyshev(), 3, 9, seed=4)
         points = batch.points
-        idx = basis.index_set.indices
+        idx = basis.indices
 
         def block(axis):
             # One table pass per block and column, as the matrices were assembled before.
@@ -188,7 +188,7 @@ class TestAssembly:
     @pytest.mark.parametrize("measure", ["legendre", "chebyshev", "jacobi(0.5,1.5)", "hermite"])
     def test_values_only_cuts_the_value_only_system(self, monkeypatch, measure):
         basis = PceBasis.from_measure(Measure.parse(measure), 2, 5)
-        batch = sample(design.sampling_measure(basis.family.measure), 2, 12, seed=7)
+        batch = design.draw(basis, 12, seed=7)
         full = assemble_gradient_enhanced(basis, batch)
 
         def no_table_pass(*args):
@@ -212,7 +212,7 @@ class TestAssembly:
     def test_hermite_normalizer_hand_value(self):
         basis = PceBasis.from_measure(Measure.gaussian(), 3, 3)
         p = column_normalizer(basis)
-        pos = list(basis.index_set).index((2, 1, 0))
+        pos = basis.indices.tolist().index([2, 1, 0])
         assert p[pos] == pytest.approx(0.5, abs=1e-15)
 
     def test_pairing_errors(self):

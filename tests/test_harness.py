@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gradpce import harness, l1solver
-from gradpce.design import assemble_gradient_enhanced, mic
+from gradpce.design import assemble_gradient_enhanced, draw, mic, sampling_measure
 from gradpce.harness import (
     MATRIX_IDS,
     SUCCESS_TOL,
@@ -20,7 +20,6 @@ from gradpce.harness import (
     run_mic_sweep,
     run_recovery_benchmark,
     run_rmse_benchmark,
-    sampling_measure,
 )
 from gradpce.pce import PceBasis
 from gradpce.polynomials import Measure, PolynomialFamily
@@ -93,7 +92,7 @@ class TestConfig:
             "rmse", dim=3, degree=5, sample_grid=[10, 20], modes=["standard"],
             gradient_fraction=0.5, target="f2", seed=7,
         )
-        assert ExperimentConfig.from_dict(config.to_dict()) == config
+        assert ExperimentConfig.from_dict(dataclasses.asdict(config)) == config
 
     def test_rejects_unknown_keys_and_values(self):
         with pytest.raises(ValueError, match="unknown config keys"):
@@ -467,7 +466,9 @@ def test_mode_data_draws_from_the_paired_measure(measure, paired):
                              lambda design: np.zeros(design.w.shape))
     (double, _), (enhanced, _) = fits
     expected = sample(paired, 3, (1 + len(dirs)) * n, seed)
-    assert double.batch.measure == enhanced.batch.measure == paired
+    drawn = draw(basis, (1 + len(dirs)) * n, seed)
+    assert drawn.measure == double.batch.measure == enhanced.batch.measure == paired
+    assert drawn.points.tobytes() == expected.points.tobytes()
     assert double.batch.points.tobytes() == expected.points.tobytes()
     assert enhanced.batch.points.tobytes() == expected.points[:n].tobytes()
     assert enhanced.directions == dirs

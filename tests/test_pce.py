@@ -12,18 +12,19 @@ from gradpce.polynomials import Measure, PolynomialFamily
 from _oracles import central_difference, jacobi_rule
 
 
-def index_of(index_set, index):
-    """Position of a multi-index in the set's order; KeyError if it is absent."""
-    return {k: i for i, k in enumerate(index_set)}[tuple(index)]
+def index_of(indices, index):
+    """Position of a multi-index in the rows of an index array; KeyError if it is absent."""
+    return {tuple(k): i for i, k in enumerate(indices.tolist())}[tuple(index)]
 
 
 class TestTotalDegreeSet:
     def test_small_set_ordering(self):
-        got = list(total_degree_set(2, 2))
-        assert got == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
+        got = total_degree_set(2, 2)
+        assert got.dtype == np.int32 and got.flags.c_contiguous
+        assert got.tolist() == [[0, 0], [0, 1], [1, 0], [0, 2], [1, 1], [2, 0]]
 
     def test_zero_index_first(self):
-        assert list(total_degree_set(4, 3))[0] == (0, 0, 0, 0)
+        assert total_degree_set(4, 3)[0].tolist() == [0, 0, 0, 0]
 
     def test_sizes_match_binomial(self):
         for d, n in [(1, 0), (1, 12), (2, 20), (3, 7), (10, 3), (12, 4)]:
@@ -34,10 +35,10 @@ class TestTotalDegreeSet:
     def test_size_and_order_properties(self, d, n):
         s = total_degree_set(d, n)
         assert len(s) == math.comb(d + n, n)
-        keys = [(sum(k), k) for k in s]
+        keys = [(sum(k), tuple(k)) for k in s.tolist()]
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)
-        assert all(sum(k) <= n for k in s)
+        assert all(sum(k) <= n for k in s.tolist())
 
     def test_cap_guard(self, monkeypatch):
         # 9,657,700 terms: refused before any index array is built.
@@ -63,7 +64,7 @@ class TestPceBasis:
     def test_product_structure_hand_value(self):
         # Legendre degree (1,1) at (1,1): sqrt(3)*sqrt(3) = 3.
         basis = PceBasis.legendre(2, 2)
-        value = basis.matrix(np.array([[1.0, 1.0]]))[:, index_of(basis.index_set, (1, 1))]
+        value = basis.matrix(np.array([[1.0, 1.0]]))[:, index_of(basis.indices, (1, 1))]
         assert value[0] == pytest.approx(3.0, abs=1e-13)
 
     def test_matrix_matches_univariate_products(self):
@@ -71,7 +72,7 @@ class TestPceBasis:
         basis = PceBasis.from_measure(Measure.jacobi(0.5, 1.5), 3, 4)
         pts = rng.uniform(-1, 1, size=(7, 3))
         mat = basis.matrix(pts)
-        for col, k in enumerate(basis.index_set):
+        for col, k in enumerate(basis.indices.tolist()):
             expected = np.ones(7)
             for j in range(basis.dim):
                 expected *= basis.family.eval_table(pts[:, j], k[j])[0][:, k[j]]
@@ -96,7 +97,7 @@ class TestPceBasis:
         basis = PceBasis.from_measure(Measure.gaussian(), 2, 3)
         pts = np.array([[0.3, -1.2], [2.0, 0.5]])
         grad = basis.gradient_matrix(pts, 0)
-        for col, k in enumerate(basis.index_set):
+        for col, k in enumerate(basis.indices.tolist()):
             n0 = k[0]
             expected = np.zeros(2)
             if n0 > 0:
@@ -134,7 +135,7 @@ class TestPceBasis:
             pts = rng.uniform(-1.0, 1.0, size=(n, dim))
         else:
             pts = rng.normal(size=(n, dim))
-        idx = basis.index_set.indices
+        idx = basis.indices
         tables = [basis.family.eval_table(pts[:, j], degree) for j in range(dim)]
         blocks = basis.matrices(pts, axes)
         assert blocks.shape == (len(axes), n, basis.size)
@@ -147,7 +148,7 @@ class TestPceBasis:
 
     def test_rejects_short_family_table(self):
         with pytest.raises(ValueError, match="shorter than the basis degree"):
-            PceBasis(total_degree_set(2, 3), PolynomialFamily(Measure.uniform(), 2))
+            PceBasis(PolynomialFamily(Measure.uniform(), 2), 2, 3)
 
     def test_rejects_wrong_point_shape(self):
         basis = PceBasis.legendre(2, 2)
@@ -157,7 +158,7 @@ class TestPceBasis:
     def test_rejects_unknown_index(self):
         basis = PceBasis.legendre(2, 2)
         with pytest.raises(KeyError):
-            index_of(basis.index_set, (3, 0))
+            index_of(basis.indices, (3, 0))
 
     def test_rejects_bad_axis(self):
         basis = PceBasis.legendre(2, 2)
