@@ -27,7 +27,8 @@ from typing import Callable
 
 import numpy as np
 
-from .harness import (SURROGATE_OPT_TOL, ResultTable, check_modes, checked, checked_grid,
+from .checks import checked, checked_entries
+from .harness import (SURROGATE_OPT_TOL, ResultTable, check_modes, checked_grid,
                       fit_sparse_expansion, grid_table, mode_data)
 from .pce import PceBasis
 from .polynomials import Measure, tensor_gauss_rule
@@ -79,7 +80,8 @@ class DiffusionModel:
             raise ValueError(f"unknown qoi kind {self.qoi!r}")
         if self.qoi == "midpoint" and self.cells % 2:
             raise ValueError("midpoint qoi needs an even cell count")
-        if self.constant_value is not None and not 0.0 < self.constant_value < math.inf:
+        if (self.constant_value is not None
+                and not 0.0 < checked("constant_value", self.constant_value, float) < math.inf):
             raise ValueError("constant coefficient must be positive and finite")
 
     @staticmethod
@@ -320,7 +322,7 @@ def run_bvp_benchmark(model: DiffusionModel, degree: int, sample_grid,
                       modes=("standard", "gradient-enhanced"), seed: int = 0,
                       trials: int = 1) -> ResultTable:
     """Surrogate moment errors against the quadrature reference per (mode, N)."""
-    modes = tuple(modes)
+    modes = checked_entries("modes", modes, str)
     check_modes(modes)
     sample_grid = checked_grid(sample_grid, trials, degree, seed)
     ref_mean, ref_std = reference_moments(model)

@@ -1,0 +1,25 @@
+"""Type checks of library inputs, shared by every layer.
+
+Each check raises one ValueError that names the field, before any work.
+"""
+
+from __future__ import annotations
+
+import numbers
+
+
+def checked(name: str, value, cls: type):
+    """``value`` as a ``cls``; a boolean or a value of another type raises ValueError."""
+    abc, what = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number"),
+                 str: (str, "a string")}[cls]
+    if isinstance(value, bool) or not isinstance(value, abc):
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    return cls(value)
+
+
+def checked_entries(name: str, values, cls: type) -> tuple:
+    """``values`` as a tuple of ``cls``; a non-list or an ill-typed entry raises ValueError."""
+    try:
+        return tuple(checked(f"{name} entries", v, cls) for v in values)
+    except TypeError:
+        raise ValueError(f"{name} must be a list, got {values!r}") from None

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
 
+from .checks import checked, checked_entries
 from .design import GradientDesign, assemble_gradient_enhanced, draw, mic
 from .l1solver import SolveSpec, solve
 from .pce import PceBasis
@@ -112,23 +112,6 @@ def direction_count(fraction: float, dim: int) -> int:
     if abs(exact - nearest) <= 1e-9:
         return int(nearest)
     return int(math.ceil(exact))
-
-
-def checked(name: str, value, cls: type):
-    """``value`` as a ``cls``; a boolean or a value of another type raises ValueError."""
-    abc, what = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number"),
-                 str: (str, "a string")}[cls]
-    if isinstance(value, bool) or not isinstance(value, abc):
-        raise ValueError(f"{name} must be {what}, got {value!r}")
-    return cls(value)
-
-
-def checked_entries(name: str, values, cls: type) -> tuple:
-    """``values`` as a tuple of ``cls``; a non-list or an ill-typed entry raises ValueError."""
-    try:
-        return tuple(checked(f"{name} entries", v, cls) for v in values)
-    except TypeError:
-        raise ValueError(f"{name} must be a list, got {values!r}") from None
 
 
 def checked_grid(sample_grid, trials, degree, seed) -> tuple[int, ...]:

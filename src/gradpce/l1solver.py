@@ -21,6 +21,11 @@ A tall full-rank system (rows >= columns) whose target lies below its
 least-squares residual has that least-squares solution as the path's end. It
 is returned after one Gram solve, refined once, instead of walking the path
 to lam = 0; a Gram too ill-conditioned for that takes an SVD solve instead.
+
+Only a tall system builds the full Gram A^T A, for that exit. The path builds
+the Gram column A^T a_j of a column when it joins and keeps it while the
+column is active; a step takes its correlations and its active Gram block
+from those columns, so it costs O(columns * |I|) plus one |I| x |I| solve.
 """
 
 from __future__ import annotations
@@ -28,6 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .checks import checked
 
 # The path aims at epsilon + _AIM * opt_tol * ||b||, inside the residual
 # bound, so that rounding in the residual cannot push a converged answer out.
@@ -46,6 +53,12 @@ _TIE_TOL = 1e-12
 # cond(A)^2. Past this Gram condition (cond(A) above 1e6) the refined Gram
 # solve loses accuracy, and the exit solves by SVD instead.
 _MAX_GRAM_COND = 1e12
+# Columns j, m with (a_j^T a_m)^2 >= _PARALLEL ||a_j||^2 ||a_m||^2 are
+# parallel, to rounding: a copy of a column that dropped may not rejoin in its
+# place.
+_PARALLEL = 1.0 - 1e-12
+# The signs of A^T r = +-lam at the two rows of a step's event roots.
+_SIGNS = np.array([[1.0], [-1.0]])
 
 
 @dataclass
@@ -69,6 +82,9 @@ class SolveSpec:
             raise ValueError("matrix and rhs must be finite")
         if np.any(np.linalg.norm(self.matrix, axis=0) == 0.0):
             raise ValueError("matrix has an all-zero column")
+        self.epsilon = checked("epsilon", self.epsilon, float)
+        self.opt_tol = checked("opt_tol", self.opt_tol, float)
+        self.max_iters = checked("max_iters", self.max_iters, int)
         # Written so that NaN fails them too.
         if not 0.0 <= self.epsilon < np.inf:
             raise ValueError("epsilon must be finite and nonnegative")
@@ -115,8 +131,9 @@ def solve(spec: SolveSpec) -> RecoveryResult:
     """Minimize ||c||_1 subject to ||A c - b||_2 <= epsilon on the LASSO path.
 
     A converged result satisfies ||A c - b||_2 <= epsilon + opt_tol * ||b||_2
-    and passed the path's optimality check. If ||b||_2 <= epsilon the zero
-    vector is optimal and returned at once. ``iterations`` counts path steps
+    and passed the path's optimality check. If ||b||_2 already lies within
+    the path's aim, epsilon + 0.9999 opt_tol ||b||_2, the zero vector is
+    optimal and returned at once. ``iterations`` counts path steps
     (at most ``max_iters``) and ``curve_trace`` ends at the exit's ||c||_1.
     An instance whose target residual lies below the least-squares residual,
     such as an inconsistent system at epsilon = 0, ends at the least-squares
@@ -124,7 +141,7 @@ def solve(spec: SolveSpec) -> RecoveryResult:
     solution after one Gram or SVD solve (``iterations`` 1) instead of the path.
     """
     bnorm = float(np.linalg.norm(spec.rhs))
-    if bnorm <= spec.epsilon:
+    if bnorm <= spec.epsilon + _AIM * spec.opt_tol * bnorm:
         return RecoveryResult(
             np.zeros(spec.matrix.shape[1]), bnorm, 0, True, ((0.0, bnorm),)
         )
@@ -140,10 +157,18 @@ def _lasso_path(spec: SolveSpec) -> RecoveryResult:
     (epsilon = 0), a column joining or an active coefficient reaching zero,
     or lam = 0. The next segment may not undo the change at the same lam,
     where rounding would put its event: a column that joined may not drop,
-    and one that dropped may not rejoin with its old sign. A column in the
-    span of the active columns does not join. A tall full-rank system whose
+    and one that dropped may not rejoin with its old sign, nor may a copy of
+    it (a column parallel to it) join in its place. A column in the span of
+    the active columns does not join. A tall full-rank system whose
     target lies below its least-squares residual ends at lam = 0 in one step,
     the least-squares solution, without walking the path.
+
+    The Gram column A^T a_j of a column is computed when it joins (read from
+    the full Gram on a tall system) and kept while it is active, next to a_j
+    and (A^T b)_j with its sign. A step reads its Gram block G from them and
+    its correlations A^T r(lam') = q + lam' v as q = A^T b - A^T A_I p and
+    v = A^T A_I d, one product with the kept columns. Both signs' join roots
+    and the drop roots are found in one pass over a 2 x columns array.
     """
     a, b = spec.matrix, spec.rhs
     rows, cols = a.shape
@@ -151,47 +176,66 @@ def _lasso_path(spec: SolveSpec) -> RecoveryResult:
     bnorm = float(np.linalg.norm(b))
     aim = spec.epsilon + _AIM * spec.opt_tol * bnorm
     bound = spec.epsilon + spec.opt_tol * bnorm
-    gram = a.T @ a
     atb = a.T @ b
+    squares = np.einsum("ij,ij->j", a, a)
+    gram = a.T @ a if rows >= cols else None
     lam0 = float(np.abs(atb).max())
     lam = lam0
     c = np.zeros(cols)
     trace = [(0.0, bnorm)]
-    crossed = bnorm <= aim
+    crossed = False
+    # The active columns in join order. Column i of a_active is a[:, active[i]],
+    # column i of cross is A^T a[:, active[i]] and row i of rhs holds
+    # (A^T b, sign) of active[i]. No column joins once |I| = rows.
+    active = []
+    size = min(rows, cols)
+    a_active = np.empty((rows, size), order="F")
+    cross = np.empty((cols, size), order="F")
+    rhs = np.empty((size, 2))
+
+    def join(j, sign):
+        k = len(active)
+        active.append(j)
+        a_active[:, k] = a[:, j]
+        cross[:, k] = a.T @ a[:, j] if gram is None else gram[j]
+        rhs[k] = atb[j], sign
+
     first = int(np.argmax(np.abs(atb)))
-    changed, changed_sign = first, float(np.sign(atb[first]))
-    active, signs = [first], [changed_sign]
+    join(first, float(np.sign(atb[first])))
+    # The root that would undo the last change at the same lam: the drop of
+    # the column that joined, or the rejoin of a dropped column with its old
+    # sign, or of a copy of it.
+    blocked = (0, first)
     steps = 0
-    least_squares = _infeasible_least_squares(a, b, gram, atb, bound)
+    least_squares = None if gram is None else _infeasible_least_squares(a, b, gram, atb, bound)
     if least_squares is not None:
         # The path's least-squares end, reached in one step.
         c, lam, steps = least_squares, 0.0, 1
         trace.append((float(np.abs(c).sum()), float(np.linalg.norm(b - a @ c))))
     while least_squares is None and not crossed and steps < spec.max_iters:
+        k = len(active)
         idx = np.array(active)
-        s = np.array(signs)
         try:
-            sol = np.linalg.solve(gram[np.ix_(idx, idx)], np.column_stack([atb[idx], s]))
+            sol = np.linalg.solve(cross[idx, :k], rhs[:k])
         except np.linalg.LinAlgError:
             break  # the active columns are linearly dependent
         p, d = sol[:, 0], sol[:, 1]
         # On this segment r(lam') = r_ls + lam' u and A^T r(lam') = q + lam' v.
-        a_active = a[:, idx]
-        r_ls = b - a_active @ p
-        u = a_active @ d
-        q, v = (a.T @ np.column_stack([r_ls, u])).T
+        fit = a_active[:, :k] @ sol
+        r_ls, u = b - fit[:, 0], fit[:, 1]
+        correlation = cross[:, :k] @ sol
+        q, v = atb - correlation[:, 0], correlation[:, 1]
         with np.errstate(divide="ignore", invalid="ignore"):
-            # Joins where A^T r(lam') = +lam' or -lam'; drops where c_I(lam') = 0.
-            joins = [_below(q / (1.0 - v), lam), _below(-q / (1.0 + v), lam)]
-            drops = _below(p / d, lam)
-        if changed in active:
-            drops[active.index(changed)] = -np.inf
-        else:
-            joins[0 if changed_sign > 0 else 1][changed] = -np.inf
-        events = np.maximum(*joins)
-        if len(active) >= rows:
-            events[:] = -np.inf  # as many columns as rows span b: no join
-        events[idx] = drops
+            # An inactive column joins where A^T r(lam') = +lam' (row 0) or
+            # -lam' (row 1); an active one drops where c_I(lam') = 0 (row 0).
+            roots = _SIGNS * q / (1.0 - _SIGNS * v)
+            drops = p / d
+        if k >= rows:
+            roots[:] = np.nan  # as many columns as rows span b: no join
+        roots[0, idx] = drops
+        roots[1, idx] = np.nan
+        roots[blocked] = np.nan
+        events = _below(roots, lam).max(axis=0)
         best = int(np.argmax(events))
         if abs(q[best]) <= _TIE_TOL * lam0 and best not in active:
             # A column in the span of the active columns, such as a duplicate
@@ -208,7 +252,7 @@ def _lasso_path(spec: SolveSpec) -> RecoveryResult:
             # A segment whose least-squares fit meets the target with the
             # active signs (near-zero entries of either sign allowed) ends at
             # its lam -> 0 limit, c_I = p.
-            crossed = slack > 0.0 and bool(np.all(s * p >= -_KKT_TOL * np.abs(p).max()))
+            crossed = slack > 0.0 and bool(np.all(rhs[:k, 1] * p >= -_KKT_TOL * np.abs(p).max()))
             lam_cross = 0.0
         elif slack > 0.0:
             # ||r(lam')||^2 = aim^2 is a quadratic in lam'; its larger root is
@@ -220,16 +264,21 @@ def _lasso_path(spec: SolveSpec) -> RecoveryResult:
         c[idx] = p - lam * d
         rnorm = float(np.linalg.norm(r_ls + lam * u))
         if not crossed and lam_next > 0.0:
-            changed = best
-            if changed in active:
-                position = active.index(changed)
-                changed_sign = signs.pop(position)
+            if best in active:
+                position = active.index(best)
+                # The dropped column and its copies: the columns parallel to
+                # it, each with the sign its correlation takes from the old one.
+                along = cross[:, position] * rhs[position, 1]
+                copies = np.flatnonzero(along * along >= _PARALLEL * squares * squares[best])
+                blocked = (np.where(along[copies] > 0.0, 0, 1), copies)
                 del active[position]
-                c[changed] = 0.0
+                a_active[:, position:k - 1] = a_active[:, position + 1:k]
+                cross[:, position:k - 1] = cross[:, position + 1:k]
+                rhs[position:k - 1] = rhs[position + 1:k]
+                c[best] = 0.0
             else:
-                changed_sign = float(np.sign(q[changed] + lam * v[changed]))
-                active.append(changed)
-                signs.append(changed_sign)
+                join(best, float(np.sign(q[best] + lam * v[best])))
+                blocked = (0, best)
         trace.append((float(np.abs(c).sum()), rnorm))
         if lam_next == 0.0 and not crossed:
             break  # least-squares end of the path

@@ -51,7 +51,7 @@ class TestModel:
 
     @pytest.mark.parametrize("field,value", [
         ("dim", 2.5), ("dim", True), ("cells", 100.5),
-        ("constant_value", math.nan), ("constant_value", math.inf),
+        ("constant_value", math.nan), ("constant_value", math.inf), ("constant_value", "1"),
     ])
     def test_ill_typed_or_non_finite_fields_rejected(self, field, value):
         with pytest.raises(ValueError, match="constant" if field == "constant_value" else field):
@@ -345,7 +345,7 @@ class TestBenchmark:
 
     @pytest.mark.parametrize("field,value", [
         ("sample_grid", (10.7,)), ("sample_grid", 10), ("trials", 1.5), ("seed", 1.5),
-        ("degree", True), ("degree", -1),
+        ("degree", True), ("degree", -1), ("modes", 5),
     ])
     def test_run_inputs_checked_before_any_solve(self, solves, field, value):
         reference_moments.cache_clear()

@@ -371,6 +371,49 @@ class TestSolve:
         with pytest.raises(ValueError, match=f"{control} must be finite"):
             SolveSpec(np.eye(2), np.ones(2), **{control: value})
 
+    @pytest.mark.parametrize("control,value", [("max_iters", 2.5), ("max_iters", True),
+                                               ("epsilon", "0"), ("opt_tol", 1e-6j)])
+    def test_ill_typed_controls_rejected(self, control, value):
+        # A fractional or boolean budget would otherwise be solved, and a
+        # string epsilon would end in a TypeError.
+        with pytest.raises(ValueError, match=f"{control} must be"):
+            SolveSpec(np.eye(3), np.ones(3), **{control: value})
+
+    def test_numpy_integer_budget_accepted(self):
+        spec = SolveSpec(np.eye(3), np.array([3.0, 2.0, 1.0]), max_iters=np.int64(5))
+        assert spec.max_iters == 5
+        result = solve(spec)
+        assert result.converged
+        np.testing.assert_allclose(result.coefficients, [3.0, 2.0, 1.0])
+
+    def test_loose_exact_target_returns_zero(self):
+        # At opt_tol >= 1 the zero vector already meets an exact (epsilon = 0)
+        # target, so the path has no step whose dual certificate it could check.
+        result = solve(SolveSpec(np.eye(2), np.ones(2), opt_tol=2.0))
+        assert result.converged
+        assert result.iterations == 0
+        np.testing.assert_array_equal(result.coefficients, 0.0)
+
+    def test_copy_of_a_dropped_column_does_not_rejoin_in_its_place(self):
+        # A tall design (cond(A) ~ 1e3) with column 3 repeated as column 20 is
+        # rank deficient, so the path ends the exact solve at the least-squares
+        # floor. When column 3 drops, a copy joining at the same lam with the
+        # old sign would undo the drop: the pair would stay correlated above
+        # lam, and the third and fourth draws would end 5e-2 and 1e-2 above
+        # the floor with 19 columns active.
+        rng = np.random.default_rng(5)
+        for _ in range(4):
+            a = self._conditioned(rng, 3)
+            a = np.column_stack([a, a[:, 3]])
+            b = rng.standard_normal(60)
+            result = solve(SolveSpec(a, b))
+            least_squares = np.linalg.lstsq(a, b, rcond=None)[0]
+            floor = np.linalg.norm(a @ least_squares - b)
+            assert not result.converged
+            assert abs(result.residual_norm - floor) <= 1e-9 * floor
+            correlation = a.T @ (b - a @ result.coefficients)
+            assert np.abs(correlation).max() <= 1e-9 * np.abs(a.T @ b).max()
+
 
 class TestHarnessScale:
     """The LASSO path on the solves the drivers make."""
@@ -430,6 +473,42 @@ class TestHarnessScale:
                 assert result.iterations == 1
                 assert abs(result.residual_norm - floor) <= 1e-9 * floor
         assert feasible >= (2 if driver == "bvp" else 30)
+
+    def test_bpdn_solves_meet_the_lasso_optimality_conditions(self, monkeypatch):
+        # Every solve of the rmse driver (f2, 3 trials: 231 columns) and of a
+        # 2-trial bvp run (dim 3, degree 4: 35 columns), checked from
+        # r = b - A c alone. A converged solve meets the residual bound and is
+        # the LASSO solution at lam = ||A^T r||_inf: every support column
+        # attains that largest correlation with the sign of its coefficient
+        # (off the support |A^T r| <= lam holds by the choice of lam). An
+        # unconverged solve ends at the least-squares floor, which lies above
+        # epsilon. Measured: 34 solves converge, with on-support deviations up
+        # to 5e-16 lam_0; the 8 others are tall least-squares exits, at most
+        # 2.5e-11 relative from the floor.
+        solves = self._record(monkeypatch, lambda: harness.run_rmse_benchmark(
+            ExperimentConfig(kind="rmse", trials=3, target="f2")))
+        solves += self._record(monkeypatch, lambda: adjoint_bvp.run_bvp_benchmark(
+            adjoint_bvp.DiffusionModel(dim=3), 4, (10, 20, 40), trials=2))
+        assert len(solves) == 42
+        converged = 0
+        for spec, result in solves:
+            a, b, c = spec.matrix, spec.rhs, result.coefficients
+            assert spec.epsilon > 0.0
+            r = b - a @ c
+            if result.converged:
+                converged += 1
+                assert np.linalg.norm(r) <= spec.epsilon + spec.opt_tol * np.linalg.norm(b)
+                correlation = a.T @ r
+                lam = np.abs(correlation).max()
+                on = c != 0.0
+                deviation = np.abs(correlation[on] - lam * np.sign(c[on]))
+                assert np.all(deviation <= 1e-9 * np.abs(a.T @ b).max())
+            else:
+                least_squares = np.linalg.lstsq(a, b, rcond=None)[0]
+                floor = np.linalg.norm(a @ least_squares - b)
+                assert floor > spec.epsilon
+                assert abs(np.linalg.norm(r) - floor) <= 1e-9 * floor
+        assert converged == 34
 
     def test_inconsistent_exact_fits_hand_off_to_least_squares(self, monkeypatch):
         # epsilon = 0 rmse fits (dim 2, degree 8: 45 columns) with more rows
