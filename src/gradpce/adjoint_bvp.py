@@ -22,17 +22,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
 
 from .checks import checked, checked_entries
-from .harness import (SURROGATE_OPT_TOL, ResultTable, check_modes, checked_grid,
-                      fit_sparse_expansion, grid_table, mode_data)
+from .harness import (SURROGATE_OPT_TOL, ResultTable, check_modes, checked_grid, fit_grid,
+                      fit_modes, grid_table, trial_streams)
 from .pce import PceBasis
 from .polynomials import Measure, tensor_gauss_rule
-from .sampling import split_stream
 
 _MAX_MESH_WIDTH = 1.0 / 64.0
 _RESIDUAL_TOL = 1e-12
@@ -272,19 +271,14 @@ def _evaluate_batch(model: DiffusionModel, points: np.ndarray, directions=()):
     return values, grads
 
 
-def _surrogates(model: DiffusionModel, basis: PceBasis, modes, n_samples: int,
-                seed: int) -> list[SurrogateResult]:
-    """One surrogate per mode, all fitted from the same draw of sample points."""
+def _design_data(model: DiffusionModel, design):
+    """The stacked QoI data of a design's rows."""
+    return design.stack(*_evaluate_batch(model, design.batch.points, design.directions))
 
-    def evaluate(design):
-        return design.stack(*_evaluate_batch(model, design.batch.points, design.directions))
 
-    results = []
-    for design, data in mode_data(basis, modes, n_samples, range(model.dim), seed, evaluate):
-        coeffs = fit_sparse_expansion(design, data, epsilon=None, opt_tol=SURROGATE_OPT_TOL)
-        std = math.sqrt(max(float(coeffs[1:] @ coeffs[1:]), 0.0))
-        results.append(SurrogateResult(coeffs, float(coeffs[0]), std))
-    return results
+def _surrogate(coeffs: np.ndarray) -> SurrogateResult:
+    return SurrogateResult(coeffs, float(coeffs[0]),
+                           math.sqrt(max(float(coeffs[1:] @ coeffs[1:]), 0.0)))
 
 
 def build_surrogate(model: DiffusionModel, degree: int, n_samples: int,
@@ -296,8 +290,10 @@ def build_surrogate(model: DiffusionModel, degree: int, n_samples: int,
     ``standard-double`` spends the gradient budget on extra value samples:
     (1 + dim) times as many solves without adjoint data.
     """
-    (result,) = _surrogates(model, PceBasis.legendre(model.dim, degree), (mode,), n_samples, seed)
-    return result
+    (coeffs,) = fit_modes(PceBasis.legendre(model.dim, degree), (mode,), n_samples,
+                          range(model.dim), seed, partial(_design_data, model), None,
+                          SURROGATE_OPT_TOL)
+    return _surrogate(coeffs)
 
 
 @lru_cache(maxsize=_REFERENCE_CACHE_SIZE)
@@ -326,14 +322,16 @@ def run_bvp_benchmark(model: DiffusionModel, degree: int, sample_grid,
     check_modes(modes)
     sample_grid = checked_grid(sample_grid, trials, degree, seed)
     ref_mean, ref_std = reference_moments(model)
-    basis = PceBasis.legendre(model.dim, degree)
-    per_trial = []
-    for trial in range(trials):
-        trial_seed = split_stream(seed, trial)
-        per_trial.append([
-            [(abs(r.mean - ref_mean), abs(r.std - ref_std))
-             for r in _surrogates(model, basis, modes, n, split_stream(trial_seed, gi + 1))]
-            for gi, n in enumerate(sample_grid)
-        ])
+    evaluate = partial(_design_data, model)
+
+    def errors(coeffs):
+        result = _surrogate(coeffs)
+        return abs(result.mean - ref_mean), abs(result.std - ref_std)
+
+    # Every grid point fits all dim directions: direction_count(1.0, dim) is dim.
+    per_trial = fit_grid(PceBasis.legendre(model.dim, degree), modes,
+                         trial_streams(seed, trials, model.dim, 1.0, len(sample_grid)),
+                         lambda rng: ((n, evaluate, errors) for n in sample_grid), None,
+                         SURROGATE_OPT_TOL)
     return grid_table(("mode", "N", "mean_error", "std_error"), modes, sample_grid, per_trial,
                       lambda pairs: tuple(float(np.median(errors)) for errors in zip(*pairs)))

@@ -18,18 +18,12 @@ from .harness import (
 from .pce import PceBasis
 from .polynomials import Measure
 
-_EXPERIMENT_KINDS = {
-    "mic-sweep": ("mic-sweep",),
-    "recover": ("recovery-vs-N", "recovery-vs-s"),
-    "rmse": ("rmse",),
+# Each experiment command's driver and the config kinds it runs.
+_EXPERIMENTS = {
+    "mic-sweep": (run_mic_sweep, ("mic-sweep",)),
+    "recover": (run_recovery_benchmark, ("recovery-vs-N", "recovery-vs-s")),
+    "rmse": (run_rmse_benchmark, ("rmse",)),
 }
-
-
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", type=Path, help="JSON experiment configuration")
-    parser.add_argument("--seed", type=int, help="override the configured seed")
-    parser.add_argument("--out", type=Path, default=Path("."), help="output directory")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
 def _load_config(args, command: str) -> ExperimentConfig:
@@ -38,7 +32,7 @@ def _load_config(args, command: str) -> ExperimentConfig:
         data = json.loads(args.config.read_text())
         if not isinstance(data, dict):
             raise ValueError("config file must hold a JSON object")
-    allowed = _EXPERIMENT_KINDS[command]
+    _, allowed = _EXPERIMENTS[command]
     data.setdefault("kind", allowed[0])
     if data["kind"] not in allowed:
         raise ValueError(
@@ -60,14 +54,8 @@ def _emit(table, out_dir: Path, stem: str, fmt: str) -> Path:
 
 
 def _run_experiment(args, command: str) -> int:
-    config = _load_config(args, command)
-    if command == "mic-sweep":
-        table = run_mic_sweep(config)
-    elif command == "recover":
-        table = run_recovery_benchmark(config)
-    else:
-        table = run_rmse_benchmark(config)
-    _emit(table, args.out, command.replace("-", "_"), args.format)
+    driver, _ = _EXPERIMENTS[command]
+    _emit(driver(_load_config(args, command)), args.out, command.replace("-", "_"), args.format)
     return 0
 
 
@@ -109,9 +97,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for command in ("mic-sweep", "recover", "rmse"):
+    for command in _EXPERIMENTS:
         p = sub.add_parser(command, help=f"run the {command} benchmark")
-        _add_common_flags(p)
+        p.add_argument("--config", type=Path, help="JSON experiment configuration")
+        p.add_argument("--seed", type=int, help="override the configured seed")
+        p.add_argument("--out", type=Path, default=Path("."), help="output directory")
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
         if command == "rmse":
             p.add_argument("--target", choices=("f1", "f2", "f3"),
                            help="override the configured target function")
@@ -144,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command in _EXPERIMENT_KINDS:
+        if args.command in _EXPERIMENTS:
             return _run_experiment(args, args.command)
         if args.command == "bvp":
             return _run_bvp(args)

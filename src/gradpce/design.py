@@ -18,6 +18,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
+from .checks import checked
 from .pce import PceBasis
 from .polynomials import JacobiParams, Measure, density_ratio_to_chebyshev, tensor_gauss_rule
 from .sampling import SampleBatch, sample
@@ -274,6 +275,8 @@ def coherence_suprema(basis: PceBasis, directions=None, grid_points: int = 2001)
     Sample-free counterpart of the suprema in :func:`coherence_params`; limited
     to Jacobi bases of dimension <= 2, where a tensor grid is affordable.
     """
+    if checked("grid_points", grid_points, int) < 2:
+        raise ValueError("grid_points must be >= 2")
     if basis.kind != "jacobi":
         raise ValueError("grid scan is defined for Jacobi bases on [-1, 1] only")
     if basis.dim > 2:
@@ -315,7 +318,7 @@ def coherence_params(design: GradientDesign, grid_points: int | None = None) -> 
     for j in range(1, 1 + len(design.directions)):
         stacked_sq += weighted[j * n : (j + 1) * n] ** 2
     beta = float((stacked_sq * design.p[None, :] ** 2).max())
-    if grid_points:
+    if grid_points is not None:
         g_mu, g_beta = coherence_suprema(design.basis, design.directions, grid_points)
         mu = max(mu, g_mu)
         beta = max(beta, g_beta)

@@ -1,8 +1,8 @@
 """Experiment drivers: coherence sweeps, recovery rates, approximation error.
 
-Every run is reproducible: the configuration seed is split into one stream
-per trial and, within a trial, one stream per grid point, so results do not
-depend on trial order or on which grid points are requested together.
+Every run is reproducible: ``trial_streams`` splits the seed into one stream
+per trial and one per grid point within it, so results depend neither on trial
+order nor on which grid points run together. ``fit_modes`` is the one fit site.
 """
 
 from __future__ import annotations
@@ -258,7 +258,7 @@ def grid_table(columns, keys, grid, per_trial, reduce) -> ResultTable:
     ))
 
 
-# -- fitting -----------------------------------------------------------------
+# -- fitting and seeded trials ------------------------------------------------
 
 
 def fit_sparse_expansion(
@@ -310,49 +310,42 @@ def mode_data(basis: PceBasis, modes, n: int, directions, seed: int, evaluate):
     return [fits[mode] for mode in modes]
 
 
-def _mode_scores(fits, score, epsilon, opt_tol) -> list[float]:
-    """``score`` of each mode's fitted coefficients."""
-    return [score(fit_sparse_expansion(design, data, epsilon=epsilon, opt_tol=opt_tol))
-            for design, data in fits]
+def trial_streams(seed: int, trials: int, dim: int, fraction: float, points: int):
+    """Each trial's generator, gradient directions and grid-point seeds.
+
+    Trial t runs on the stream ``split_stream(seed, t)``. Its generator is
+    keyed by that stream's split 0 and first draws ``direction_count(fraction,
+    dim)`` directions; grid point gi draws on split gi + 1.
+    """
+    count = direction_count(fraction, dim)
+    for trial in range(trials):
+        trial_seed = split_stream(seed, trial)
+        rng = generator(split_stream(trial_seed, 0))
+        picked = rng.choice(dim, size=count, replace=False) if count else ()
+        yield (rng, tuple(sorted(int(a) for a in picked)),
+               [split_stream(trial_seed, gi + 1) for gi in range(points)])
+
+
+def fit_modes(basis: PceBasis, modes, n: int, directions, seed: int, evaluate,
+              epsilon: float | None, opt_tol: float) -> list[np.ndarray]:
+    """The fitted coefficients of each mode at one grid point, in mode order."""
+    return [fit_sparse_expansion(design, data, epsilon=epsilon, opt_tol=opt_tol)
+            for design, data in mode_data(basis, modes, n, directions, seed, evaluate)]
+
+
+def fit_grid(basis: PceBasis, modes, trials, points, epsilon: float | None, opt_tol: float):
+    """``per_trial[t][gi][k]``: the score of mode k's fit at grid point gi of trial t.
+
+    ``trials`` yields what :func:`trial_streams` does. ``points(rng)`` runs once
+    per trial, after the directions are drawn, and yields each grid point's
+    (n, evaluate, score): the data of a design's rows and the score of a fit.
+    """
+    return [[[score(c) for c in fit_modes(basis, modes, n, dirs, seed, evaluate, epsilon, opt_tol)]
+             for (n, evaluate, score), seed in zip(points(rng), seeds)]
+            for rng, dirs, seeds in trials]
 
 
 # -- recovery benchmarks -----------------------------------------------------
-
-
-def _choose_directions(rng: np.random.Generator, dim: int, count: int) -> tuple[int, ...]:
-    if count == 0:
-        return ()
-    return tuple(sorted(int(a) for a in rng.choice(dim, size=count, replace=False)))
-
-
-def _trial_start(config: ExperimentConfig, trial: int):
-    """A trial's seed, generator and gradient directions."""
-    trial_seed = split_stream(config.seed, trial)
-    rng = generator(split_stream(trial_seed, 0))
-    count = direction_count(config.gradient_fraction, config.dim)
-    return trial_seed, rng, _choose_directions(rng, config.dim, count)
-
-
-def _recovery_trial(config: ExperimentConfig, basis: PceBasis, grid, trial: int):
-    trial_seed, rng, dirs = _trial_start(config, trial)
-    s_values = [config.sparsity] * len(grid) if config.kind == "recovery-vs-N" else list(grid)
-    s_max = max(s_values)
-    support = rng.choice(basis.size, size=s_max, replace=False) if s_max else np.empty(0, int)
-    spikes = rng.standard_normal(s_max)
-    epsilon = 0.0 if config.epsilon is None else config.epsilon
-    errors = []
-    for gi, gval in enumerate(grid):
-        n = gval if config.kind == "recovery-vs-N" else config.sample_count
-        s = s_values[gi]
-        coeffs = np.zeros(basis.size)
-        coeffs[support[:s]] = spikes[:s]
-        fits = mode_data(basis, config.modes, n, dirs, split_stream(trial_seed, gi + 1),
-                         lambda design: design.phi_tilde @ coeffs)
-        errors.append(_mode_scores(
-            fits, lambda estimate: float(np.abs(estimate - coeffs).max()),
-            epsilon, _RECOVERY_OPT_TOL,
-        ))
-    return errors
 
 
 def run_recovery_benchmark(config: ExperimentConfig) -> ResultTable:
@@ -360,29 +353,40 @@ def run_recovery_benchmark(config: ExperimentConfig) -> ResultTable:
     if config.kind not in ("recovery-vs-N", "recovery-vs-s"):
         raise ValueError("config kind must be recovery-vs-N or recovery-vs-s")
     basis = PceBasis.from_measure(Measure.parse(config.measure), config.dim, config.degree)
-    grid = config.sample_grid if config.kind == "recovery-vs-N" else config.sparsity_grid
-    max_s = config.sparsity if config.kind == "recovery-vs-N" else max(config.sparsity_grid)
+    by_n = config.kind == "recovery-vs-N"
+    grid = config.sample_grid if by_n else config.sparsity_grid
+    max_s = config.sparsity if by_n else max(config.sparsity_grid)
     if max_s > basis.size:
         raise ValueError("sparsity exceeds the basis size")
-    per_trial = [_recovery_trial(config, basis, grid, t) for t in range(config.effective_trials)]
-    grid_label = "N" if config.kind == "recovery-vs-N" else "s"
-    return grid_table(("mode", grid_label, "success_fraction"), config.modes, grid, per_trial,
+
+    def points(rng):
+        # One planted support and spike draw per trial; grid point s keeps its first s.
+        support = rng.choice(basis.size, size=max_s, replace=False) if max_s else np.empty(0, int)
+        spikes = rng.standard_normal(max_s)
+        for gval in grid:
+            n, s = (gval, config.sparsity) if by_n else (config.sample_count, gval)
+            coeffs = np.zeros(basis.size)
+            coeffs[support[:s]] = spikes[:s]
+            yield (n, lambda design: design.phi_tilde @ coeffs,
+                   lambda estimate: float(np.abs(estimate - coeffs).max()))
+
+    epsilon = 0.0 if config.epsilon is None else config.epsilon
+    trials = trial_streams(config.seed, config.effective_trials, config.dim,
+                           config.gradient_fraction, len(grid))
+    per_trial = fit_grid(basis, config.modes, trials, points, epsilon, _RECOVERY_OPT_TOL)
+    return grid_table(("mode", "N" if by_n else "s", "success_fraction"), config.modes, grid,
+                      per_trial,
                       lambda errors: (sum(e <= SUCCESS_TOL for e in errors) / len(errors),))
 
 
 # -- coherence sweep ---------------------------------------------------------
 
 
-def _mic_trial(config: ExperimentConfig, basis: PceBasis, trial: int):
-    trial_seed, _, dirs = _trial_start(config, trial)
-    out = []
-    for gi, n in enumerate(config.sample_grid):
-        batch = draw(basis, n, split_stream(trial_seed, gi + 1))
-        design = assemble_gradient_enhanced(basis, batch, dirs)
-        # mic is invariant under positive column scaling: W * phi_tilde has the mic of phi_hat.
-        out.append((mic(design.phi_tilde[:n]), mic(design.phi_tilde),
-                    mic(design.w[:, None] * design.phi_tilde)))
-    return out
+def _mics(basis: PceBasis, n: int, seed: int, dirs) -> tuple[float, float, float]:
+    design = assemble_gradient_enhanced(basis, draw(basis, n, seed), dirs)
+    # mic is invariant under positive column scaling: W * phi_tilde has the mic of phi_hat.
+    return (mic(design.phi_tilde[:n]), mic(design.phi_tilde),
+            mic(design.w[:, None] * design.phi_tilde))
 
 
 def run_mic_sweep(config: ExperimentConfig) -> ResultTable:
@@ -390,31 +394,15 @@ def run_mic_sweep(config: ExperimentConfig) -> ResultTable:
     if config.kind != "mic-sweep":
         raise ValueError("config kind must be mic-sweep")
     basis = PceBasis.from_measure(Measure.parse(config.measure), config.dim, config.degree)
-    per_trial = [_mic_trial(config, basis, t) for t in range(config.effective_trials)]
+    trials = trial_streams(config.seed, config.effective_trials, config.dim,
+                           config.gradient_fraction, len(config.sample_grid))
+    per_trial = [[_mics(basis, n, seed, dirs) for n, seed in zip(config.sample_grid, seeds)]
+                 for _, dirs, seeds in trials]
     return grid_table(("matrix_id", "N", "mic"), MATRIX_IDS, config.sample_grid, per_trial,
                       lambda mics: (sum(mics) / len(mics),))
 
 
 # -- approximation benchmark -------------------------------------------------
-
-
-def _rmse_trial(config, basis, target: TargetFunction, val_matrix, val_truth, trial: int):
-    trial_seed, _, dirs = _trial_start(config, trial)
-    scale = math.sqrt(val_matrix.shape[0])
-
-    def evaluate(design):
-        points = design.batch.points
-        gradients = target.gradients(points) if design.directions else None
-        return design.stack(target.values(points), gradients)
-
-    def rmse(estimate):
-        return float(np.linalg.norm(val_matrix @ estimate - val_truth)) / scale
-
-    out = []
-    for gi, n in enumerate(config.sample_grid):
-        fits = mode_data(basis, config.modes, n, dirs, split_stream(trial_seed, gi + 1), evaluate)
-        out.append(_mode_scores(fits, rmse, config.epsilon, SURROGATE_OPT_TOL))
-    return out
 
 
 def run_rmse_benchmark(config: ExperimentConfig) -> ResultTable:
@@ -431,7 +419,20 @@ def run_rmse_benchmark(config: ExperimentConfig) -> ResultTable:
     )
     val_matrix = basis.matrix(validation.points)
     val_truth = fn.values(validation.points)
-    per_trial = [_rmse_trial(config, basis, fn, val_matrix, val_truth, t)
-                 for t in range(config.effective_trials)]
+    scale = math.sqrt(_VALIDATION_POINTS)
+
+    def evaluate(design):
+        points = design.batch.points
+        gradients = fn.gradients(points) if design.directions else None
+        return design.stack(fn.values(points), gradients)
+
+    def rmse(estimate):
+        return float(np.linalg.norm(val_matrix @ estimate - val_truth)) / scale
+
+    trials = trial_streams(config.seed, config.effective_trials, config.dim,
+                           config.gradient_fraction, len(config.sample_grid))
+    per_trial = fit_grid(basis, config.modes, trials,
+                         lambda rng: ((n, evaluate, rmse) for n in config.sample_grid),
+                         config.epsilon, SURROGATE_OPT_TOL)
     return grid_table(("mode", "N", "rmse"), config.modes, config.sample_grid, per_trial,
                       lambda errors: (float(np.median(errors)),))

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checks import checked
 from .polynomials import Measure, PolynomialFamily
 
 # Refuse to materialize index sets larger than this.
@@ -39,9 +40,9 @@ def _all_indices(dim: int, degree: int) -> np.ndarray:
 
 def total_degree_set(dim: int, degree: int) -> np.ndarray:
     """The (size, dim) int32 array of {k : |k| <= degree} in graded-lexicographic order."""
-    if dim < 1:
+    if checked("dim", dim, int) < 1:
         raise ValueError("dimension must be at least 1")
-    if degree < 0:
+    if checked("degree", degree, int) < 0:
         raise ValueError("degree must be nonnegative")
     size = math.comb(dim + degree, degree)
     if size > INDEX_CAP:
@@ -66,15 +67,16 @@ class PceBasis:
     indices: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "indices", total_degree_set(self.dim, self.degree))
         if self.family.max_degree < self.degree:
             raise ValueError("family table shorter than the basis degree")
-        object.__setattr__(self, "indices", total_degree_set(self.dim, self.degree))
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def from_measure(measure: Measure, dim: int, degree: int) -> "PceBasis":
-        return PceBasis(PolynomialFamily(measure, max(degree, 1)), dim, degree)
+        family = PolynomialFamily(measure, max(checked("degree", degree, int), 1))
+        return PceBasis(family, dim, degree)
 
     @staticmethod
     def legendre(dim: int, degree: int) -> "PceBasis":

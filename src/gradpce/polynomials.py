@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import checked
+
 # Inputs this close to the support edge are treated as the edge itself.
 JACOBI_CLAMP = 1e-14
 
@@ -35,8 +37,9 @@ class JacobiParams:
     beta: float
 
     def __post_init__(self):
+        alpha, beta = checked("alpha", self.alpha, float), checked("beta", self.beta, float)
         # The closed-form recurrence and density bounds need finite alpha, beta >= -1/2.
-        if not (-0.5 <= self.alpha < math.inf and -0.5 <= self.beta < math.inf):
+        if not (-0.5 <= alpha < math.inf and -0.5 <= beta < math.inf):
             raise ValueError(
                 "Jacobi parameters must be finite and satisfy alpha, beta >= -1/2, got "
                 f"alpha={self.alpha}, beta={self.beta}"

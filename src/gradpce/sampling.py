@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checks import checked
 from .polynomials import Measure
 
 _MASK64 = (1 << 64) - 1
@@ -33,6 +34,7 @@ def split_stream(seed: int, trial: int) -> int:
     The map is a bijection composition, so distinct trials under the same
     seed never collide.
     """
+    seed, trial = checked("seed", seed, int), checked("trial", trial, int)
     if trial < 0:
         raise ValueError("trial index must be nonnegative")
     return _splitmix64(_splitmix64(seed & _MASK64) ^ (trial & _MASK64))
@@ -74,11 +76,11 @@ def sample(measure: Measure, dim: int, count: int, seed: int) -> SampleBatch:
     Supported measures: chebyshev (arcsine), uniform, general jacobi (numpy's
     Beta sampler, mapped to [-1, 1]), and the standard gaussian.
     """
-    if dim < 1:
+    if checked("dim", dim, int) < 1:
         raise ValueError("dimension must be at least 1")
-    if count < 1:
+    if checked("count", count, int) < 1:
         raise ValueError("sample count must be at least 1")
-    rng = generator(seed)
+    rng = generator(checked("seed", seed, int))
     p = measure.params
     if measure.kind == "gaussian":
         pts = rng.standard_normal((count, dim))

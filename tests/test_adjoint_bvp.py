@@ -17,6 +17,7 @@ from gradpce.adjoint_bvp import (
     solve_bvp,
 )
 from gradpce.harness import MODES
+from gradpce.polynomials import Measure, tensor_gauss_rule
 from gradpce.sampling import generator, split_stream
 
 from _oracles import diffusion_qoi_and_gradient, precise_diffusion_qoi_and_gradient
@@ -298,6 +299,22 @@ class TestSurrogate:
         mean, std = reference_moments(DiffusionModel(dim=3))
         assert mean == pytest.approx(0.009883876083098368, rel=1e-12, abs=0.0)
         assert std == pytest.approx(0.0014842137688418687, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_reference_rule_is_converged(self, dim):
+        # The 20-point rule's moments agree with those of a 10- and a 26-point
+        # rule, so the benchmark's errors measure the surrogate, not the reference.
+        model = DiffusionModel(dim=dim)
+        moments = {}
+        for m in (10, 20, 26):
+            nodes, weights = tensor_gauss_rule([Measure.uniform()] * dim, m)
+            values = np.concatenate([adjoint_bvp._evaluate_batch(model, nodes[start:start + 512])[0]
+                                     for start in range(0, len(nodes), 512)])
+            mean = weights @ values
+            moments[m] = (mean, math.sqrt(max(weights @ (values * values) - mean * mean, 0.0)))
+        assert moments[20] == reference_moments(model)
+        for m in (10, 26):
+            assert moments[m] == pytest.approx(moments[20], rel=0, abs=1e-15)
 
     def test_reference_moments_dim_cap(self):
         with pytest.raises(ValueError, match="capped"):

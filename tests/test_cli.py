@@ -214,6 +214,10 @@ class TestDiagnose:
             assert captured.err == ""
             assert "stacked_coherence" in captured.out
 
+    @pytest.mark.parametrize("points", ["0", "1"])
+    def test_grid_scan_of_fewer_than_two_points_errors(self, points, capsys):
+        assert main(["diagnose", "--grid-points", points]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: grid_points must be >= 2"]
 
     @pytest.mark.parametrize("measure, message", [
         ("jacobi(inf,0)", "error: Jacobi parameters must be finite"),

@@ -361,6 +361,16 @@ class TestCoherence:
         with pytest.raises(ValueError, match="dimension"):
             coherence_suprema(basis, grid_points=11)
 
+    @pytest.mark.parametrize("grid_points", [1, 0, 2.5, True])
+    def test_grid_scan_needs_two_integer_points(self, grid_points):
+        # One point would report the values at x = -1 as a supremum.
+        with pytest.raises(ValueError, match="grid_points"):
+            coherence_suprema(PceBasis.legendre(1, 3), None, grid_points)
+
+    def test_grid_scan_accepts_numpy_integers(self):
+        basis = PceBasis.legendre(1, 3)
+        assert coherence_suprema(basis, None, np.int64(11)) == coherence_suprema(basis, None, 11)
+
     def test_grid_scan_rejects_hermite(self):
         # The scan's grid and density ratios live on [-1, 1].
         with pytest.raises(ValueError, match="Jacobi bases"):

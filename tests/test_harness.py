@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gradpce import harness, l1solver
+from gradpce.adjoint_bvp import DiffusionModel, run_bvp_benchmark
 from gradpce.design import assemble_gradient_enhanced, draw, mic, sampling_measure
 from gradpce.harness import (
     MATRIX_IDS,
@@ -23,7 +24,7 @@ from gradpce.harness import (
 )
 from gradpce.pce import PceBasis
 from gradpce.polynomials import Measure, PolynomialFamily
-from gradpce.sampling import generator, sample
+from gradpce.sampling import sample, split_stream
 
 
 class TestTargets:
@@ -75,8 +76,9 @@ class TestDirectionCount:
 
     @given(st.integers(1, 12), st.integers(0, 2**63 - 1))
     def test_no_or_all_directions_chosen_for_any_seed(self, dim, seed):
-        assert harness._choose_directions(generator(seed), dim, 0) == ()
-        assert harness._choose_directions(generator(seed), dim, dim) == tuple(range(dim))
+        for fraction, expected in ((0.0, ()), (1.0, tuple(range(dim)))):
+            ((_, directions, _),) = harness.trial_streams(seed, 1, dim, fraction, 0)
+            assert directions == expected
 
 
 class TestConfig:
@@ -281,9 +283,17 @@ class TestRecoveryBenchmark:
             return result
 
         monkeypatch.setattr(harness, "solve", recording_solve)
+        runs = []
+        fit_grid = harness.fit_grid
+
+        def recording_grid(*args):
+            runs.append(fit_grid(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(harness, "fit_grid", recording_grid)
+        run_recovery_benchmark(config)
         # errors[trial][grid point][mode]: the error_inf of each fit.
-        errors = [harness._recovery_trial(config, basis, config.sample_grid, t)
-                  for t in range(config.effective_trials)]
+        (errors,) = runs
         assert [[len(cell) for cell in trial] for trial in errors] == [[2, 2]] * 12
         assert len(solves) == 12 * 2 * 2
         for spec, result in solves:
@@ -404,7 +414,6 @@ class TestMicSweep:
         # The coherence-sweep benchmark's config; the sweep never forms phi_hat itself.
         config = ExperimentConfig("mic-sweep", dim=3, degree=10, sample_grid=(50, 100, 200, 400),
                                   trials=1, seed=11)
-        basis = PceBasis.legendre(3, 10)
         designs = []
 
         def recording(*args):
@@ -412,10 +421,13 @@ class TestMicSweep:
             return designs[-1]
 
         monkeypatch.setattr(harness, "assemble_gradient_enhanced", recording)
-        rows = harness._mic_trial(config, basis, 0)
-        assert len(rows) == len(designs) == 4
-        for (_, _, preconditioned), design in zip(rows, designs):
-            assert preconditioned == pytest.approx(mic(design.phi_hat), rel=0, abs=1e-14)
+        # With one trial each table entry is that trial's coherence itself.
+        table = run_mic_sweep(config)
+        preconditioned = [value for matrix_id, _, value in table.rows
+                          if matrix_id == "preconditioned"]
+        assert len(preconditioned) == len(designs) == 4
+        for value, design in zip(preconditioned, designs):
+            assert value == pytest.approx(mic(design.phi_hat), rel=0, abs=1e-14)
 
     def test_kind_guard(self):
         with pytest.raises(ValueError, match="kind"):
@@ -476,3 +488,41 @@ def test_mode_data_draws_from_the_paired_measure(measure, paired):
 
 def test_matrix_ids_frozen():
     assert MATRIX_IDS == ("values", "stacked", "preconditioned")
+
+
+class TestStreamRule:
+    """Every driver draws grid point gi of trial t on split_stream(split_stream(seed, t), gi + 1).
+
+    Each run has 2 trials of 2 grid points; every grid point makes one draw,
+    of (1 + q) * N points for the fitting drivers, where q is the number of
+    gradient directions, and of N points for the sweep.
+    """
+
+    @pytest.mark.parametrize("run, seed, counts", [
+        (lambda seed: run_recovery_benchmark(ExperimentConfig(
+            "recovery-vs-N", dim=2, degree=4, sparsity=2, sample_grid=(8, 12), trials=2,
+            seed=seed)), 3, [24, 36]),
+        (lambda seed: run_recovery_benchmark(ExperimentConfig(
+            "recovery-vs-s", dim=2, degree=4, sparsity_grid=(1, 2), sample_count=10, trials=2,
+            seed=seed)), 4, [30, 30]),
+        (lambda seed: run_rmse_benchmark(ExperimentConfig(
+            "rmse", dim=2, degree=4, sample_grid=(8, 12), gradient_fraction=0.5, trials=2,
+            seed=seed)), 5, [16, 24]),
+        (lambda seed: run_mic_sweep(ExperimentConfig(
+            "mic-sweep", dim=2, degree=4, sample_grid=(8, 12), trials=2, seed=seed)),
+         6, [8, 12]),
+        # bvp fits every direction: q = dim = 2.
+        (lambda seed: run_bvp_benchmark(DiffusionModel(dim=2, cells=64), 2, (5, 7), seed=seed,
+                                        trials=2), 7, [15, 21]),
+    ], ids=["recovery-vs-N", "recovery-vs-s", "rmse", "mic-sweep", "bvp"])
+    def test_grid_point_streams(self, monkeypatch, run, seed, counts):
+        draws = []
+
+        def recording(basis, count, stream):
+            draws.append((count, stream))
+            return draw(basis, count, stream)
+
+        monkeypatch.setattr(harness, "draw", recording)
+        run(seed)
+        assert draws == [(counts[gi], split_stream(split_stream(seed, t), gi + 1))
+                         for t in range(2) for gi in range(2)]

@@ -146,6 +146,16 @@ class TestPceBasis:
                 expected *= (derivs if j == axis else values)[:, idx[:, j]]
             np.testing.assert_array_equal(block, expected)
 
+    @pytest.mark.parametrize("field, args", [("degree", (2, 2.5)), ("dim", (2.5, 2)),
+                                             ("degree", (2, "3")), ("dim", (True, 2))])
+    def test_ill_typed_sizes_name_the_field(self, field, args):
+        with pytest.raises(ValueError, match=field):
+            PceBasis.legendre(*args)
+
+    def test_numpy_integer_sizes_accepted(self):
+        basis = PceBasis.legendre(np.int64(2), np.int32(3))
+        np.testing.assert_array_equal(basis.indices, total_degree_set(2, 3))
+
     def test_rejects_short_family_table(self):
         with pytest.raises(ValueError, match="shorter than the basis degree"):
             PceBasis(PolynomialFamily(Measure.uniform(), 2), 2, 3)

@@ -31,7 +31,8 @@ def test_layers_install_and_uninstall_restore_every_namespace(monkeypatch):
     import layers
     from tracing import Tracer
 
-    from gradpce import adjoint_bvp, harness
+    import gradpce
+    from gradpce import harness
 
     before = _snapshot()
     tracer = Tracer()
@@ -39,7 +40,7 @@ def test_layers_install_and_uninstall_restore_every_namespace(monkeypatch):
         layers.install(tracer)
         assert harness.fit_sparse_expansion.__wrapped__ is before[
             (id(harness), "fit_sparse_expansion")]
-        assert adjoint_bvp.fit_sparse_expansion is harness.fit_sparse_expansion
+        assert gradpce.fit_sparse_expansion is harness.fit_sparse_expansion
     finally:
         tracer.uninstall()
     assert _snapshot() == before

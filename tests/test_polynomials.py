@@ -370,3 +370,12 @@ class TestMeasure:
     def test_rejects_non_finite_parameters(self, alpha, beta):
         with pytest.raises(ValueError, match="finite"):
             JacobiParams(alpha, beta)
+
+    @pytest.mark.parametrize("field, args", [("alpha", ("a", 0)), ("beta", (0, None)),
+                                             ("alpha", (True, 0))])
+    def test_ill_typed_parameters_name_the_field(self, field, args):
+        with pytest.raises(ValueError, match=field):
+            Measure.jacobi(*args)
+
+    def test_numpy_numbers_accepted(self):
+        assert Measure.jacobi(np.float64(0.5), np.int64(1)) == Measure.jacobi(0.5, 1.0)

@@ -39,6 +39,16 @@ class TestSplitStream:
         with pytest.raises(ValueError):
             split_stream(3, -1)
 
+    @pytest.mark.parametrize("field, args", [("seed", (1.5, 0)), ("trial", (1, True)),
+                                             ("trial", (1, 2.0))])
+    def test_ill_typed_arguments_name_the_field(self, field, args):
+        with pytest.raises(ValueError, match=field):
+            split_stream(*args)
+
+    def test_numpy_integers_accepted(self):
+        assert split_stream(np.int64(42), np.uint8(7)) == split_stream(42, 7)
+        assert split_stream(np.int64(-1), np.int64(3)) == split_stream(-1, 3)
+
     @settings(max_examples=50, deadline=None)
     @given(st.integers(min_value=0, max_value=2**64 - 1), st.integers(min_value=0, max_value=10_000))
     def test_in_range(self, seed, trial):
@@ -128,6 +138,16 @@ class TestSample:
             sample(Measure.chebyshev(), 0, 5, seed=1)
         with pytest.raises(ValueError):
             sample(Measure.chebyshev(), 2, 0, seed=1)
+
+    @pytest.mark.parametrize("field, args", [("count", (2, 2.5, 0)), ("dim", (True, 3, 0)),
+                                             ("seed", (2, 3, 1.5))])
+    def test_ill_typed_arguments_name_the_field(self, field, args):
+        with pytest.raises(ValueError, match=field):
+            sample(Measure.uniform(), *args)
+
+    def test_numpy_integers_accepted(self):
+        got = sample(Measure.uniform(), np.int64(2), np.int32(3), np.uint64(5))
+        assert got.points.tobytes() == sample(Measure.uniform(), 2, 3, 5).points.tobytes()
 
     def test_subset_is_prefix(self):
         batch = sample(Measure.uniform(), 2, 30, seed=3)
