@@ -8,10 +8,14 @@ from __future__ import annotations
 import numbers
 
 
+# The abstract type each checked class accepts, and its name in messages.
+_ACCEPTS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number"),
+            str: (str, "a string")}
+
+
 def checked(name: str, value, cls: type):
     """``value`` as a ``cls``; a boolean or a value of another type raises ValueError."""
-    abc, what = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number"),
-                 str: (str, "a string")}[cls]
+    abc, what = _ACCEPTS[cls]
     if isinstance(value, bool) or not isinstance(value, abc):
         raise ValueError(f"{name} must be {what}, got {value!r}")
     return cls(value)

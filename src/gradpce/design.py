@@ -20,7 +20,7 @@ import numpy as np
 
 from .checks import checked
 from .pce import PceBasis
-from .polynomials import JacobiParams, Measure, density_ratio_to_chebyshev, tensor_gauss_rule
+from .polynomials import Measure, density_ratio_to_chebyshev, tensor_gauss_rule
 from .sampling import SampleBatch, sample
 
 # Guard for exact second-moment computation: tensor rules grow as (n+1)^d.
@@ -71,12 +71,12 @@ def _row_weights(basis: PceBasis, points: np.ndarray, directions: tuple[int, ...
         return np.ones(n * (1 + len(directions)))
     # The basis evaluation has rejected points beyond the clamp; clip the rest as it does.
     points = np.clip(points, -1.0, 1.0)
-    params = basis.family.params
-    ratios = density_ratio_to_chebyshev(params, points.T)
+    measure = basis.family.measure
+    ratios = density_ratio_to_chebyshev(measure, points.T)
     blocks = [np.sqrt(np.prod(ratios, axis=0))]
     for axis in directions:
         # The raised family's ratio enters only the block of its own direction.
-        raised = density_ratio_to_chebyshev(params.raised(), points[:, axis])
+        raised = density_ratio_to_chebyshev(measure.raised(), points[:, axis])
         parts = [raised if j == axis else ratios[j] for j in range(basis.dim)]
         blocks.append(np.sqrt(np.prod(parts, axis=0)))
     weights = np.concatenate(blocks)
@@ -84,7 +84,7 @@ def _row_weights(basis: PceBasis, points: np.ndarray, directions: tuple[int, ...
     inside = np.tile(np.abs(points).max(axis=1) < 1.0, len(blocks))
     if np.any(inside & (weights == 0.0)):
         raise ValueError(
-            f"Jacobi parameters alpha={params.alpha}, beta={params.beta} are too large for "
+            f"Jacobi parameters alpha={measure.alpha}, beta={measure.beta} are too large for "
             "these sample points: a row weight underflows to 0"
         )
     return weights
@@ -237,21 +237,22 @@ def recovery_guarantee(mic_value: float, sparsity: int) -> bool:
     return mic_value < 1.0 / (2.0 * sparsity - 1.0)
 
 
-def coherence_bound(params_list) -> tuple[float, float]:
-    """Product bound on the weighted suprema and its growth ratio.
+def coherence_bound(measure: Measure, dim: int) -> tuple[float, float]:
+    """Product bound on the weighted suprema of a Jacobi basis and its growth ratio.
 
-    Returns (bound, growth) where bound is the product over dimensions of
-    2e(2 + sqrt(alpha^2 + beta^2)) and growth is the largest per-dimension
-    ratio between the raised-parameter factor and this one; growth lies in
+    Returns (bound, growth) where bound is the product over the ``dim``
+    dimensions of 2e(2 + sqrt(alpha^2 + beta^2)) and growth is the ratio
+    between the raised measure's factor and this one; growth lies in
     [1, 1 + sqrt(2)/2].
     """
-    bound = 1.0
-    growth = 1.0
-    for p in params_list:
-        base = 2.0 + math.hypot(p.alpha, p.beta)
-        bound *= 2.0 * math.e * base
-        growth = max(growth, (2.0 + math.hypot(p.alpha + 1.0, p.beta + 1.0)) / base)
-    return bound, growth
+    if measure.kind != "jacobi":
+        raise ValueError(
+            f"coherence bound is defined for Jacobi measures only, got {measure.label}")
+    if checked("dim", dim, int) < 1:
+        raise ValueError("dimension must be at least 1")
+    base = 2.0 + math.hypot(measure.alpha, measure.beta)
+    growth = (2.0 + math.hypot(measure.alpha + 1.0, measure.beta + 1.0)) / base
+    return math.prod([2.0 * math.e * base] * dim), growth
 
 
 @dataclass(frozen=True)
@@ -284,11 +285,11 @@ def coherence_suprema(basis: PceBasis, directions=None, grid_points: int = 2001)
     dirs = _normalize_directions(basis.dim, directions)
     p = column_normalizer(basis, dirs)
     grid = np.linspace(-1.0, 1.0, grid_points)
-    params = basis.family.params
+    measure = basis.family.measure
     table, derivs = basis.family.eval_table(grid, basis.degree)
     # Tables of ratio * p_n^2 and raised-ratio * p_n'^2, shared by every dimension.
-    value_table = density_ratio_to_chebyshev(params, grid)[:, None] * table**2
-    deriv_table = density_ratio_to_chebyshev(params.raised(), grid)[:, None] * derivs**2
+    value_table = density_ratio_to_chebyshev(measure, grid)[:, None] * table**2
+    deriv_table = density_ratio_to_chebyshev(measure.raised(), grid)[:, None] * derivs**2
     mu_sup = 0.0
     beta_sup = 0.0
     for col, index in enumerate(basis.indices.tolist()):
@@ -323,7 +324,7 @@ def coherence_params(design: GradientDesign, grid_points: int | None = None) -> 
         mu = max(mu, g_mu)
         beta = max(beta, g_beta)
     if design.basis.kind == "jacobi":
-        bound, growth = coherence_bound([design.basis.family.params] * design.basis.dim)
+        bound, growth = coherence_bound(design.basis.family.measure, design.basis.dim)
     else:
         bound, growth = math.nan, math.nan
     # mic is invariant under positive column scaling, so P need not be applied.

@@ -201,8 +201,6 @@ class ExperimentConfig:
 def _cell(value) -> str:
     if isinstance(value, str):
         return value
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value)).lower()
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return format(float(value), ".17g")
@@ -240,8 +238,6 @@ class ResultTable:
 
 
 def _json_value(value):
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
     if isinstance(value, (int, np.integer)):
         return int(value)
     return float(value)

@@ -155,13 +155,16 @@ def _lasso_path(spec: SolveSpec) -> RecoveryResult:
     system of the active set for p and d, then moves lam to the next event:
     the residual crossing (epsilon > 0), the exact exit at lam = 0
     (epsilon = 0), a column joining or an active coefficient reaching zero,
-    or lam = 0. The next segment may not undo the change at the same lam,
-    where rounding would put its event: a column that joined may not drop,
-    and one that dropped may not rejoin with its old sign, nor may a copy of
-    it (a column parallel to it) join in its place. A column in the span of
-    the active columns does not join. A tall full-rank system whose
-    target lies below its least-squares residual ends at lam = 0 in one step,
-    the least-squares solution, without walking the path.
+    or lam = 0. A column whose join root equals lam joins at once, a step of
+    length zero, so exactly tied columns all join; a drop must lie strictly
+    below lam, or the column that joined last would drop again. The next
+    segment may not undo the change at the same lam, where rounding would put
+    its event: a column that joined may not drop, and one that dropped may not
+    rejoin with its old sign, nor may a copy of it (a column parallel to it)
+    join in its place. A column in the span of the active columns does not
+    join. A tall full-rank system whose target lies below its least-squares
+    residual ends at lam = 0 in one step, the least-squares solution, without
+    walking the path.
 
     The Gram column A^T a_j of a column is computed when it joins (read from
     the full Gram on a tall system) and kept while it is active, next to a_j
@@ -232,6 +235,8 @@ def _lasso_path(spec: SolveSpec) -> RecoveryResult:
             drops = p / d
         if k >= rows:
             roots[:] = np.nan  # as many columns as rows span b: no join
+        # A drop lies strictly below lam; a tied column may join at lam itself.
+        drops[drops >= lam] = np.nan
         roots[0, idx] = drops
         roots[1, idx] = np.nan
         roots[blocked] = np.nan
@@ -293,8 +298,9 @@ def _lasso_path(spec: SolveSpec) -> RecoveryResult:
 
 
 def _infeasible_least_squares(a, b, gram, atb, target):
-    """The least-squares solution of a tall full-rank system whose
-    least-squares residual exceeds ``target``; None for any other system.
+    """The least-squares solution of a tall (rows >= columns) full-rank
+    system whose least-squares residual exceeds ``target``; None if the
+    target is reachable or the system is rank-deficient.
 
     Any trial solution with a residual at or below the target shows that the
     target is reachable. Otherwise the normal-equations solution gets one
@@ -303,8 +309,6 @@ def _infeasible_least_squares(a, b, gram, atb, target):
     SVD least-squares solution, and a system that it finds rank-deficient is
     left to the path.
     """
-    if a.shape[0] < a.shape[1]:
-        return None
     try:
         x = np.linalg.solve(gram, atb)
     except np.linalg.LinAlgError:
@@ -325,8 +329,8 @@ def _infeasible_least_squares(a, b, gram, atb, target):
 
 
 def _below(roots, lam):
-    """The roots in [0, lam), with -inf for the rest (and for NaN)."""
-    return np.where((roots >= 0.0) & (roots < lam), roots, -np.inf)
+    """The roots in [0, lam], with -inf for the rest (and for NaN)."""
+    return np.where((roots >= 0.0) & (roots <= lam), roots, -np.inf)
 
 
 def _kkt_holds(correlation, c, lam, lam0) -> bool:

@@ -2,15 +2,17 @@
 
 Supports Jacobi polynomials (including the Legendre and Chebyshev special
 cases) orthonormal under the Beta-type density on [-1, 1], and probabilists'
-Hermite polynomials orthonormal under the standard Gaussian.  All evaluation
-runs through the three-term recurrence of the orthonormal family, which also
-yields derivatives exactly.  A Gauss rule depends on its measure and node
-count alone, so ``gauss_rule`` builds it from the measure's recurrence with
-no family: its nodes come from numpy's symmetric eigensolver applied to the
-Jacobi matrix, the tridiagonal matrix of the recurrence coefficients, and its
-weights from the Christoffel function of the orthonormal values, which keeps
-the tiny tail weights of the Hermite and large-parameter Jacobi rules
-accurate to relative precision.
+Hermite polynomials orthonormal under the standard Gaussian.  A
+:class:`Measure` is one frozen value, its kind and, for a Jacobi measure, the
+exponents alpha and beta, checked when it is built; every layer reads them
+from it.  All evaluation runs through the three-term recurrence of the
+orthonormal family, which also yields derivatives exactly.  A Gauss rule
+depends on its measure and node count alone, so ``gauss_rule`` builds it from
+the measure's recurrence with no family: its nodes come from numpy's
+symmetric eigensolver applied to the Jacobi matrix, the tridiagonal matrix of
+the recurrence coefficients, and its weights from the Christoffel function of
+the orthonormal values, which keeps the tiny tail weights of the Hermite and
+large-parameter Jacobi rules accurate to relative precision.
 """
 
 from __future__ import annotations
@@ -30,13 +32,22 @@ _DERIVATIVE_CHECK_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class JacobiParams:
-    """Exponent pair of the weight (1-x)^alpha (1+x)^beta on [-1, 1]."""
+class Measure:
+    """Probability measure of a basis: the Jacobi density proportional to
+    (1-x)^alpha (1+x)^beta on [-1, 1], or the standard Gaussian."""
 
-    alpha: float
-    beta: float
+    kind: str  # "jacobi" or "gaussian"
+    alpha: float | None = None
+    beta: float | None = None
 
     def __post_init__(self):
+        if self.kind not in ("jacobi", "gaussian"):
+            raise ValueError(f"unknown measure kind {self.kind!r}")
+        if self.kind == "gaussian":
+            if self.alpha is not None or self.beta is not None:
+                raise ValueError("gaussian measure takes no parameters")
+            return
+        # A missing exponent is None, which ``checked`` names.
         alpha, beta = checked("alpha", self.alpha, float), checked("beta", self.beta, float)
         # The closed-form recurrence and density bounds need finite alpha, beta >= -1/2.
         if not (-0.5 <= alpha < math.inf and -0.5 <= beta < math.inf):
@@ -45,60 +56,17 @@ class JacobiParams:
                 f"alpha={self.alpha}, beta={self.beta}"
             )
 
-    def raised(self) -> "JacobiParams":
-        """Parameters of the family that derivatives map into."""
-        return JacobiParams(self.alpha + 1.0, self.beta + 1.0)
-
-    def normalization(self) -> float:
-        """Constant d such that d*(1-x)^alpha*(1+x)^beta integrates to 1.
-
-        Raises ValueError when d underflows the normal floating-point range.
-        """
-        a, b = self.alpha, self.beta
-        d = math.exp(
-            math.lgamma(a + b + 2.0)
-            - math.lgamma(a + 1.0)
-            - math.lgamma(b + 1.0)
-            - (a + b + 1.0) * math.log(2.0)
-        )
-        if d < np.finfo(float).tiny:
-            raise ValueError(
-                f"Jacobi parameters alpha={a}, beta={b} are too large: the density "
-                "normalization underflows"
-            )
-        return d
-
-
-CHEBYSHEV_PARAMS = JacobiParams(-0.5, -0.5)
-LEGENDRE_PARAMS = JacobiParams(0.0, 0.0)
-
-
-@dataclass(frozen=True)
-class Measure:
-    """Probability measure identifier: a Jacobi/Beta density or a Gaussian."""
-
-    kind: str  # "jacobi" or "gaussian"
-    params: JacobiParams | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("jacobi", "gaussian"):
-            raise ValueError(f"unknown measure kind {self.kind!r}")
-        if self.kind == "jacobi" and self.params is None:
-            raise ValueError("jacobi measure needs parameters")
-        if self.kind == "gaussian" and self.params is not None:
-            raise ValueError("gaussian measure takes no parameters")
-
     @staticmethod
     def jacobi(alpha: float, beta: float) -> "Measure":
-        return Measure("jacobi", JacobiParams(alpha, beta))
+        return Measure("jacobi", alpha, beta)
 
     @staticmethod
     def chebyshev() -> "Measure":
-        return Measure("jacobi", CHEBYSHEV_PARAMS)
+        return Measure("jacobi", -0.5, -0.5)
 
     @staticmethod
     def uniform() -> "Measure":
-        return Measure("jacobi", LEGENDRE_PARAMS)
+        return Measure("jacobi", 0.0, 0.0)
 
     @staticmethod
     def gaussian() -> "Measure":
@@ -126,40 +94,59 @@ class Measure:
     def label(self) -> str:
         if self.kind == "gaussian":
             return "gaussian"
-        if self.params == CHEBYSHEV_PARAMS:
+        if self == Measure.chebyshev():
             return "chebyshev"
-        if self.params == LEGENDRE_PARAMS:
+        if self == Measure.uniform():
             return "uniform"
-        return f"jacobi({self.params.alpha:g},{self.params.beta:g})"
+        return f"jacobi({self.alpha:g},{self.beta:g})"
 
     def raised(self) -> "Measure":
         """Measure of the family that derivatives of this measure's family map into."""
         if self.kind == "gaussian":
             return self
-        return Measure("jacobi", self.params.raised())
+        return Measure.jacobi(self.alpha + 1.0, self.beta + 1.0)
+
+    def normalization(self) -> float:
+        """Constant d such that d*(1-x)^alpha*(1+x)^beta integrates to 1 (Jacobi only).
+
+        Raises ValueError when d underflows the normal floating-point range.
+        """
+        a, b = self.alpha, self.beta
+        d = math.exp(
+            math.lgamma(a + b + 2.0)
+            - math.lgamma(a + 1.0)
+            - math.lgamma(b + 1.0)
+            - (a + b + 1.0) * math.log(2.0)
+        )
+        if d < np.finfo(float).tiny:
+            raise ValueError(
+                f"Jacobi parameters alpha={a}, beta={b} are too large: the density "
+                "normalization underflows"
+            )
+        return d
 
 
-def density_ratio_to_chebyshev(params: JacobiParams, x) -> np.ndarray:
+def density_ratio_to_chebyshev(measure: Measure, x) -> np.ndarray:
     """Ratio of the Jacobi density to the Chebyshev (arcsine) density.
 
     Combines exponents before evaluating, so the ratio stays finite on the
     closed interval for alpha, beta >= -1/2 even where both densities blow up.
     """
     x = np.asarray(x, dtype=float)
-    if params == CHEBYSHEV_PARAMS:
+    if measure == Measure.chebyshev():
         # Zero exponents: the ratio is identically 1, returned without roundoff.
         return np.ones_like(x)
-    scale = params.normalization() * math.pi
-    return scale * (1.0 - x) ** (params.alpha + 0.5) * (1.0 + x) ** (params.beta + 0.5)
+    scale = measure.normalization() * math.pi
+    return scale * (1.0 - x) ** (measure.alpha + 0.5) * (1.0 + x) ** (measure.beta + 0.5)
 
 
-def _jacobi_recurrence(params: JacobiParams, count: int) -> tuple[np.ndarray, np.ndarray]:
+def _jacobi_recurrence(measure: Measure, count: int) -> tuple[np.ndarray, np.ndarray]:
     """First ``count`` recurrence coefficients (a_k, b_k) of the monic
     Jacobi family under the normalized (probability) measure, so b_0 = 1.
 
     Raises ValueError when the exponents are so large that a coefficient
     overflows to a non-finite value or some b_k falls to zero."""
-    a, b = params.alpha, params.beta
+    a, b = measure.alpha, measure.beta
     k = np.arange(count, dtype=float)
     rec_a = np.empty(count)
     rec_b = np.empty(count)
@@ -191,7 +178,7 @@ def _jacobi_recurrence(params: JacobiParams, count: int) -> tuple[np.ndarray, np
 def _recurrence(measure: Measure, count: int) -> tuple[np.ndarray, np.ndarray]:
     """First ``count`` coefficients (a_k, sqrt(b_k)) of the measure's recurrence."""
     if measure.kind == "jacobi":
-        rec_a, rec_b = _jacobi_recurrence(measure.params, count)
+        rec_a, rec_b = _jacobi_recurrence(measure, count)
     else:
         rec_a = np.zeros(count)
         rec_b = np.arange(count, dtype=float)
@@ -255,10 +242,6 @@ class PolynomialFamily:
     def kind(self) -> str:
         return self.measure.kind
 
-    @property
-    def params(self) -> JacobiParams | None:
-        return self.measure.params
-
     def derivative_constant(self, n: int) -> float:
         """Factor c(n) in d/dx p_n = c(n) q_{n-1}, q from the raised family.
 
@@ -271,7 +254,7 @@ class PolynomialFamily:
             return math.sqrt(float(n))
         if n == 0:
             return 0.0
-        a, b = self.params.alpha, self.params.beta
+        a, b = self.measure.alpha, self.measure.beta
         num = n * (n + a + b + 1.0) * (a + b + 2.0) * (a + b + 3.0)
         den = 4.0 * (a + 1.0) * (b + 1.0)
         return math.sqrt(num / den)
@@ -328,7 +311,7 @@ class PolynomialFamily:
             closed = self.derivative_constant(n)
             if abs(projected - closed) > _DERIVATIVE_CHECK_TOL * max(1.0, abs(closed)):
                 raise ValueError(
-                    f"Jacobi parameters alpha={self.params.alpha}, beta={self.params.beta}: "
+                    f"Jacobi parameters alpha={self.measure.alpha}, beta={self.measure.beta}: "
                     f"derivative constant mismatch against quadrature at degree {n}: "
                     f"closed form {closed!r}, projected {projected!r}"
                 )

@@ -81,14 +81,14 @@ def sample(measure: Measure, dim: int, count: int, seed: int) -> SampleBatch:
     if checked("count", count, int) < 1:
         raise ValueError("sample count must be at least 1")
     rng = generator(checked("seed", seed, int))
-    p = measure.params
+    alpha, beta = measure.alpha, measure.beta
     if measure.kind == "gaussian":
         pts = rng.standard_normal((count, dim))
-    elif p.alpha == -0.5 and p.beta == -0.5:
+    elif alpha == -0.5 and beta == -0.5:
         pts = np.cos(math.pi * rng.random((count, dim)))
-    elif p.alpha == 0.0 and p.beta == 0.0:
+    elif alpha == 0.0 and beta == 0.0:
         pts = 2.0 * rng.random((count, dim)) - 1.0
     else:
         # x = 2t - 1 maps Beta(beta+1, alpha+1) in t to the Jacobi density in x.
-        pts = 2.0 * rng.beta(p.beta + 1.0, p.alpha + 1.0, (count, dim)) - 1.0
+        pts = 2.0 * rng.beta(beta + 1.0, alpha + 1.0, (count, dim)) - 1.0
     return SampleBatch(measure, pts)

@@ -189,9 +189,8 @@ def density(measure, x):
     x = np.asarray(x, dtype=float)
     if measure.kind == "gaussian":
         return np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-    p = measure.params
     with np.errstate(divide="ignore"):
-        return p.normalization() * (1.0 - x) ** p.alpha * (1.0 + x) ** p.beta
+        return measure.normalization() * (1.0 - x) ** measure.alpha * (1.0 + x) ** measure.beta
 
 
 def pairwise_cosine_mic(matrix):

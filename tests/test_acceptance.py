@@ -27,8 +27,6 @@ from gradpce.harness import ExperimentConfig, run_mic_sweep, run_recovery_benchm
 from gradpce.l1solver import SolveSpec, solve
 from gradpce.pce import PceBasis
 from gradpce.polynomials import (
-    CHEBYSHEV_PARAMS,
-    LEGENDRE_PARAMS,
     Measure,
     PolynomialFamily,
     density_ratio_to_chebyshev,
@@ -85,7 +83,7 @@ def test_02_weighted_square_bound(capsys):
         measure = Measure.jacobi(a, b)
         family = PolynomialFamily(measure, degree)
         values, _ = family.eval_table(grid, degree)
-        weighted = density_ratio_to_chebyshev(measure.params, grid)[:, None] * values**2
+        weighted = density_ratio_to_chebyshev(measure, grid)[:, None] * values**2
         bound = 2.0 * math.e * (2.0 + math.hypot(a, b))
         worst_ratio = max(worst_ratio, float(weighted.max()) / bound)
     elapsed = time.perf_counter() - start
@@ -105,8 +103,8 @@ def test_03_mean_isotropy(capsys):
 
 
 def test_04_coherence_constants_and_bound(capsys):
-    chebyshev_growth = coherence_bound([CHEBYSHEV_PARAMS])[1]
-    legendre_growth = coherence_bound([LEGENDRE_PARAMS])[1]
+    chebyshev_growth = coherence_bound(Measure.chebyshev(), 1)[1]
+    legendre_growth = coherence_bound(Measure.uniform(), 1)[1]
     exact = chebyshev_growth == 1.0 and legendre_growth == 1.0 + math.sqrt(2.0) / 2.0
     degree = 20  # suprema are monotone in the index set, so this covers n <= 20
     violations = 0
@@ -117,7 +115,7 @@ def test_04_coherence_constants_and_bound(capsys):
         for a, b in pairs:
             basis = PceBasis.from_measure(Measure.jacobi(a, b), dim, degree)
             _, beta_sup = coherence_suprema(basis, grid_points=points)
-            bound, growth = coherence_bound([basis.family.params] * basis.dim)
+            bound, growth = coherence_bound(basis.family.measure, basis.dim)
             checked += 1
             if beta_sup > growth * bound:
                 violations += 1

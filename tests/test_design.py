@@ -27,7 +27,6 @@ from gradpce.design import (
 from gradpce.pce import PceBasis
 from gradpce.polynomials import (
     JACOBI_CLAMP,
-    JacobiParams,
     Measure,
     PolynomialFamily,
     density_ratio_to_chebyshev,
@@ -154,11 +153,11 @@ class TestAssembly:
                 out *= (derivs if j == axis else values)[:, idx[:, j]]
             return out
 
-        params = basis.family.params
-        ratios = [density_ratio_to_chebyshev(params, points[:, j]) for j in range(basis.dim)]
+        measure = basis.family.measure
+        ratios = [density_ratio_to_chebyshev(measure, points[:, j]) for j in range(basis.dim)]
         w_blocks = [np.sqrt(np.prod(ratios, axis=0))]
         for axis in directions:
-            raised = density_ratio_to_chebyshev(params.raised(), points[:, axis])
+            raised = density_ratio_to_chebyshev(measure.raised(), points[:, axis])
             w_blocks.append(np.sqrt(np.prod(
                 [raised if j == axis else ratios[j] for j in range(basis.dim)], axis=0)))
 
@@ -169,9 +168,9 @@ class TestAssembly:
             tables.append(degree)
             return eval_table(fam, x, degree)
 
-        def counting_density(params, x):
-            densities.append(params)
-            return density_ratio_to_chebyshev(params, x)
+        def counting_density(measure, x):
+            densities.append(measure)
+            return density_ratio_to_chebyshev(measure, x)
 
         monkeypatch.setattr(PolynomialFamily, "eval_table", counting_table)
         monkeypatch.setattr(design, "density_ratio_to_chebyshev", counting_density)
@@ -318,9 +317,9 @@ class TestRecoveryGuarantee:
 
 class TestCoherence:
     def test_bound_growth_constants(self):
-        _, growth_cheb = coherence_bound([JacobiParams(-0.5, -0.5)] * 2)
+        _, growth_cheb = coherence_bound(Measure.chebyshev(), 2)
         assert growth_cheb == 1.0
-        bound_leg, growth_leg = coherence_bound([JacobiParams(0.0, 0.0)])
+        bound_leg, growth_leg = coherence_bound(Measure.uniform(), 1)
         assert bound_leg == pytest.approx(4.0 * math.e, rel=1e-15)
         assert growth_leg == (2.0 + math.sqrt(2.0)) / 2.0
         assert growth_leg == pytest.approx(1.0 + math.sqrt(2.0) / 2.0, abs=1e-15)
@@ -328,8 +327,25 @@ class TestCoherence:
     def test_growth_range(self):
         for a in (-0.5, 0.0, 0.5, 1.0, 2.5):
             for b in (-0.5, 0.0, 0.5, 1.0, 2.5):
-                _, growth = coherence_bound([JacobiParams(a, b)])
+                _, growth = coherence_bound(Measure.jacobi(a, b), 1)
                 assert 1.0 <= growth <= 1.0 + math.sqrt(2.0) / 2.0 + 1e-15
+
+    def test_bound_is_a_power_of_the_one_dimensional_bound(self):
+        measure = Measure.jacobi(0.5, 1.5)
+        bound_1, growth_1 = coherence_bound(measure, 1)
+        bound_3, growth_3 = coherence_bound(measure, 3)
+        assert bound_3 == bound_1 * bound_1 * bound_1
+        assert growth_3 == growth_1
+
+    @pytest.mark.parametrize("measure, dim, message", [
+        (Measure.gaussian(), 2,
+         "coherence bound is defined for Jacobi measures only, got gaussian"),
+        (Measure.uniform(), 0, "dimension must be at least 1"),
+        (Measure.uniform(), 2.0, "dim must be an integer, got 2.0"),
+    ])
+    def test_bound_rejects_invalid_input(self, measure, dim, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            coherence_bound(measure, dim)
 
     def test_report_respects_bounds(self):
         basis = PceBasis.legendre(2, 8)
@@ -343,7 +359,7 @@ class TestCoherence:
     def test_one_dimensional_grid_suprema(self):
         basis = PceBasis.legendre(1, 30)
         value_sup, stacked_sup = coherence_suprema(basis, grid_points=2001)
-        bound, growth = coherence_bound([JacobiParams(0.0, 0.0)])
+        bound, growth = coherence_bound(Measure.uniform(), 1)
         assert value_sup <= bound
         assert stacked_sup <= growth * bound
         # The scan must reach at least the constant function's weighted sup.

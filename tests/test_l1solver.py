@@ -414,6 +414,25 @@ class TestSolve:
             correlation = a.T @ (b - a @ result.coefficients)
             assert np.abs(correlation).max() <= 1e-9 * np.abs(a.T @ b).max()
 
+    @pytest.mark.parametrize("matrix, rhs, epsilon, l1", [
+        (np.eye(3), np.ones(3), 0.0, 3.0),
+        (np.eye(3), np.ones(3), 0.1, 3.0 - 0.1 * np.sqrt(3.0)),
+        (np.column_stack([np.eye(4), np.eye(4)[:, :2]]), np.array([1.0, 1.0, 0.5, 0.5]), 0.0,
+         3.0),
+    ])
+    def test_exactly_tied_columns_all_join(self, matrix, rhs, epsilon, l1):
+        # Columns whose correlations tie lam exactly join at that lam, one step
+        # of length zero each. With joins held to roots below lam, the path
+        # ended at lam = 0 with one column of each tie active, unconverged.
+        result = solve(SolveSpec(matrix, rhs, epsilon=epsilon))
+        assert result.converged
+        # The path aims just inside the residual bound, which moves ||c||_1 by
+        # up to sqrt(3) opt_tol ||b|| = 3e-6 at epsilon > 0.
+        assert np.abs(result.coefficients).sum() == pytest.approx(l1, abs=1e-5)
+        residual = np.linalg.norm(matrix @ result.coefficients - rhs)
+        assert residual <= epsilon + 1e-6 * np.linalg.norm(rhs)
+        assert result.residual_norm == pytest.approx(residual, abs=1e-15)
+
 
 class TestHarnessScale:
     """The LASSO path on the solves the drivers make."""

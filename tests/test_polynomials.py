@@ -9,7 +9,6 @@ from gradpce.adjoint_bvp import DiffusionModel, reference_moments
 from gradpce.design import isotropy_gap
 from gradpce.pce import PceBasis
 from gradpce.polynomials import (
-    JacobiParams,
     Measure,
     PolynomialFamily,
     _recurrence,
@@ -249,7 +248,7 @@ class TestQuadrature:
         if measure.kind == "gaussian":
             ref_nodes, ref_weights = precise_hermite_rule(nodes) if precise else hermite_rule(m)
         else:
-            alpha, beta = measure.params.alpha, measure.params.beta
+            alpha, beta = measure.alpha, measure.beta
             ref_nodes, ref_weights = (precise_jacobi_rule(alpha, beta, nodes) if precise
                                       else jacobi_rule(alpha, beta, m))
         np.testing.assert_allclose(nodes, ref_nodes, rtol=0.0, atol=1e-12)
@@ -313,24 +312,24 @@ class TestDensities:
         assert np.trapezoid(rho, x) == pytest.approx(1.0, abs=1e-5)
 
     def test_ratio_matches_density_quotient(self):
-        params = JacobiParams(0.5, 1.5)
+        measure = Measure.jacobi(0.5, 1.5)
         x = np.linspace(-0.99, 0.99, 101)
-        quotient = density(Measure("jacobi", params), x) / density(Measure.chebyshev(), x)
+        quotient = density(measure, x) / density(Measure.chebyshev(), x)
         np.testing.assert_allclose(
-            density_ratio_to_chebyshev(params, x), quotient, rtol=1e-12
+            density_ratio_to_chebyshev(measure, x), quotient, rtol=1e-12
         )
 
     def test_ratio_finite_on_closed_interval(self):
         edges = np.array([-1.0, 1.0])
-        assert np.all(np.isfinite(density_ratio_to_chebyshev(JacobiParams(-0.5, 0.5), edges)))
+        assert np.all(np.isfinite(density_ratio_to_chebyshev(Measure.jacobi(-0.5, 0.5), edges)))
         np.testing.assert_array_equal(
-            density_ratio_to_chebyshev(JacobiParams(0.5, 0.5), edges), 0.0
+            density_ratio_to_chebyshev(Measure.jacobi(0.5, 0.5), edges), 0.0
         )
 
     def test_chebyshev_ratio_is_exactly_one(self):
         x = np.linspace(-1.0, 1.0, 33)
         np.testing.assert_array_equal(
-            density_ratio_to_chebyshev(JacobiParams(-0.5, -0.5), x), 1.0
+            density_ratio_to_chebyshev(Measure.jacobi(-0.5, -0.5), x), 1.0
         )
 
     def test_weighted_square_bound_moderate_degrees(self):
@@ -338,7 +337,7 @@ class TestDensities:
         x = np.linspace(-1.0, 1.0, 501)
         for alpha, beta in PARAM_GRID:
             fam = PolynomialFamily(Measure.jacobi(alpha, beta), 20)
-            ratio = density_ratio_to_chebyshev(fam.params, x)
+            ratio = density_ratio_to_chebyshev(fam.measure, x)
             values, _ = fam.eval_table(x, 20)
             bound = 2.0 * math.e * (2.0 + math.hypot(alpha, beta))
             assert float((ratio[:, None] * values**2).max()) <= bound
@@ -364,12 +363,12 @@ class TestMeasure:
 
     def test_rejects_parameters_below_range(self):
         with pytest.raises(ValueError):
-            JacobiParams(-0.6, 0.0)
+            Measure.jacobi(-0.6, 0.0)
 
     @pytest.mark.parametrize("alpha, beta", [(math.inf, 0.0), (0.0, math.inf), (math.nan, 0.0)])
     def test_rejects_non_finite_parameters(self, alpha, beta):
         with pytest.raises(ValueError, match="finite"):
-            JacobiParams(alpha, beta)
+            Measure.jacobi(alpha, beta)
 
     @pytest.mark.parametrize("field, args", [("alpha", ("a", 0)), ("beta", (0, None)),
                                              ("alpha", (True, 0))])
@@ -379,3 +378,21 @@ class TestMeasure:
 
     def test_numpy_numbers_accepted(self):
         assert Measure.jacobi(np.float64(0.5), np.int64(1)) == Measure.jacobi(0.5, 1.0)
+
+    @pytest.mark.parametrize("args, message", [
+        (("beta",), "unknown measure kind 'beta'"),
+        (("jacobi",), "alpha must be a number, got None"),
+        (("jacobi", 0.5), "beta must be a number, got None"),
+        (("gaussian", 0.5), "gaussian measure takes no parameters"),
+        (("gaussian", None, 0.0), "gaussian measure takes no parameters"),
+    ])
+    def test_invalid_measure_names_the_problem(self, args, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Measure(*args)
+
+    def test_parameters_are_fields(self):
+        measure = Measure.jacobi(0.5, 1.5)
+        assert (measure.kind, measure.alpha, measure.beta) == ("jacobi", 0.5, 1.5)
+        assert Measure.gaussian() == Measure("gaussian", None, None)
+        assert Measure.jacobi(-0.5, -0.5).label == "chebyshev"
+        assert Measure.jacobi(0, 0).label == "uniform"
