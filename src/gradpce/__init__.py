@@ -33,7 +33,7 @@ from .harness import (
 )
 from .l1solver import RecoveryResult, SolveSpec, project_l1_ball, solve
 from .pce import PceBasis, total_degree_set
-from .polynomials import Measure, PolynomialFamily
+from .polynomials import Measure
 from .sampling import SampleBatch, sample, split_stream
 
 __version__ = "0.1.0"
@@ -45,7 +45,6 @@ __all__ = [
     "GradientDesign",
     "Measure",
     "PceBasis",
-    "PolynomialFamily",
     "RecoveryResult",
     "ResultTable",
     "SampleBatch",

@@ -83,11 +83,6 @@ class DiffusionModel:
                 and not 0.0 < checked("constant_value", self.constant_value, float) < math.inf):
             raise ValueError("constant coefficient must be positive and finite")
 
-    @staticmethod
-    def constant(value: float = 1.0, dim: int = 1, **kw) -> "DiffusionModel":
-        """Degenerate model with coefficient identically equal to ``value``."""
-        return DiffusionModel(dim=dim, constant_value=value, **kw)
-
     @property
     def mesh_width(self) -> float:
         return 1.0 / self.cells

@@ -14,11 +14,14 @@ _ACCEPTS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a numb
 
 
 def checked(name: str, value, cls: type):
-    """``value`` as a ``cls``; a boolean or a value of another type raises ValueError."""
-    abc, what = _ACCEPTS[cls]
+    """``value`` as a ``cls``; a boolean or a value of another type raises ValueError.
+
+    A class outside the table above accepts its own instances and returns them.
+    """
+    abc, what = _ACCEPTS[cls] if cls in _ACCEPTS else (cls, f"a {cls.__name__}")
     if isinstance(value, bool) or not isinstance(value, abc):
         raise ValueError(f"{name} must be {what}, got {value!r}")
-    return cls(value)
+    return cls(value) if cls in _ACCEPTS else value
 
 
 def checked_entries(name: str, values, cls: type) -> tuple:

@@ -72,7 +72,7 @@ def _run_bvp(args) -> int:
 
 def _run_diagnose(args) -> int:
     measure = Measure.parse(args.measure)
-    basis = PceBasis.from_measure(measure, args.dim, args.degree)
+    basis = PceBasis(measure, args.dim, args.degree)
     batch = draw(basis, args.samples, args.seed)
     report = coherence_params(assemble_gradient_enhanced(basis, batch),
                               grid_points=args.grid_points)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .checks import checked
 from .pce import PceBasis
-from .polynomials import Measure, density_ratio_to_chebyshev, tensor_gauss_rule
+from .polynomials import Measure, density_ratio_to_chebyshev, derivative_constant, tensor_gauss_rule
 from .sampling import SampleBatch, sample
 
 # Guard for exact second-moment computation: tensor rules grow as (n+1)^d.
@@ -38,15 +38,15 @@ def sampling_measure(basis_measure: Measure) -> Measure:
 
 def draw(basis: PceBasis, count: int, seed: int) -> SampleBatch:
     """``count`` points from the sampling measure paired with the basis."""
-    return sample(sampling_measure(basis.family.measure), basis.dim, count, seed)
+    return sample(sampling_measure(basis.measure), basis.dim, count, seed)
 
 
 def _check_pairing(basis: PceBasis, batch: SampleBatch) -> None:
     if basis.dim != batch.dim:
         raise ValueError("basis and sample batch dimensions differ")
-    paired = sampling_measure(basis.family.measure)
+    paired = sampling_measure(basis.measure)
     if batch.measure != paired:
-        name = "Jacobi" if basis.kind == "jacobi" else "Hermite"
+        name = "Jacobi" if basis.measure.kind == "jacobi" else "Hermite"
         raise ValueError(
             f"{name} designs require {paired.label.capitalize()} sampling, "
             f"got {batch.measure.label}"
@@ -67,11 +67,11 @@ def _normalize_directions(dim: int, directions) -> tuple[int, ...]:
 def _row_weights(basis: PceBasis, points: np.ndarray, directions: tuple[int, ...]) -> np.ndarray:
     """Stacked diagonal of W: one block for values, one per direction."""
     n = points.shape[0]
-    if basis.kind != "jacobi":
+    measure = basis.measure
+    if measure.kind != "jacobi":
         return np.ones(n * (1 + len(directions)))
     # The basis evaluation has rejected points beyond the clamp; clip the rest as it does.
     points = np.clip(points, -1.0, 1.0)
-    measure = basis.family.measure
     ratios = density_ratio_to_chebyshev(measure, points.T)
     blocks = [np.sqrt(np.prod(ratios, axis=0))]
     for axis in directions:
@@ -94,12 +94,11 @@ def column_normalizer(basis: PceBasis, directions=None) -> np.ndarray:
     """Diagonal of P: unit expected stacked column energy per basis function.
 
     Entry k is (1 + sum over included directions of c(k_j)^2)^(-1/2), where c
-    is the derivative constant of the family in that direction (sqrt(k_j) for
-    Hermite).
+    is the derivative constant of the basis measure (sqrt(k_j) for Hermite).
     """
     dirs = _normalize_directions(basis.dim, directions)
     idx = basis.indices
-    consts = np.array([basis.family.derivative_constant(n) for n in range(basis.degree + 1)])
+    consts = np.array([derivative_constant(basis.measure, n) for n in range(basis.degree + 1)])
     energy = np.ones(basis.size)
     for axis in dirs:
         energy += consts[idx[:, axis]] ** 2
@@ -278,15 +277,15 @@ def coherence_suprema(basis: PceBasis, directions=None, grid_points: int = 2001)
     """
     if checked("grid_points", grid_points, int) < 2:
         raise ValueError("grid_points must be >= 2")
-    if basis.kind != "jacobi":
+    measure = basis.measure
+    if measure.kind != "jacobi":
         raise ValueError("grid scan is defined for Jacobi bases on [-1, 1] only")
     if basis.dim > 2:
         raise ValueError("grid scan supported for dimension <= 2 only")
     dirs = _normalize_directions(basis.dim, directions)
     p = column_normalizer(basis, dirs)
     grid = np.linspace(-1.0, 1.0, grid_points)
-    measure = basis.family.measure
-    table, derivs = basis.family.eval_table(grid, basis.degree)
+    table, derivs = basis.family.eval_table(grid)
     # Tables of ratio * p_n^2 and raised-ratio * p_n'^2, shared by every dimension.
     value_table = density_ratio_to_chebyshev(measure, grid)[:, None] * table**2
     deriv_table = density_ratio_to_chebyshev(measure.raised(), grid)[:, None] * derivs**2
@@ -323,8 +322,8 @@ def coherence_params(design: GradientDesign, grid_points: int | None = None) -> 
         g_mu, g_beta = coherence_suprema(design.basis, design.directions, grid_points)
         mu = max(mu, g_mu)
         beta = max(beta, g_beta)
-    if design.basis.kind == "jacobi":
-        bound, growth = coherence_bound(design.basis.family.measure, design.basis.dim)
+    if design.basis.measure.kind == "jacobi":
+        bound, growth = coherence_bound(design.basis.measure, design.basis.dim)
     else:
         bound, growth = math.nan, math.nan
     # mic is invariant under positive column scaling, so P need not be applied.
@@ -348,11 +347,11 @@ def expected_gram(basis: PceBasis, directions=None) -> np.ndarray:
     dirs = _normalize_directions(basis.dim, directions)
     m = basis.degree + 1
     p = column_normalizer(basis, dirs)
-    measures = [basis.family.measure] * basis.dim
+    measures = [basis.measure] * basis.dim
     pts, w = tensor_gauss_rule(measures, m)
     mat = basis.matrix(pts)
     gram = (mat * w[:, None]).T @ mat
-    raised = basis.family.measure.raised()
+    raised = basis.measure.raised()
     for axis in dirs:
         pts, w = tensor_gauss_rule(measures[:axis] + [raised] + measures[axis + 1:], m)
         grad = basis.gradient_matrix(pts, axis)

@@ -348,7 +348,7 @@ def run_recovery_benchmark(config: ExperimentConfig) -> ResultTable:
     """Success fraction per (mode, grid point) over seeded random trials."""
     if config.kind not in ("recovery-vs-N", "recovery-vs-s"):
         raise ValueError("config kind must be recovery-vs-N or recovery-vs-s")
-    basis = PceBasis.from_measure(Measure.parse(config.measure), config.dim, config.degree)
+    basis = PceBasis(Measure.parse(config.measure), config.dim, config.degree)
     by_n = config.kind == "recovery-vs-N"
     grid = config.sample_grid if by_n else config.sparsity_grid
     max_s = config.sparsity if by_n else max(config.sparsity_grid)
@@ -389,7 +389,7 @@ def run_mic_sweep(config: ExperimentConfig) -> ResultTable:
     """Average mutual coherence of the value, stacked, and weighted systems."""
     if config.kind != "mic-sweep":
         raise ValueError("config kind must be mic-sweep")
-    basis = PceBasis.from_measure(Measure.parse(config.measure), config.dim, config.degree)
+    basis = PceBasis(Measure.parse(config.measure), config.dim, config.degree)
     trials = trial_streams(config.seed, config.effective_trials, config.dim,
                            config.gradient_fraction, len(config.sample_grid))
     per_trial = [[_mics(basis, n, seed, dirs) for n, seed in zip(config.sample_grid, seeds)]
@@ -405,8 +405,8 @@ def run_rmse_benchmark(config: ExperimentConfig) -> ResultTable:
     """Median validation error per (mode, N) against a held-out uniform grid."""
     if config.kind != "rmse":
         raise ValueError("config kind must be rmse")
-    basis = PceBasis.from_measure(Measure.parse(config.measure), config.dim, config.degree)
-    if basis.kind != "jacobi":
+    basis = PceBasis(Measure.parse(config.measure), config.dim, config.degree)
+    if basis.measure.kind != "jacobi":
         raise ValueError("approximation targets are defined on [-1, 1]^dim")
     fn = TARGETS[config.target]
     validation = sample(

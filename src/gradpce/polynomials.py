@@ -6,7 +6,9 @@ Hermite polynomials orthonormal under the standard Gaussian.  A
 :class:`Measure` is one frozen value, its kind and, for a Jacobi measure, the
 exponents alpha and beta, checked when it is built; every layer reads them
 from it.  All evaluation runs through the three-term recurrence of the
-orthonormal family, which also yields derivatives exactly.  A Gauss rule
+orthonormal family, which also yields derivatives exactly; a family is that
+recurrence tabulated up to one degree.  ``derivative_constant`` is a closed
+form in the measure and the degree, with no family.  A Gauss rule
 depends on its measure and node count alone, so ``gauss_rule`` builds it from
 the measure's recurrence with no family: its nodes come from numpy's
 symmetric eigensolver applied to the Jacobi matrix, the tridiagonal matrix of
@@ -75,7 +77,7 @@ class Measure:
     @staticmethod
     def parse(label: str) -> "Measure":
         """Parse a measure id such as 'chebyshev' or 'jacobi(0.5,1)'."""
-        text = label.strip().lower()
+        text = label.strip().lower() if isinstance(label, str) else ""
         if text in ("chebyshev", "arcsine"):
             return Measure.chebyshev()
         if text in ("uniform", "legendre"):
@@ -83,11 +85,12 @@ class Measure:
         if text in ("gaussian", "hermite", "normal"):
             return Measure.gaussian()
         if text.startswith("jacobi(") and text.endswith(")"):
-            inner = text[len("jacobi(") : -1]
-            parts = inner.split(",")
-            if len(parts) != 2:
-                raise ValueError(f"cannot parse measure id {label!r}")
-            return Measure.jacobi(float(parts[0]), float(parts[1]))
+            try:
+                alpha, beta = map(float, text[len("jacobi(") : -1].split(","))
+            except ValueError:
+                pass  # not two numbers
+            else:
+                return Measure.jacobi(alpha, beta)
         raise ValueError(f"cannot parse measure id {label!r}")
 
     @property
@@ -196,6 +199,24 @@ def _values(x: np.ndarray, a: np.ndarray, sqrt_b: np.ndarray, deg: int) -> np.nd
     return values
 
 
+def derivative_constant(measure: Measure, n: int) -> float:
+    """Factor c(n) in d/dx p_n = c(n) q_{n-1}, q from the raised family.
+
+    Both families are orthonormal under their own probability measures.
+    Returns 0 for n = 0.
+    """
+    if n < 0:
+        raise ValueError("degree must be nonnegative")
+    if measure.kind == "gaussian":
+        return math.sqrt(float(n))
+    if n == 0:
+        return 0.0
+    a, b = measure.alpha, measure.beta
+    num = n * (n + a + b + 1.0) * (a + b + 2.0) * (a + b + 3.0)
+    den = 4.0 * (a + 1.0) * (b + 1.0)
+    return math.sqrt(num / den)
+
+
 def gauss_rule(measure: Measure, m: int) -> tuple[np.ndarray, np.ndarray]:
     """m-point Gauss rule of a probability measure.
 
@@ -223,8 +244,8 @@ def gauss_rule(measure: Measure, m: int) -> tuple[np.ndarray, np.ndarray]:
 class PolynomialFamily:
     """Orthonormal polynomial family with tabulated recurrence coefficients.
 
-    The table is built once up to ``max_degree``; evaluation past the table
-    raises rather than silently extending it.
+    The table is built once up to ``max_degree``, and every evaluation covers
+    p_0 .. p_max_degree.
     """
 
     def __init__(self, measure: Measure, max_degree: int):
@@ -236,55 +257,24 @@ class PolynomialFamily:
         if measure.kind == "jacobi" and self.max_degree >= 1:
             self._check_derivative_constants()
 
-    # -- properties --------------------------------------------------------
-
-    @property
-    def kind(self) -> str:
-        return self.measure.kind
-
-    def derivative_constant(self, n: int) -> float:
-        """Factor c(n) in d/dx p_n = c(n) q_{n-1}, q from the raised family.
-
-        Both families are orthonormal under their own probability measures.
-        Returns 0 for n = 0.
-        """
-        if n < 0:
-            raise ValueError("degree must be nonnegative")
-        if self.kind == "gaussian":
-            return math.sqrt(float(n))
-        if n == 0:
-            return 0.0
-        a, b = self.measure.alpha, self.measure.beta
-        num = n * (n + a + b + 1.0) * (a + b + 2.0) * (a + b + 3.0)
-        den = 4.0 * (a + 1.0) * (b + 1.0)
-        return math.sqrt(num / den)
-
     # -- evaluation --------------------------------------------------------
 
     def _prepare_points(self, x) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        if self.kind == "jacobi":
+        if self.measure.kind == "jacobi":
             over = np.abs(x) > 1.0 + JACOBI_CLAMP
             if np.any(over):
                 raise ValueError("points outside [-1, 1] for a Jacobi family")
             x = np.clip(x, -1.0, 1.0)
         return x
 
-    def eval_table(self, x, max_degree: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    def eval_table(self, x) -> tuple[np.ndarray, np.ndarray]:
         """Values and derivatives of p_0 .. p_K at the given points.
 
-        Returns arrays of shape (len(x), K+1) where K defaults to the
-        family's tabulated maximum.
+        Returns arrays of shape (len(x), K+1), K the family's tabulated maximum.
         """
-        deg = self.max_degree if max_degree is None else int(max_degree)
-        if deg < 0:
-            raise ValueError("degree must be nonnegative")
-        if deg > self.max_degree:
-            raise ValueError(
-                f"degree {deg} exceeds tabulated maximum {self.max_degree}"
-            )
         x = self._prepare_points(x)
-        a, sb = self._rec_a, self._rec_sqrt_b
+        a, sb, deg = self._rec_a, self._rec_sqrt_b, self.max_degree
         values = _values(x, a, sb, deg)
         # The recurrence differentiated term by term.
         derivs = np.zeros_like(values)
@@ -308,7 +298,7 @@ class PolynomialFamily:
         raised_vals = _values(nodes, *_recurrence(raised, m), self.max_degree)
         for n in range(1, self.max_degree + 1):
             projected = float(np.sum(weights * derivs[:, n] * raised_vals[:, n - 1]))
-            closed = self.derivative_constant(n)
+            closed = derivative_constant(self.measure, n)
             if abs(projected - closed) > _DERIVATIVE_CHECK_TOL * max(1.0, abs(closed)):
                 raise ValueError(
                     f"Jacobi parameters alpha={self.measure.alpha}, beta={self.measure.beta}: "

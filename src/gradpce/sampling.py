@@ -76,6 +76,7 @@ def sample(measure: Measure, dim: int, count: int, seed: int) -> SampleBatch:
     Supported measures: chebyshev (arcsine), uniform, general jacobi (numpy's
     Beta sampler, mapped to [-1, 1]), and the standard gaussian.
     """
+    checked("measure", measure, Measure)
     if checked("dim", dim, int) < 1:
         raise ValueError("dimension must be at least 1")
     if checked("count", count, int) < 1:

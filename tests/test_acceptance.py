@@ -30,6 +30,7 @@ from gradpce.polynomials import (
     Measure,
     PolynomialFamily,
     density_ratio_to_chebyshev,
+    derivative_constant,
     gauss_rule,
 )
 from gradpce.sampling import sample
@@ -51,21 +52,21 @@ def test_01_orthonormality_and_derivative_identity(capsys):
     families = [Measure.jacobi(a, b) for a, b in itertools.product(PARAM_VALUES, repeat=2)]
     families.append(Measure.gaussian())
     for measure in families:
-        family = PolynomialFamily(measure, degree + 1)
+        family = PolynomialFamily(measure, degree)
         nodes, weights = gauss_rule(measure, degree + 1)
-        table, _ = family.eval_table(nodes, degree)
+        table, _ = family.eval_table(nodes)
         gram = (table * weights[:, None]).T @ table
         worst_gram = max(worst_gram, float(np.abs(gram - np.eye(degree + 1)).max()))
-        raised = PolynomialFamily(measure.raised(), degree)
+        raised = PolynomialFamily(measure.raised(), degree - 1)
         if measure.kind == "jacobi":
             grid = np.linspace(-0.99, 0.99, 401)
         else:
             grid = np.linspace(-5.0, 5.0, 401)
-        _, derivs = family.eval_table(grid, degree)
-        raised_values, _ = raised.eval_table(grid, degree - 1)
+        _, derivs = family.eval_table(grid)
+        raised_values, _ = raised.eval_table(grid)
         for n in range(1, degree + 1):
             # The recurrence-differentiated table is the independent side here.
-            rhs = family.derivative_constant(n) * raised_values[:, n - 1]
+            rhs = derivative_constant(measure, n) * raised_values[:, n - 1]
             scale = max(1.0, float(np.abs(rhs).max()))
             worst_identity = max(worst_identity, float(np.abs(derivs[:, n] - rhs).max()) / scale)
     elapsed = time.perf_counter() - start
@@ -82,7 +83,7 @@ def test_02_weighted_square_bound(capsys):
     for a, b in itertools.product(PARAM_VALUES, repeat=2):
         measure = Measure.jacobi(a, b)
         family = PolynomialFamily(measure, degree)
-        values, _ = family.eval_table(grid, degree)
+        values, _ = family.eval_table(grid)
         weighted = density_ratio_to_chebyshev(measure, grid)[:, None] * values**2
         bound = 2.0 * math.e * (2.0 + math.hypot(a, b))
         worst_ratio = max(worst_ratio, float(weighted.max()) / bound)
@@ -94,8 +95,8 @@ def test_02_weighted_square_bound(capsys):
 
 def test_03_mean_isotropy(capsys):
     start = time.perf_counter()
-    legendre_gap = isotropy_gap(PceBasis.from_measure(Measure.uniform(), 2, 5))
-    hermite_gap = isotropy_gap(PceBasis.from_measure(Measure.gaussian(), 2, 3))
+    legendre_gap = isotropy_gap(PceBasis(Measure.uniform(), 2, 5))
+    hermite_gap = isotropy_gap(PceBasis(Measure.gaussian(), 2, 3))
     elapsed = time.perf_counter() - start
     ok = legendre_gap <= 1e-10 and hermite_gap <= 1e-10 and elapsed < 30.0
     _report(capsys, 3, "mean isotropy", ok,
@@ -113,9 +114,9 @@ def test_04_coherence_constants_and_bound(capsys):
     pairs_2d = [(v, v) for v in PARAM_VALUES] + [(-0.5, 1.0), (0.0, 2.5), (1.0, 2.5)]
     for dim, pairs, points in ((1, pairs_1d, 2001), (2, pairs_2d, 501)):
         for a, b in pairs:
-            basis = PceBasis.from_measure(Measure.jacobi(a, b), dim, degree)
+            basis = PceBasis(Measure.jacobi(a, b), dim, degree)
             _, beta_sup = coherence_suprema(basis, grid_points=points)
-            bound, growth = coherence_bound(basis.family.measure, basis.dim)
+            bound, growth = coherence_bound(basis.measure, basis.dim)
             checked += 1
             if beta_sup > growth * bound:
                 violations += 1
@@ -125,7 +126,7 @@ def test_04_coherence_constants_and_bound(capsys):
 
 
 def test_05_nullspace_containment(capsys):
-    basis = PceBasis.from_measure(Measure.uniform(), 2, 10)
+    basis = PceBasis(Measure.uniform(), 2, 10)
     contained = 0
     strict = 0
     for draw in range(20):
@@ -168,7 +169,7 @@ def test_06_solver_matches_l0_oracle(capsys):
 
 def test_07_recovery_benchmark_ordering(capsys):
     config = ExperimentConfig(kind="recovery-vs-N", dim=2, degree=20, sparsity=8, trials=100)
-    assert PceBasis.from_measure(Measure.uniform(), 2, 20).size == 231
+    assert PceBasis(Measure.uniform(), 2, 20).size == 231
     start = time.perf_counter()
     table = run_recovery_benchmark(config)
     elapsed = time.perf_counter() - start
@@ -225,7 +226,7 @@ def test_09_adjoint_gradient(capsys):
             fd[j] = (qoi_and_gradient(model, xi + bump)[0]
                      - qoi_and_gradient(model, xi - bump)[0]) / (2.0 * step)
         worst = max(worst, float(np.linalg.norm(gradient - fd) / np.linalg.norm(fd)))
-    flat = DiffusionModel.constant(1.0, cells=4096, load=np.ones_like)
+    flat = DiffusionModel(dim=1, cells=4096, load=np.ones_like, constant_value=1.0)
     qoi, gradient = qoi_and_gradient(flat, np.zeros(1))
     analytic_err = abs(qoi - 1.0 / 12.0)
     ok = worst <= 1e-6 and analytic_err <= 1e-8 and abs(gradient[0]) <= 1e-12

@@ -48,7 +48,7 @@ class TestModel:
         with pytest.raises(ValueError, match="even cell count"):
             DiffusionModel(dim=1, cells=65, qoi="midpoint")
         with pytest.raises(ValueError, match="constant"):
-            DiffusionModel.constant(-1.0)
+            DiffusionModel(dim=1, constant_value=-1.0)
 
     @pytest.mark.parametrize("field,value", [
         ("dim", 2.5), ("dim", True), ("cells", 100.5),
@@ -75,7 +75,7 @@ class TestModel:
             assert model.coefficient(nodes, xi).min() > 0.5
 
     def test_constant_model_coefficient(self):
-        model = DiffusionModel.constant(2.5, dim=3, cells=64)
+        model = DiffusionModel(dim=3, cells=64, constant_value=2.5)
         nodes = model.nodes()
         xi = np.array([0.3, -0.9, 0.5])
         np.testing.assert_array_equal(model.coefficient(nodes, xi), 2.5)
@@ -109,7 +109,8 @@ class TestModel:
 class TestSolve:
     def test_analytic_constant_case(self):
         # a = 1, g = 1: u = y(1-y)/2, average = 1/12 up to the trapezoid bias.
-        model = DiffusionModel.constant(1.0, cells=4096, load=lambda y: np.ones_like(y))
+        model = DiffusionModel(dim=1, cells=4096, load=lambda y: np.ones_like(y),
+                               constant_value=1.0)
         solution = solve_bvp(model, [0.0])
         nodes = model.nodes()
         np.testing.assert_allclose(solution.u, nodes * (1.0 - nodes) / 2.0, atol=1e-12)
@@ -117,9 +118,8 @@ class TestSolve:
         np.testing.assert_array_equal(solution.gradient, 0.0)
 
     def test_midpoint_qoi_constant_case(self):
-        model = DiffusionModel.constant(
-            1.0, cells=1024, load=lambda y: np.ones_like(y), qoi="midpoint"
-        )
+        model = DiffusionModel(dim=1, cells=1024, qoi="midpoint", load=lambda y: np.ones_like(y),
+                               constant_value=1.0)
         solution = solve_bvp(model, [0.0])
         assert abs(solution.qoi - 1.0 / 8.0) <= 1e-12
 
@@ -266,7 +266,7 @@ class TestSolve:
 
 class TestSurrogate:
     def test_constant_model_has_zero_std(self):
-        model = DiffusionModel.constant(1.0, dim=2, cells=64)
+        model = DiffusionModel(dim=2, cells=64, constant_value=1.0)
         result = build_surrogate(model, degree=3, n_samples=15, seed=3)
         assert result.std <= 1e-10
         # The denoising epsilon shrinks the constant term by up to ~1e-9.

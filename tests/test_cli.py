@@ -248,6 +248,11 @@ class TestDiagnose:
         assert len(err) == 1 and err[0].startswith(message)
         assert caught == []
 
+    @pytest.mark.parametrize("measure", ["jacobi(a,b)", "jacobi(1,)"])
+    def test_unparsable_measure_names_the_label(self, measure, capsys):
+        assert main(["diagnose", "--measure", measure]) == 1
+        assert capsys.readouterr().err == f"error: cannot parse measure id {measure!r}\n"
+
 
 class TestParsing:
     def test_command_required(self, capsys):

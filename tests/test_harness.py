@@ -189,7 +189,7 @@ class TestFit:
     def test_hermite_gradient_fit_recovers_sparse_coefficients(self):
         # d=2, degree 6: 28 terms; 12 Gaussian samples with both partial
         # derivatives give 36 rows, and every 3-sparse expansion must come back.
-        basis = PceBasis.from_measure(Measure.gaussian(), 2, 6)
+        basis = PceBasis(Measure.gaussian(), 2, 6)
         assert basis.size == 28
         worst = 0.0
         for seed in range(20):
@@ -273,7 +273,7 @@ class TestRecoveryBenchmark:
         config = ExperimentConfig(
             kind="recovery-vs-N", dim=2, degree=20, sparsity=8, sample_grid=(20, 35), trials=12
         )
-        basis = PceBasis.from_measure(Measure.uniform(), 2, 20)
+        basis = PceBasis(Measure.uniform(), 2, 20)
         assert basis.size == 231
         solves = []
 
@@ -472,7 +472,7 @@ def test_sampling_measure_pairing():
 @pytest.mark.parametrize("measure,paired", [(Measure.uniform(), Measure.chebyshev()),
                                             (Measure.gaussian(), Measure.gaussian())])
 def test_mode_data_draws_from_the_paired_measure(measure, paired):
-    basis = PceBasis.from_measure(measure, 3, 3)
+    basis = PceBasis(measure, 3, 3)
     n, dirs, seed = 7, (0, 2), 11
     fits = harness.mode_data(basis, ("standard-double", "gradient-enhanced"), n, dirs, seed,
                              lambda design: np.zeros(design.w.shape))

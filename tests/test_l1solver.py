@@ -554,9 +554,9 @@ class TestHarnessScale:
 
 def test_package_runs_without_scipy():
     # numpy is the only runtime dependency: with scipy unimportable, the
-    # package imports, builds a 150-point Gauss rule (the derivative
-    # self-check of a degree-149 family), samples a general Jacobi measure
-    # and computes quadrature reference moments.
+    # package imports, builds a degree-149 basis (its family's derivative
+    # self-check runs a 150-point Gauss rule), samples a general Jacobi
+    # measure and computes quadrature reference moments.
     src = str(Path(gradpce.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
@@ -564,7 +564,7 @@ def test_package_runs_without_scipy():
         "import sys\n"
         "sys.modules['scipy'] = None\n"
         "import gradpce\n"
-        "gradpce.PolynomialFamily(gradpce.Measure.jacobi(5, 0), 149)\n"
+        "gradpce.PceBasis(gradpce.Measure.jacobi(5, 0), 1, 149)\n"
         "gradpce.sample(gradpce.Measure.jacobi(1.5, 0.5), 2, 100, seed=1)\n"
         "gradpce.reference_moments(gradpce.DiffusionModel(dim=1))\n"
     )

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from gradpce import pce
 from gradpce.pce import PceBasis, total_degree_set
-from gradpce.polynomials import Measure, PolynomialFamily
+from gradpce.polynomials import Measure
 
 from _oracles import central_difference, jacobi_rule
 
@@ -69,13 +71,13 @@ class TestPceBasis:
 
     def test_matrix_matches_univariate_products(self):
         rng = np.random.default_rng(42)
-        basis = PceBasis.from_measure(Measure.jacobi(0.5, 1.5), 3, 4)
+        basis = PceBasis(Measure.jacobi(0.5, 1.5), 3, 4)
         pts = rng.uniform(-1, 1, size=(7, 3))
         mat = basis.matrix(pts)
         for col, k in enumerate(basis.indices.tolist()):
             expected = np.ones(7)
             for j in range(basis.dim):
-                expected *= basis.family.eval_table(pts[:, j], k[j])[0][:, k[j]]
+                expected *= basis.family.eval_table(pts[:, j])[0][:, k[j]]
             np.testing.assert_allclose(mat[:, col], expected, rtol=1e-13)
 
     def test_gradient_matrix_matches_finite_difference(self):
@@ -94,7 +96,7 @@ class TestPceBasis:
             np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-7)
 
     def test_hermite_gradient_closed_form(self):
-        basis = PceBasis.from_measure(Measure.gaussian(), 2, 3)
+        basis = PceBasis(Measure.gaussian(), 2, 3)
         pts = np.array([[0.3, -1.2], [2.0, 0.5]])
         grad = basis.gradient_matrix(pts, 0)
         for col, k in enumerate(basis.indices.tolist()):
@@ -103,13 +105,13 @@ class TestPceBasis:
             if n0 > 0:
                 expected = (
                     math.sqrt(n0)
-                    * basis.family.eval_table(pts[:, 0], n0 - 1)[0][:, n0 - 1]
-                    * basis.family.eval_table(pts[:, 1], k[1])[0][:, k[1]]
+                    * basis.family.eval_table(pts[:, 0])[0][:, n0 - 1]
+                    * basis.family.eval_table(pts[:, 1])[0][:, k[1]]
                 )
             np.testing.assert_allclose(grad[:, col], expected, atol=1e-12)
 
     def test_multivariate_orthonormality_by_quadrature(self):
-        basis = PceBasis.from_measure(Measure.jacobi(0.5, 0.0), 2, 4)
+        basis = PceBasis(Measure.jacobi(0.5, 0.0), 2, 4)
         nodes, weights = jacobi_rule(0.5, 0.0, 6)
         g1, g2 = np.meshgrid(nodes, nodes, indexing="ij")
         pts = np.column_stack([g1.ravel(), g2.ravel()])
@@ -128,15 +130,15 @@ class TestPceBasis:
         st.integers(min_value=0, max_value=2**32 - 1),
     )
     def test_matrices_match_per_column_tables(self, measure, dim, degree, n, axes, seed):
-        basis = PceBasis.from_measure(Measure.parse(measure), dim, degree)
+        basis = PceBasis(Measure.parse(measure), dim, degree)
         axes = [a if a is None else a % dim for a in axes]
         rng = np.random.default_rng(seed)
-        if basis.kind == "jacobi":
+        if basis.measure.kind == "jacobi":
             pts = rng.uniform(-1.0, 1.0, size=(n, dim))
         else:
             pts = rng.normal(size=(n, dim))
         idx = basis.indices
-        tables = [basis.family.eval_table(pts[:, j], degree) for j in range(dim)]
+        tables = [basis.family.eval_table(pts[:, j]) for j in range(dim)]
         blocks = basis.matrices(pts, axes)
         assert blocks.shape == (len(axes), n, basis.size)
         assert blocks.flags.c_contiguous
@@ -156,9 +158,26 @@ class TestPceBasis:
         basis = PceBasis.legendre(np.int64(2), np.int32(3))
         np.testing.assert_array_equal(basis.indices, total_degree_set(2, 3))
 
-    def test_rejects_short_family_table(self):
-        with pytest.raises(ValueError, match="shorter than the basis degree"):
-            PceBasis(PolynomialFamily(Measure.uniform(), 2), 2, 3)
+    @pytest.mark.parametrize("measure", ["legendre", None, 3])
+    def test_non_measure_names_the_field(self, measure):
+        message = re.escape(f"measure must be a Measure, got {measure!r}")
+        for build in (PceBasis, PceBasis.from_measure):
+            with pytest.raises(ValueError, match=message):
+                build(measure, 2, 3)
+
+    def test_basis_is_a_value(self):
+        measure = Measure.jacobi(0.5, 1.5)
+        basis = PceBasis(measure, 2, 3)
+        alias = PceBasis.from_measure(Measure.jacobi(0.5, 1.5), 2, 3)
+        assert basis == alias and hash(basis) == hash(alias)
+        assert basis != PceBasis(Measure.uniform(), 2, 3)
+        assert basis != PceBasis(measure, 2, 4)
+        assert repr(basis) == f"PceBasis(measure={measure!r}, dim=2, degree=3)"
+        # The derived fields follow the fields they come from.
+        wider = dataclasses.replace(basis, degree=5)
+        assert wider == PceBasis(measure, 2, 5)
+        np.testing.assert_array_equal(wider.indices, total_degree_set(2, 5))
+        assert (wider.family.measure, wider.family.max_degree) == (measure, 5)
 
     def test_rejects_wrong_point_shape(self):
         basis = PceBasis.legendre(2, 2)

@@ -3,7 +3,8 @@
 ``perfbench/layers.py`` rebinds public functions and methods of the package
 by name, so deleting or renaming one of them breaks ``perfbench/run.py
 --trace 1``. Installing and removing its hooks here keeps that contract in
-the main test suite.
+the main test suite. Running each workload's set-up statement and one
+operation does the same for the names and drivers every benchmark run calls.
 """
 
 import sys
@@ -44,3 +45,19 @@ def test_layers_install_and_uninstall_restore_every_namespace(monkeypatch):
     finally:
         tracer.uninstall()
     assert _snapshot() == before
+
+
+def test_every_workload_sets_up_and_runs_one_checked_operation(monkeypatch):
+    # The benchmark times each set-up statement in a fresh interpreter and then
+    # runs seeded operations; one of each here fails on a renamed name or a
+    # broken driver before any benchmark run does.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    import gradpce
+    from gradpce.sampling import split_stream
+
+    for workload in workloads.WORKLOADS.values():
+        exec(workload.setup, {"gradpce": gradpce})
+        table = workload.operation(split_stream(1, 0))
+        assert workload.check_table(table) == [], workload.name

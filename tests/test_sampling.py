@@ -145,6 +145,11 @@ class TestSample:
         with pytest.raises(ValueError, match=field):
             sample(Measure.uniform(), *args)
 
+    @pytest.mark.parametrize("measure", ["legendre", None, 3])
+    def test_non_measure_names_the_field(self, measure):
+        with pytest.raises(ValueError, match="measure must be a Measure"):
+            sample(measure, 2, 3, 0)
+
     def test_numpy_integers_accepted(self):
         got = sample(Measure.uniform(), np.int64(2), np.int32(3), np.uint64(5))
         assert got.points.tobytes() == sample(Measure.uniform(), 2, 3, 5).points.tobytes()
