@@ -212,19 +212,26 @@ def assemble_standard(basis: PceBasis, batch: SampleBatch) -> tuple[np.ndarray, 
 
 
 def mic(matrix: np.ndarray) -> float:
-    """Mutual incoherence: largest |cosine| between distinct columns."""
+    """Mutual incoherence: largest |cosine| between distinct columns.
+
+    The cosines come from one symmetric product m^T m of the input itself:
+    its diagonal holds the squared column norms, and scaling its rows and
+    columns by their reciprocal square roots turns it into the cosine matrix.
+    """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[1] < 2:
         raise ValueError("need a 2-d matrix with at least two columns")
-    norms = np.linalg.norm(m, axis=0)
-    if not np.all(np.isfinite(norms)):
+    gram = m.T @ m  # one operand on both sides: BLAS runs the symmetric product on m itself
+    squares = gram.diagonal().copy()
+    if not np.all(np.isfinite(squares)):
         raise ValueError("matrix has a non-finite entry or a column norm that overflows")
-    if np.any(norms == 0.0):
+    if np.any(squares == 0.0):
         raise ValueError("matrix has a zero column")
-    unit = m / norms
-    gram = unit.T @ unit  # one operand in both places: BLAS runs the symmetric product
+    scale = 1.0 / np.sqrt(squares)
+    gram *= scale
+    gram *= scale[:, None]
     np.fill_diagonal(gram, 0.0)
-    return float(np.abs(gram).max())
+    return float(np.abs(gram, out=gram).max())
 
 
 def recovery_guarantee(mic_value: float, sparsity: int) -> bool:

@@ -112,7 +112,7 @@ class PceBasis:
         array, so stacking them is a reshape.
         """
         for axis in axes:
-            if axis is not None and not 0 <= axis < self.dim:
+            if axis is not None and not 0 <= checked("axis", axis, int) < self.dim:
                 raise ValueError(f"axis {axis} out of range for dimension {self.dim}")
         pts = self._point_array(points)
         # Tables of shape (dim, N, degree + 1) from one call: the recurrence acts

@@ -249,10 +249,10 @@ class PolynomialFamily:
     """
 
     def __init__(self, measure: Measure, max_degree: int):
-        if max_degree < 0:
+        self.max_degree = checked("max_degree", max_degree, int)
+        if self.max_degree < 0:
             raise ValueError("max_degree must be nonnegative")
         self.measure = measure
-        self.max_degree = int(max_degree)
         self._rec_a, self._rec_sqrt_b = _recurrence(measure, self.max_degree + 1)
         if measure.kind == "jacobi" and self.max_degree >= 1:
             self._check_derivative_constants()

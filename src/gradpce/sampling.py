@@ -3,9 +3,10 @@
 All draws go through numpy's counter-based Philox generator keyed by a 64-bit
 seed, so a (seed, trial) pair pins every sample exactly, independent of
 execution order.  Chebyshev points use the exact inverse CDF
-z = cos(pi*u) and uniform points 2u - 1; general Jacobi points come from
-numpy's Beta sampler on the same generator, with no inverse CDF, so they are
-not a function of one uniform draw each.
+z = cos(pi*u), kept inside the open interval (-1, 1), and uniform points
+2u - 1; general Jacobi points come from numpy's Beta sampler on the same
+generator, with no inverse CDF, so they are not a function of one uniform
+draw each.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from .checks import checked
 from .polynomials import Measure
 
 _MASK64 = (1 << 64) - 1
+# The largest float below 1: the edge of the Chebyshev draws.
+_BELOW_ONE = math.nextafter(1.0, 0.0)
 
 
 def _splitmix64(z: int) -> int:
@@ -86,7 +89,12 @@ def sample(measure: Measure, dim: int, count: int, seed: int) -> SampleBatch:
     if measure.kind == "gaussian":
         pts = rng.standard_normal((count, dim))
     elif alpha == -0.5 and beta == -0.5:
+        # The arcsine law gives +-1 probability zero, but cos(pi*u) rounds to +-1
+        # for u within ~3.4e-9 of 0 or 1. Such a draw moves to the nearest float
+        # inside, where a basis density that vanishes at the ends still gives
+        # the point a positive row weight.
         pts = np.cos(math.pi * rng.random((count, dim)))
+        pts.clip(-_BELOW_ONE, _BELOW_ONE, out=pts)
     elif alpha == 0.0 and beta == 0.0:
         pts = 2.0 * rng.random((count, dim)) - 1.0
     else:

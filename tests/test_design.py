@@ -300,6 +300,40 @@ class TestMic:
             m = rng.standard_normal((5, 8))
             assert 0.0 <= mic(m) <= 1.0 + 1e-12
 
+    @pytest.mark.parametrize("n", [50, 400])
+    def test_matches_pairwise_oracle_on_each_sweep_matrix(self, n):
+        # The three matrices one coherence-sweep grid point passes to mic.
+        basis = PceBasis.legendre(3, 10)
+        batch = sample(Measure.chebyshev(), 3, n, seed=split(n))
+        design_ = assemble_gradient_enhanced(basis, batch)
+        for matrix in (design_.phi_tilde[:n], design_.phi_tilde,
+                       design_.w[:, None] * design_.phi_tilde):
+            assert mic(matrix) == pytest.approx(pairwise_cosine_mic(matrix), rel=0, abs=1e-14)
+
+    def test_column_scaling_invariance_across_decades(self):
+        m = np.random.default_rng(3).standard_normal((12, 6))
+        scales = np.logspace(-100, 100, 6)
+        assert mic(m * scales) == pytest.approx(mic(m), rel=0, abs=1e-12)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_column_whose_squared_norm_overflows_raises(self):
+        m = np.random.default_rng(4).standard_normal((6, 4))
+        m[:, 2] = 1e160 * (1.0 + m[:, 2] ** 2)
+        with pytest.raises(ValueError, match="overflows"):
+            mic(m)
+
+    def test_column_whose_squares_underflow_is_a_zero_column(self):
+        m = np.random.default_rng(5).standard_normal((6, 4))
+        m[:, 1] = 1e-170 * (1.0 + m[:, 1] ** 2)
+        with pytest.raises(ValueError, match="zero column"):
+            mic(m)
+
+    def test_leaves_its_input_unmodified(self):
+        m = np.random.default_rng(6).standard_normal((9, 5))
+        before = m.copy()
+        mic(m)
+        assert np.array_equal(m, before)
+
 
 class TestRecoveryGuarantee:
     def test_boundary_is_strict(self):

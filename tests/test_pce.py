@@ -193,3 +193,10 @@ class TestPceBasis:
         basis = PceBasis.legendre(2, 2)
         with pytest.raises(ValueError):
             basis.gradient_matrix(np.zeros((1, 2)), 2)
+
+    @pytest.mark.parametrize("axis", [True, 1.0, "1"])
+    def test_rejects_ill_typed_axis(self, axis):
+        basis = PceBasis.legendre(2, 2)
+        message = f"axis must be an integer, got {re.escape(repr(axis))}"
+        with pytest.raises(ValueError, match=message):
+            basis.gradient_matrix(np.zeros((1, 2)), axis)

@@ -40,6 +40,16 @@ def degree_column(fam, n, x):
 
 
 class TestEvaluation:
+    @pytest.mark.parametrize("max_degree", [2.5, True, "3"])
+    def test_ill_typed_max_degree_raises_one_named_error(self, max_degree):
+        message = f"max_degree must be an integer, got {re.escape(repr(max_degree))}"
+        with pytest.raises(ValueError, match=message):
+            PolynomialFamily(Measure.uniform(), max_degree)
+
+    def test_negative_max_degree_raises(self):
+        with pytest.raises(ValueError, match="max_degree must be nonnegative"):
+            PolynomialFamily(Measure.uniform(), -1)
+
     def test_legendre_degree_one_hand_value(self):
         fam = PolynomialFamily(Measure.uniform(), 4)
         value, deriv = degree_column(fam, 1, 1.0)

@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from gradpce.design import assemble_gradient_enhanced
+from gradpce.pce import PceBasis
 from gradpce.polynomials import Measure
-from gradpce.sampling import sample, split_stream
+from gradpce.sampling import SampleBatch, generator, sample, split_stream
 
 # 0.1% significance Kolmogorov-Smirnov critical constant: sqrt(-ln(alpha/2)/2).
 KS_CRIT = math.sqrt(-math.log(0.0005) / 2.0)
@@ -80,6 +82,21 @@ class TestSample:
         batch = sample(Measure.chebyshev(), 4, 200, seed=5)
         assert batch.points.shape == (200, 4)
         assert np.all(np.abs(batch.points) <= 1.0)
+
+    def test_chebyshev_points_stay_inside_the_open_interval(self):
+        # Under this key, draw (131, 1) has u = 2.7e-9, whose cos(pi*u) rounds to 1.0.
+        key = 0x8082E890C18F0EBC
+        raw = np.cos(math.pi * generator(key).random((400, 3)))
+        assert raw[131, 1] == 1.0
+        points = sample(Measure.chebyshev(), 3, 400, seed=key).points
+        assert points[131, 1] == np.nextafter(1.0, 0.0)
+        assert np.all(np.abs(points) < 1.0)
+        edge = np.abs(raw) == 1.0
+        np.testing.assert_array_equal(points[~edge], raw[~edge])
+        # The Legendre row weight of that point is positive, so the design assembles.
+        batch = SampleBatch(Measure.chebyshev(), points)
+        design = assemble_gradient_enhanced(PceBasis.legendre(3, 10), batch)
+        assert np.all(design.w > 0.0)
 
     def test_chebyshev_matches_arcsine_ks(self):
         n = 100_000
