@@ -71,21 +71,27 @@ def _row_weights(basis: PceBasis, points: np.ndarray, directions: tuple[int, ...
     if measure.kind != "jacobi":
         return np.ones(n * (1 + len(directions)))
     # The basis evaluation has rejected points beyond the clamp; clip the rest as it does.
-    points = np.clip(points, -1.0, 1.0)
-    ratios = density_ratio_to_chebyshev(measure, points.T)
+    clipped = np.clip(points, -1.0, 1.0)
+    ratios = density_ratio_to_chebyshev(measure, clipped.T)
     blocks = [np.sqrt(np.prod(ratios, axis=0))]
     for axis in directions:
         # The raised family's ratio enters only the block of its own direction.
-        raised = density_ratio_to_chebyshev(measure.raised(), points[:, axis])
+        raised = density_ratio_to_chebyshev(measure.raised(), clipped[:, axis])
         parts = [raised if j == axis else ratios[j] for j in range(basis.dim)]
         blocks.append(np.sqrt(np.prod(parts, axis=0)))
     weights = np.concatenate(blocks)
+    zero = (weights == 0.0).reshape(len(blocks), n).any(axis=0)
     # A zero weight at an interior point is an underflow, not the density's own zero.
-    inside = np.tile(np.abs(points).max(axis=1) < 1.0, len(blocks))
-    if np.any(inside & (weights == 0.0)):
+    if np.any(zero & (np.abs(clipped).max(axis=1) < 1.0)):
         raise ValueError(
             f"Jacobi parameters alpha={measure.alpha}, beta={measure.beta} are too large for "
             "these sample points: a row weight underflows to 0"
+        )
+    if np.any(zero):
+        i = int(np.argmax(zero))
+        raise ValueError(
+            f"row weights must be strictly positive: sample point {i}, {points[i].tolist()}, "
+            "has a coordinate on the boundary ±1, where a row weight is 0"
         )
     return weights
 
@@ -149,8 +155,14 @@ class GradientDesign:
 
     @cached_property
     def phi_hat(self) -> np.ndarray:
-        """The preconditioned system W * phi_tilde * P."""
-        return (self.w[:, None] * self.phi_tilde) * self.p[None, :]
+        """The preconditioned system W * phi_tilde * P, in one buffer of its own.
+
+        The row weighting makes the buffer and P scales its columns in place,
+        so no second full-size temporary is made; ``phi_tilde`` is unchanged.
+        """
+        hat = self.w[:, None] * self.phi_tilde
+        hat *= self.p
+        return hat
 
     def stack(self, values, gradients=None) -> np.ndarray:
         """Raw stacked data [values, gradients along each direction] of the rows.
@@ -221,7 +233,10 @@ def mic(matrix: np.ndarray) -> float:
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[1] < 2:
         raise ValueError("need a 2-d matrix with at least two columns")
-    gram = m.T @ m  # one operand on both sides: BLAS runs the symmetric product on m itself
+    # One operand on both sides: BLAS runs the symmetric product on m itself. An
+    # overflowing square needs no warning: the finite check below raises on it.
+    with np.errstate(over="ignore"):
+        gram = m.T @ m
     squares = gram.diagonal().copy()
     if not np.all(np.isfinite(squares)):
         raise ValueError("matrix has a non-finite entry or a column norm that overflows")

@@ -380,9 +380,12 @@ def run_recovery_benchmark(config: ExperimentConfig) -> ResultTable:
 
 def _mics(basis: PceBasis, n: int, seed: int, dirs) -> tuple[float, float, float]:
     design = assemble_gradient_enhanced(basis, draw(basis, n, seed), dirs)
-    # mic is invariant under positive column scaling: W * phi_tilde has the mic of phi_hat.
-    return (mic(design.phi_tilde[:n]), mic(design.phi_tilde),
-            mic(design.w[:, None] * design.phi_tilde))
+    stacked = design.phi_tilde
+    values, unweighted = mic(stacked[:n]), mic(stacked)
+    # The design is not used again, so W weights its one stacked buffer in place. mic is
+    # invariant under positive column scaling: W * phi_tilde has the mic of phi_hat.
+    stacked *= design.w[:, None]
+    return values, unweighted, mic(stacked)
 
 
 def run_mic_sweep(config: ExperimentConfig) -> ResultTable:

@@ -63,13 +63,18 @@ _SIGNS = np.array([[1.0], [-1.0]])
 
 @dataclass
 class SolveSpec:
-    """One basis-pursuit instance with its solver controls."""
+    """One basis-pursuit instance with its solver controls.
+
+    ``squares`` holds the squared column norms of ``matrix``, computed once by
+    the validation and reused by the path.
+    """
 
     matrix: np.ndarray
     rhs: np.ndarray
     epsilon: float = 0.0
     opt_tol: float = 1e-6
     max_iters: int = 10_000
+    squares: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=float)
@@ -78,9 +83,15 @@ class SolveSpec:
             raise ValueError("matrix must be 2-d")
         if self.matrix.shape[0] != self.rhs.shape[0]:
             raise ValueError("matrix and rhs row counts differ")
-        if not np.all(np.isfinite(self.matrix)) or not np.all(np.isfinite(self.rhs)):
+        # One pass over A: a non-finite entry makes its column's square
+        # non-finite. A finite column's square can overflow too, so only a
+        # non-finite square sends the check back to the entries.
+        self.squares = np.einsum("ij,ij->j", self.matrix, self.matrix)
+        finite = np.all(np.isfinite(self.squares)) or np.all(np.isfinite(self.matrix))
+        if not finite or not np.all(np.isfinite(self.rhs)):
             raise ValueError("matrix and rhs must be finite")
-        if np.any(np.linalg.norm(self.matrix, axis=0) == 0.0):
+        # A column whose squares all underflow to 0 counts as zero.
+        if np.any(self.squares == 0.0):
             raise ValueError("matrix has an all-zero column")
         self.epsilon = checked("epsilon", self.epsilon, float)
         self.opt_tol = checked("opt_tol", self.opt_tol, float)
@@ -180,7 +191,7 @@ def _lasso_path(spec: SolveSpec) -> RecoveryResult:
     aim = spec.epsilon + _AIM * spec.opt_tol * bnorm
     bound = spec.epsilon + spec.opt_tol * bnorm
     atb = a.T @ b
-    squares = np.einsum("ij,ij->j", a, a)
+    squares = spec.squares
     gram = a.T @ a if rows >= cols else None
     lam0 = float(np.abs(atb).max())
     lam = lam0

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -137,6 +138,25 @@ class TestAssembly:
             design = assemble_gradient_enhanced(
                 PceBasis(Measure.chebyshev(), 2, 3), batch, ())
         np.testing.assert_array_equal(design.w, 1.0)
+
+    def test_boundary_point_is_named(self):
+        batch = chebyshev_batch([[1.0, 0.2], [0.1, 0.3]])
+        with pytest.raises(ValueError, match=r"sample point 0, \[1\.0, 0\.2\], .*boundary ±1, "
+                                             r"where a row weight is 0"):
+            assemble_gradient_enhanced(PceBasis.legendre(2, 3), batch)
+
+    def test_phi_hat_is_one_buffer(self):
+        basis = PceBasis.legendre(3, 10)
+        design_ = assemble_gradient_enhanced(basis, sample(Measure.chebyshev(), 3, 400, seed=5))
+        expected = (design_.w[:, None] * design_.phi_tilde) * design_.p[None, :]
+        tracemalloc.start()
+        try:
+            hat = design_.phi_hat
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(hat, expected)
+        assert peak < 1.1 * hat.nbytes
 
     @pytest.mark.parametrize("directions", [(), (1,), (0, 1, 2)])
     def test_one_table_pass_per_design(self, monkeypatch, directions):
@@ -315,12 +335,14 @@ class TestMic:
         scales = np.logspace(-100, 100, 6)
         assert mic(m * scales) == pytest.approx(mic(m), rel=0, abs=1e-12)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_column_whose_squared_norm_overflows_raises(self):
         m = np.random.default_rng(4).standard_normal((6, 4))
         m[:, 2] = 1e160 * (1.0 + m[:, 2] ** 2)
-        with pytest.raises(ValueError, match="overflows"):
-            mic(m)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="overflows"):
+                mic(m)
+        assert caught == []
 
     def test_column_whose_squares_underflow_is_a_zero_column(self):
         m = np.random.default_rng(5).standard_normal((6, 4))

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -414,20 +415,36 @@ class TestMicSweep:
         # The coherence-sweep benchmark's config; the sweep never forms phi_hat itself.
         config = ExperimentConfig("mic-sweep", dim=3, degree=10, sample_grid=(50, 100, 200, 400),
                                   trials=1, seed=11)
-        designs = []
+        expected = []
 
         def recording(*args):
-            designs.append(assemble_gradient_enhanced(*args))
-            return designs[-1]
+            # Read before the sweep weights the design's stacked buffer in place.
+            design = assemble_gradient_enhanced(*args)
+            expected.append(mic(design.phi_hat))
+            return design
 
         monkeypatch.setattr(harness, "assemble_gradient_enhanced", recording)
         # With one trial each table entry is that trial's coherence itself.
         table = run_mic_sweep(config)
         preconditioned = [value for matrix_id, _, value in table.rows
                           if matrix_id == "preconditioned"]
-        assert len(preconditioned) == len(designs) == 4
-        for value, design in zip(preconditioned, designs):
-            assert value == pytest.approx(mic(design.phi_hat), rel=0, abs=1e-14)
+        assert len(preconditioned) == len(expected) == 4
+        for value, phi_hat_mic in zip(preconditioned, expected):
+            assert value == pytest.approx(phi_hat_mic, rel=0, abs=1e-14)
+
+    def test_grid_point_holds_one_stacked_buffer(self):
+        # The coherence-sweep benchmark's largest grid point: N=400, all directions.
+        basis = PceBasis.legendre(3, 10)
+        n, dirs = 400, (0, 1, 2)
+        stacked_bytes = (1 + len(dirs)) * n * basis.size * 8
+        harness._mics(basis, n, 1, dirs)  # a warm-up call outside the trace
+        tracemalloc.start()
+        try:
+            harness._mics(basis, n, 2, dirs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * stacked_bytes
 
     def test_kind_guard(self):
         with pytest.raises(ValueError, match="kind"):

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -361,6 +362,21 @@ class TestSolve:
             SolveSpec(np.eye(3), np.ones(2))
         with pytest.raises(ValueError, match="epsilon"):
             SolveSpec(np.eye(2), np.ones(2), epsilon=-1.0)
+
+    def test_finite_column_whose_square_overflows_is_accepted(self):
+        a = np.random.default_rng(7).standard_normal((6, 4))
+        a[:, 2] = 1e160 * (1.0 + a[:, 2] ** 2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            spec = SolveSpec(a, np.ones(6))
+        assert caught == []
+        assert spec.squares[2] == np.inf
+
+    def test_column_whose_squares_underflow_is_all_zero(self):
+        a = np.random.default_rng(8).standard_normal((6, 4))
+        a[:, 1] = 1e-170 * (1.0 + a[:, 1] ** 2)
+        with pytest.raises(ValueError, match="all-zero column"):
+            SolveSpec(a, np.ones(6))
 
     @pytest.mark.parametrize("control,value", [("epsilon", np.nan), ("epsilon", np.inf),
                                                ("opt_tol", np.nan), ("opt_tol", np.inf),
