@@ -81,6 +81,8 @@ class SolveSpec:
         self.rhs = np.asarray(self.rhs, dtype=float).reshape(-1)
         if self.matrix.ndim != 2:
             raise ValueError("matrix must be 2-d")
+        if self.matrix.shape[1] == 0:
+            raise ValueError("matrix must have at least one column")
         if self.matrix.shape[0] != self.rhs.shape[0]:
             raise ValueError("matrix and rhs row counts differ")
         # One pass over A: a non-finite entry makes its column's square

@@ -101,6 +101,8 @@ class PceBasis:
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.dim:
             raise ValueError(f"points must have shape (N, {self.dim})")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("points must be finite")
         return pts
 
     def matrices(self, points, axes) -> np.ndarray:

@@ -1,12 +1,10 @@
-"""Reproducible random sampling of the measures the bases are built on.
+"""Reproducible random sampling of the three measures the library draws from.
 
 All draws go through numpy's counter-based Philox generator keyed by a 64-bit
 seed, so a (seed, trial) pair pins every sample exactly, independent of
 execution order.  Chebyshev points use the exact inverse CDF
 z = cos(pi*u), kept inside the open interval (-1, 1), and uniform points
-2u - 1; general Jacobi points come from numpy's Beta sampler on the same
-generator, with no inverse CDF, so they are not a function of one uniform
-draw each.
+2u - 1.
 """
 
 from __future__ import annotations
@@ -56,6 +54,8 @@ class SampleBatch:
     points: np.ndarray = field(repr=False)  # (N, d)
 
     def __post_init__(self):
+        # A float64 array is kept as is, without a copy.
+        object.__setattr__(self, "points", np.asarray(self.points, dtype=float))
         if self.points.ndim != 2:
             raise ValueError("points must be a 2-d array")
 
@@ -76,8 +76,7 @@ class SampleBatch:
 def sample(measure: Measure, dim: int, count: int, seed: int) -> SampleBatch:
     """Draw ``count`` i.i.d. points of dimension ``dim`` from ``measure``.
 
-    Supported measures: chebyshev (arcsine), uniform, general jacobi (numpy's
-    Beta sampler, mapped to [-1, 1]), and the standard gaussian.
+    Supported measures: chebyshev (arcsine), uniform and the standard gaussian.
     """
     checked("measure", measure, Measure)
     if checked("dim", dim, int) < 1:
@@ -98,6 +97,5 @@ def sample(measure: Measure, dim: int, count: int, seed: int) -> SampleBatch:
     elif alpha == 0.0 and beta == 0.0:
         pts = 2.0 * rng.random((count, dim)) - 1.0
     else:
-        # x = 2t - 1 maps Beta(beta+1, alpha+1) in t to the Jacobi density in x.
-        pts = 2.0 * rng.beta(beta + 1.0, alpha + 1.0, (count, dim)) - 1.0
+        raise ValueError(f"sample draws chebyshev, uniform or gaussian, got {measure.label}")
     return SampleBatch(measure, pts)

@@ -145,6 +145,19 @@ class TestAssembly:
                                              r"where a row weight is 0"):
             assemble_gradient_enhanced(PceBasis.legendre(2, 3), batch)
 
+    @pytest.mark.parametrize("basis, value", [
+        (PceBasis(Measure.gaussian(), 1, 3), np.nan),
+        (PceBasis(Measure.gaussian(), 1, 3), np.inf),
+        (PceBasis.legendre(1, 3), np.nan),
+    ])
+    def test_non_finite_point_raises_before_any_table(self, basis, value):
+        # No NaN design, no recurrence warning, and no row-weight message.
+        batch = SampleBatch(design.sampling_measure(basis.measure), np.array([[value], [0.1]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^points must be finite$"):
+                assemble_gradient_enhanced(basis, batch)
+
     def test_phi_hat_is_one_buffer(self):
         basis = PceBasis.legendre(3, 10)
         design_ = assemble_gradient_enhanced(basis, sample(Measure.chebyshev(), 3, 400, seed=5))

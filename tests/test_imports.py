@@ -1,4 +1,5 @@
-"""Every module of the package uses each name that it imports."""
+"""Every module of the package uses each name that it imports and each private
+name that it defines at module level."""
 
 import ast
 from pathlib import Path
@@ -39,3 +40,50 @@ def test_no_unused_imports(path):
 def test_finds_an_unused_import():
     source = "import math\nfrom numpy import ones, zeros as z\n__all__ = ['ones']\n"
     assert unused_imports(source) == ["math (line 1)", "z (line 2)"]
+
+
+def unread_private_names(source: str) -> list[str]:
+    """Module-level private functions, classes and constants that the module never reads.
+
+    A name counts as read only outside its own definition, so a private
+    function that only calls itself is unread.
+    """
+    tree = ast.parse(source)
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        defined[name.id] = node
+
+    def reads(root, name):
+        return sum(isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) and n.id == name
+                   for n in ast.walk(root))
+
+    return sorted(
+        f"{name} (line {node.lineno})" for name, node in defined.items()
+        if name.startswith("_") and not name.startswith("__")
+        and reads(tree, name) == reads(node, name)
+    )
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_unread_private_names(path):
+    assert unread_private_names(path.read_text()) == []
+
+
+def test_finds_an_unread_private_name():
+    source = (
+        "_USED, _UNUSED = 1, 2\n"
+        "_TYPED: int = 3\n"
+        "def _recursive(n):\n    return _recursive(n - 1)\n"
+        "class _Helper:\n    pass\n"
+        "def public():\n    return _USED + _TYPED\n"
+        "__all__ = ['public']\n"
+    )
+    assert unread_private_names(source) == [
+        "_Helper (line 5)", "_UNUSED (line 1)", "_recursive (line 3)"]

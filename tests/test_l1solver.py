@@ -363,6 +363,11 @@ class TestSolve:
         with pytest.raises(ValueError, match="epsilon"):
             SolveSpec(np.eye(2), np.ones(2), epsilon=-1.0)
 
+    def test_matrix_without_columns_is_rejected(self):
+        # Before the path, whose max over no columns has no identity.
+        with pytest.raises(ValueError, match="^matrix must have at least one column$"):
+            SolveSpec(np.empty((3, 0)), np.ones(3))
+
     def test_finite_column_whose_square_overflows_is_accepted(self):
         a = np.random.default_rng(7).standard_normal((6, 4))
         a[:, 2] = 1e160 * (1.0 + a[:, 2] ** 2)
@@ -571,8 +576,8 @@ class TestHarnessScale:
 def test_package_runs_without_scipy():
     # numpy is the only runtime dependency: with scipy unimportable, the
     # package imports, builds a degree-149 basis (its family's derivative
-    # self-check runs a 150-point Gauss rule), samples a general Jacobi
-    # measure and computes quadrature reference moments.
+    # self-check runs a 150-point Gauss rule), draws its design points and
+    # computes quadrature reference moments.
     src = str(Path(gradpce.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
@@ -580,8 +585,8 @@ def test_package_runs_without_scipy():
         "import sys\n"
         "sys.modules['scipy'] = None\n"
         "import gradpce\n"
-        "gradpce.PceBasis(gradpce.Measure.jacobi(5, 0), 1, 149)\n"
-        "gradpce.sample(gradpce.Measure.jacobi(1.5, 0.5), 2, 100, seed=1)\n"
+        "basis = gradpce.PceBasis(gradpce.Measure.jacobi(5, 0), 1, 149)\n"
+        "gradpce.draw(basis, 100, seed=1)\n"
         "gradpce.reference_moments(gradpce.DiffusionModel(dim=1))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=60,

@@ -184,6 +184,11 @@ class TestPceBasis:
         with pytest.raises(ValueError):
             basis.matrix(np.zeros((4, 3)))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_points(self, value):
+        with pytest.raises(ValueError, match="^points must be finite$"):
+            PceBasis.legendre(1, 3).matrix([[value]])
+
     def test_rejects_unknown_index(self):
         basis = PceBasis.legendre(2, 2)
         with pytest.raises(KeyError):

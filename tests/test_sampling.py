@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,20 +14,6 @@ from gradpce.sampling import SampleBatch, generator, sample, split_stream
 
 # 0.1% significance Kolmogorov-Smirnov critical constant: sqrt(-ln(alpha/2)/2).
 KS_CRIT = math.sqrt(-math.log(0.0005) / 2.0)
-
-
-# Jacobi parameters (alpha, beta) of the per-pair distribution test. The
-# Chebyshev pair is left out: test_chebyshev_matches_arcsine_ks covers it.
-JACOBI_PAIRS = [
-    (a, b)
-    for a in (-0.5, 0.0, 0.5, 1.0, 2.5, 10.0)
-    for b in (-0.5, 0.0, 0.5, 1.0, 2.5, 10.0)
-    if (a, b) != (-0.5, -0.5)
-]
-
-# Kolmogorov-Smirnov critical constant at a family-wise 0.1% level over the
-# pairs above (Bonferroni: each pair is tested at 0.1% / len(JACOBI_PAIRS)).
-JACOBI_PAIRS_KS_CRIT = math.sqrt(-math.log(0.0005 / len(JACOBI_PAIRS)) / 2.0)
 
 
 def arcsine_cdf(x):
@@ -116,27 +103,18 @@ class TestSample:
         stat = stats.kstest(batch.points[:, 0], stats.norm.cdf).statistic
         assert stat < KS_CRIT / math.sqrt(n)
 
-    def test_jacobi_beta_ks(self):
-        n = 50_000
-        alpha, beta = 1.5, 0.5
-        batch = sample(Measure.jacobi(alpha, beta), 1, n, seed=13)
-        # x = 2t - 1 with t ~ Beta(beta+1, alpha+1).
-        cdf = lambda x: stats.beta.cdf((x + 1.0) / 2.0, beta + 1.0, alpha + 1.0)
-        stat = stats.kstest(batch.points[:, 0], cdf).statistic
-        assert stat < KS_CRIT / math.sqrt(n)
+    def test_jacobi_pairs_of_the_drawn_measures_draw_them(self):
+        # Chebyshev and uniform draws compare alpha and beta, not the constructor.
+        for pair, named in [((-0.5, -0.5), Measure.chebyshev()), ((0, 0), Measure.uniform())]:
+            got = sample(Measure.jacobi(*pair), 2, 50, seed=14).points
+            assert got.tobytes() == sample(named, 2, 50, seed=14).points.tobytes()
 
-    @pytest.mark.parametrize("alpha,beta", JACOBI_PAIRS)
-    def test_jacobi_points_invert_the_cdf(self, alpha, beta):
-        # x = 2t - 1 with t ~ Beta(beta+1, alpha+1): the Beta CDF must map the
-        # points back to uniform draws, which a KS test checks per pair.
-        points = sample(Measure.jacobi(alpha, beta), 2, 1000, seed=14).points
-        assert np.all(np.abs(points) <= 1.0)
-        np.testing.assert_array_equal(
-            points, sample(Measure.jacobi(alpha, beta), 2, 1000, seed=14).points
-        )
-        cdf = lambda x: stats.beta.cdf((x + 1.0) / 2.0, beta + 1.0, alpha + 1.0)
-        stat = stats.kstest(points.ravel(), cdf).statistic
-        assert stat < JACOBI_PAIRS_KS_CRIT / math.sqrt(points.size)
+    @pytest.mark.parametrize("measure", [Measure.jacobi(1.5, 0.5), Measure.jacobi(-0.5, 0),
+                                         Measure.jacobi(5, 0)])
+    def test_other_measures_raise_naming_the_label(self, measure):
+        match = rf"chebyshev, uniform or gaussian, got {re.escape(measure.label)}$"
+        with pytest.raises(ValueError, match=match):
+            sample(measure, 2, 3, 0)
 
     def test_coordinates_uncorrelated(self):
         batch = sample(Measure.chebyshev(), 3, 100_000, seed=77)
@@ -170,6 +148,14 @@ class TestSample:
     def test_numpy_integers_accepted(self):
         got = sample(Measure.uniform(), np.int64(2), np.int32(3), np.uint64(5))
         assert got.points.tobytes() == sample(Measure.uniform(), 2, 3, 5).points.tobytes()
+
+    def test_batch_of_an_array_like(self):
+        batch = SampleBatch(Measure.chebyshev(), [[0.1], [-0.2]])
+        assert batch.points.dtype == np.float64
+        np.testing.assert_array_equal(batch.points, [[0.1], [-0.2]])
+        # A float64 array is stored as is.
+        points = np.zeros((3, 2))
+        assert SampleBatch(Measure.uniform(), points).points is points
 
     def test_subset_is_prefix(self):
         batch = sample(Measure.uniform(), 2, 30, seed=3)
