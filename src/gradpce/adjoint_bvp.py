@@ -146,6 +146,7 @@ class BvpSolution:
 
 def _check_parameters(model: DiffusionModel, points: np.ndarray) -> np.ndarray:
     """Parameter rows as a (points, dim) array, every entry in [-1, 1]."""
+    checked("model", model, DiffusionModel)
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
         raise ValueError(f"expected a (points, {model.dim}) array, got shape {points.shape}")
@@ -285,6 +286,8 @@ def build_surrogate(model: DiffusionModel, degree: int, n_samples: int,
     ``standard-double`` spends the gradient budget on extra value samples:
     (1 + dim) times as many solves without adjoint data.
     """
+    checked("model", model, DiffusionModel)
+    checked("n_samples", n_samples, int)
     (coeffs,) = fit_modes(PceBasis.legendre(model.dim, degree), (mode,), n_samples,
                           range(model.dim), seed, partial(_design_data, model), None,
                           SURROGATE_OPT_TOL)
@@ -299,6 +302,7 @@ def reference_moments(model: DiffusionModel) -> tuple[float, float]:
     model in a process and every later call with an equal model returns the
     same floats. A call that raises is not remembered.
     """
+    checked("model", model, DiffusionModel)
     if model.dim > _QUADRATURE_DIM_CAP:
         raise ValueError(f"quadrature reference capped at dim {_QUADRATURE_DIM_CAP}")
     nodes, weights = tensor_gauss_rule([Measure.uniform()] * model.dim, _QUADRATURE_POINTS)

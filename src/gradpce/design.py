@@ -18,7 +18,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .checks import checked
+from .checks import checked, checked_entries
 from .pce import PceBasis
 from .polynomials import Measure, density_ratio_to_chebyshev, derivative_constant, tensor_gauss_rule
 from .sampling import SampleBatch, sample
@@ -56,7 +56,7 @@ def _check_pairing(basis: PceBasis, batch: SampleBatch) -> None:
 def _normalize_directions(dim: int, directions) -> tuple[int, ...]:
     if directions is None:
         return tuple(range(dim))
-    dirs = tuple(sorted(int(a) for a in directions))
+    dirs = tuple(sorted(checked_entries("directions", directions, int)))
     if len(set(dirs)) != len(dirs):
         raise ValueError("duplicate gradient directions")
     if dirs and not (0 <= dirs[0] and dirs[-1] < dim):
@@ -251,9 +251,9 @@ def mic(matrix: np.ndarray) -> float:
 
 def recovery_guarantee(mic_value: float, sparsity: int) -> bool:
     """Sufficient condition mic < 1/(2s - 1) for unique s-sparse recovery."""
-    if sparsity < 1:
+    if checked("sparsity", sparsity, int) < 1:
         raise ValueError("sparsity must be at least 1")
-    if not 0.0 <= mic_value <= 1.0:
+    if not 0.0 <= checked("mic_value", mic_value, float) <= 1.0:
         raise ValueError("mic must lie in [0, 1]")
     return mic_value < 1.0 / (2.0 * sparsity - 1.0)
 
@@ -390,8 +390,9 @@ def isotropy_gap(basis: PceBasis, directions=None) -> float:
 # -- nullspace comparison ---------------------------------------------------
 
 
-def numeric_nullspace_dim(matrix: np.ndarray) -> int:
+def numeric_nullspace_dim(matrix) -> int:
     """Column count minus the numeric rank: singular values above 1e-10 times the largest."""
+    matrix = np.asarray(matrix, dtype=float)
     return int(matrix.shape[1] - np.linalg.matrix_rank(matrix, rtol=_NULLSPACE_TOL))
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
-from typing import Callable
 
 import numpy as np
 
@@ -39,54 +38,31 @@ SURROGATE_OPT_TOL = 1e-8
 
 
 # -- test functions ----------------------------------------------------------
+# Each target maps points on [-1, 1]^dim to (values, gradients), the pair
+# GradientDesign.stack takes.
 
 
-@dataclass(frozen=True)
-class TargetFunction:
-    """Benchmark function on [-1, 1]^dim with an analytic gradient."""
-
-    values: Callable[[np.ndarray], np.ndarray]
-    gradients: Callable[[np.ndarray], np.ndarray]
+def _sum_of_squares(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return np.sum(points * points, axis=1), 2.0 * points
 
 
-def _sum_of_squares(points: np.ndarray) -> np.ndarray:
-    return np.sum(points * points, axis=1)
-
-
-def _sum_of_squares_gradient(points: np.ndarray) -> np.ndarray:
-    return 2.0 * points
-
-
-def _gaussian_bump(points: np.ndarray) -> np.ndarray:
+def _gaussian_bump(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     z = 0.5 * (points + 1.0) - 0.375
-    return np.exp(-np.sum(0.01 * z * z, axis=1))
-
-
-def _gaussian_bump_gradient(points: np.ndarray) -> np.ndarray:
-    z = 0.5 * (points + 1.0) - 0.375
-    return -0.01 * z * _gaussian_bump(points)[:, None]
+    bump = np.exp(-np.sum(0.01 * z * z, axis=1))
+    return bump, -0.01 * z * bump[:, None]
 
 
 _SIN_FREQUENCY = 16.0 / 15.0
 _SIN_SHIFT = 0.7
 
 
-def _sinusoids(points: np.ndarray) -> np.ndarray:
+def _sinusoids(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     u = _SIN_FREQUENCY * points - _SIN_SHIFT
     s = np.sin(u)
-    return np.sum(0.3 + s + s * s, axis=1)
+    return np.sum(0.3 + s + s * s, axis=1), _SIN_FREQUENCY * np.cos(u) * (1.0 + 2.0 * s)
 
 
-def _sinusoids_gradient(points: np.ndarray) -> np.ndarray:
-    u = _SIN_FREQUENCY * points - _SIN_SHIFT
-    return _SIN_FREQUENCY * np.cos(u) * (1.0 + 2.0 * np.sin(u))
-
-
-TARGETS = {
-    "f1": TargetFunction(_sum_of_squares, _sum_of_squares_gradient),
-    "f2": TargetFunction(_gaussian_bump, _gaussian_bump_gradient),
-    "f3": TargetFunction(_sinusoids, _sinusoids_gradient),
-}
+TARGETS = {"f1": _sum_of_squares, "f2": _gaussian_bump, "f3": _sinusoids}
 
 
 # -- configuration -----------------------------------------------------------
@@ -273,7 +249,7 @@ def fit_sparse_expansion(
         raise ValueError("one datum per design row required")
     if epsilon is None:
         epsilon = _RELATIVE_EPSILON * float(np.linalg.norm(data))
-    result = solve(SolveSpec(design.phi_hat, design.w * data, epsilon=float(epsilon),
+    result = solve(SolveSpec(design.phi_hat, design.w * data, epsilon=epsilon,
                              opt_tol=opt_tol))
     return design.unscale(result.coefficients)
 
@@ -417,13 +393,11 @@ def run_rmse_benchmark(config: ExperimentConfig) -> ResultTable:
         split_stream(config.seed, _VALIDATION_STREAM),
     )
     val_matrix = basis.matrix(validation.points)
-    val_truth = fn.values(validation.points)
+    val_truth = fn(validation.points)[0]
     scale = math.sqrt(_VALIDATION_POINTS)
 
     def evaluate(design):
-        points = design.batch.points
-        gradients = fn.gradients(points) if design.directions else None
-        return design.stack(fn.values(points), gradients)
+        return design.stack(*fn(design.batch.points))
 
     def rmse(estimate):
         return float(np.linalg.norm(val_matrix @ estimate - val_truth)) / scale

@@ -205,7 +205,7 @@ def derivative_constant(measure: Measure, n: int) -> float:
     Both families are orthonormal under their own probability measures.
     Returns 0 for n = 0.
     """
-    if n < 0:
+    if checked("n", n, int) < 0:
         raise ValueError("degree must be nonnegative")
     if measure.kind == "gaussian":
         return math.sqrt(float(n))

@@ -68,7 +68,7 @@ class SampleBatch:
 
     def subset(self, count: int) -> "SampleBatch":
         """First ``count`` points as a batch of the same measure."""
-        if not 0 < count <= len(self):
+        if not 0 < checked("count", count, int) <= len(self):
             raise ValueError("subset size out of range")
         return SampleBatch(self.measure, self.points[:count])
 
