@@ -75,6 +75,8 @@ class DiffusionModel:
             raise ValueError("dim must be >= 1")
         if checked("cells", self.cells, int) < round(1.0 / _MAX_MESH_WIDTH):
             raise ValueError("mesh must have at least 64 cells")
+        if self.load is not None and not callable(self.load):
+            raise ValueError(f"load must be callable or None, got {self.load!r}")
         if self.qoi not in QOI_KINDS:
             raise ValueError(f"unknown qoi kind {self.qoi!r}")
         if self.qoi == "midpoint" and self.cells % 2:

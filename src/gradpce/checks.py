@@ -18,7 +18,8 @@ def checked(name: str, value, cls: type):
 
     A class outside the table above accepts its own instances and returns them.
     """
-    abc, what = _ACCEPTS[cls] if cls in _ACCEPTS else (cls, f"a {cls.__name__}")
+    article = "an" if cls.__name__[0] in "AEIOU" else "a"
+    abc, what = _ACCEPTS[cls] if cls in _ACCEPTS else (cls, f"{article} {cls.__name__}")
     if isinstance(value, bool) or not isinstance(value, abc):
         raise ValueError(f"{name} must be {what}, got {value!r}")
     return cls(value) if cls in _ACCEPTS else value

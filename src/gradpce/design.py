@@ -31,18 +31,19 @@ _NULLSPACE_TOL = 1e-10
 
 def sampling_measure(basis_measure: Measure) -> Measure:
     """Sampling distribution paired with a basis measure."""
-    if basis_measure.kind == "gaussian":
+    if checked("basis_measure", basis_measure, Measure).kind == "gaussian":
         return Measure.gaussian()
     return Measure.chebyshev()
 
 
 def draw(basis: PceBasis, count: int, seed: int) -> SampleBatch:
     """``count`` points from the sampling measure paired with the basis."""
-    return sample(sampling_measure(basis.measure), basis.dim, count, seed)
+    measure = sampling_measure(checked("basis", basis, PceBasis).measure)
+    return sample(measure, basis.dim, count, seed)
 
 
 def _check_pairing(basis: PceBasis, batch: SampleBatch) -> None:
-    if basis.dim != batch.dim:
+    if checked("basis", basis, PceBasis).dim != checked("batch", batch, SampleBatch).dim:
         raise ValueError("basis and sample batch dimensions differ")
     paired = sampling_measure(basis.measure)
     if batch.measure != paired:
@@ -102,7 +103,7 @@ def column_normalizer(basis: PceBasis, directions=None) -> np.ndarray:
     Entry k is (1 + sum over included directions of c(k_j)^2)^(-1/2), where c
     is the derivative constant of the basis measure (sqrt(k_j) for Hermite).
     """
-    dirs = _normalize_directions(basis.dim, directions)
+    dirs = _normalize_directions(checked("basis", basis, PceBasis).dim, directions)
     idx = basis.indices
     consts = np.array([derivative_constant(basis.measure, n) for n in range(basis.degree + 1)])
     energy = np.ones(basis.size)
@@ -204,7 +205,7 @@ def assemble_gradient_enhanced(
     directions this is the value-only system: W keeps its value block and P
     is 1.
     """
-    dirs = _normalize_directions(basis.dim, directions)
+    dirs = _normalize_directions(checked("basis", basis, PceBasis).dim, directions)
     _, phi_tilde, w, p = design_matrices(basis, batch, dirs)
     return GradientDesign(basis, batch, dirs, phi_tilde, w, p)
 
@@ -266,7 +267,7 @@ def coherence_bound(measure: Measure, dim: int) -> tuple[float, float]:
     between the raised measure's factor and this one; growth lies in
     [1, 1 + sqrt(2)/2].
     """
-    if measure.kind != "jacobi":
+    if checked("measure", measure, Measure).kind != "jacobi":
         raise ValueError(
             f"coherence bound is defined for Jacobi measures only, got {measure.label}")
     if checked("dim", dim, int) < 1:
@@ -299,7 +300,7 @@ def coherence_suprema(basis: PceBasis, directions=None, grid_points: int = 2001)
     """
     if checked("grid_points", grid_points, int) < 2:
         raise ValueError("grid_points must be >= 2")
-    measure = basis.measure
+    measure = checked("basis", basis, PceBasis).measure
     if measure.kind != "jacobi":
         raise ValueError("grid scan is defined for Jacobi bases on [-1, 1] only")
     if basis.dim > 2:
@@ -332,7 +333,7 @@ def coherence_params(design: GradientDesign, grid_points: int | None = None) -> 
     to additionally scan a dense tensor grid (dimension <= 2).  The analytic
     bounds apply to Jacobi bases and are nan for Hermite designs.
     """
-    n = design.n_samples
+    n = checked("design", design, GradientDesign).n_samples
     weighted = design.w[:, None] * design.phi_tilde  # stack without P
     value_sq = weighted[:n] ** 2
     mu = float(value_sq.max())
@@ -362,7 +363,7 @@ def expected_gram(basis: PceBasis, directions=None) -> np.ndarray:
     (or Gaussian) measure, evaluated with an exact tensor Gauss rule, so the
     result is the per-block Gramian identity up to quadrature roundoff.
     """
-    if basis.dim > _QUADRATURE_DIM_CAP:
+    if checked("basis", basis, PceBasis).dim > _QUADRATURE_DIM_CAP:
         raise ValueError(
             f"exact second moments limited to dimension <= {_QUADRATURE_DIM_CAP}"
         )
@@ -393,6 +394,8 @@ def isotropy_gap(basis: PceBasis, directions=None) -> float:
 def numeric_nullspace_dim(matrix) -> int:
     """Column count minus the numeric rank: singular values above 1e-10 times the largest."""
     matrix = np.asarray(matrix, dtype=float)
+    if matrix.ndim != 2:
+        raise ValueError(f"matrix must be 2-d, got shape {matrix.shape}")
     return int(matrix.shape[1] - np.linalg.matrix_rank(matrix, rtol=_NULLSPACE_TOL))
 
 
@@ -404,6 +407,9 @@ def nullspace_containment(phi: np.ndarray, phi_hat: np.ndarray) -> bool:
     """
     phi = np.asarray(phi, dtype=float)
     phi_hat = np.asarray(phi_hat, dtype=float)
+    for name, matrix in (("phi", phi), ("phi_hat", phi_hat)):
+        if matrix.ndim != 2:
+            raise ValueError(f"{name} must be 2-d, got shape {matrix.shape}")
     if phi.shape[1] != phi_hat.shape[1]:
         raise ValueError("matrices must share their column count")
     _, s, vt = np.linalg.svd(phi_hat, full_matrices=True)

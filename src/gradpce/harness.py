@@ -165,7 +165,7 @@ class ExperimentConfig:
     @staticmethod
     def from_dict(data: dict) -> "ExperimentConfig":
         known = {f.name for f in fields(ExperimentConfig)}
-        unknown = set(data) - known
+        unknown = set(checked("data", data, dict)) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         return ExperimentConfig(**data)
@@ -245,7 +245,7 @@ def fit_sparse_expansion(
     1e-8 times the norm of the data.
     """
     data = np.asarray(data, dtype=float)
-    if data.shape != design.w.shape:
+    if data.shape != checked("design", design, GradientDesign).w.shape:
         raise ValueError("one datum per design row required")
     if epsilon is None:
         epsilon = _RELATIVE_EPSILON * float(np.linalg.norm(data))
@@ -254,8 +254,9 @@ def fit_sparse_expansion(
     return design.unscale(result.coefficients)
 
 
-def mode_data(basis: PceBasis, modes, n: int, directions, seed: int, evaluate):
-    """The (design, data) of each mode at one grid point, in mode order.
+def fit_modes(basis: PceBasis, modes, n: int, directions, seed: int, evaluate,
+              epsilon: float | None, opt_tol: float) -> list[np.ndarray]:
+    """The fitted coefficients of each mode at one grid point, in mode order.
 
     Draws the grid point's (1 + q) * n points, where q is the number of
     gradient directions, from the sampling measure paired with the basis on
@@ -265,7 +266,8 @@ def mode_data(basis: PceBasis, modes, n: int, directions, seed: int, evaluate):
     (1 + q) * n points. ``evaluate(design)`` returns the stacked data of a
     design's rows. At most two systems are built and evaluated: one on the
     first n points, whose value-only system and data the standard mode cuts
-    from it, and one on the whole draw.
+    from it, and one on the whole draw. Each mode is fitted by
+    :func:`fit_sparse_expansion` at ``epsilon`` and ``opt_tol``.
     """
     check_modes(modes)
     full = draw(basis, (1 + len(directions)) * n, seed)
@@ -279,7 +281,8 @@ def mode_data(basis: PceBasis, modes, n: int, directions, seed: int, evaluate):
     if "standard-double" in modes:
         design = assemble_gradient_enhanced(basis, full, ())
         fits["standard-double"] = (design, evaluate(design))
-    return [fits[mode] for mode in modes]
+    return [fit_sparse_expansion(*fits[mode], epsilon=epsilon, opt_tol=opt_tol)
+            for mode in modes]
 
 
 def trial_streams(seed: int, trials: int, dim: int, fraction: float, points: int):
@@ -296,13 +299,6 @@ def trial_streams(seed: int, trials: int, dim: int, fraction: float, points: int
         picked = rng.choice(dim, size=count, replace=False) if count else ()
         yield (rng, tuple(sorted(int(a) for a in picked)),
                [split_stream(trial_seed, gi + 1) for gi in range(points)])
-
-
-def fit_modes(basis: PceBasis, modes, n: int, directions, seed: int, evaluate,
-              epsilon: float | None, opt_tol: float) -> list[np.ndarray]:
-    """The fitted coefficients of each mode at one grid point, in mode order."""
-    return [fit_sparse_expansion(design, data, epsilon=epsilon, opt_tol=opt_tol)
-            for design, data in mode_data(basis, modes, n, directions, seed, evaluate)]
 
 
 def fit_grid(basis: PceBasis, modes, trials, points, epsilon: float | None, opt_tol: float):
@@ -322,7 +318,7 @@ def fit_grid(basis: PceBasis, modes, trials, points, epsilon: float | None, opt_
 
 def run_recovery_benchmark(config: ExperimentConfig) -> ResultTable:
     """Success fraction per (mode, grid point) over seeded random trials."""
-    if config.kind not in ("recovery-vs-N", "recovery-vs-s"):
+    if checked("config", config, ExperimentConfig).kind not in ("recovery-vs-N", "recovery-vs-s"):
         raise ValueError("config kind must be recovery-vs-N or recovery-vs-s")
     basis = PceBasis(Measure.parse(config.measure), config.dim, config.degree)
     by_n = config.kind == "recovery-vs-N"
@@ -366,7 +362,7 @@ def _mics(basis: PceBasis, n: int, seed: int, dirs) -> tuple[float, float, float
 
 def run_mic_sweep(config: ExperimentConfig) -> ResultTable:
     """Average mutual coherence of the value, stacked, and weighted systems."""
-    if config.kind != "mic-sweep":
+    if checked("config", config, ExperimentConfig).kind != "mic-sweep":
         raise ValueError("config kind must be mic-sweep")
     basis = PceBasis(Measure.parse(config.measure), config.dim, config.degree)
     trials = trial_streams(config.seed, config.effective_trials, config.dim,
@@ -382,7 +378,7 @@ def run_mic_sweep(config: ExperimentConfig) -> ResultTable:
 
 def run_rmse_benchmark(config: ExperimentConfig) -> ResultTable:
     """Median validation error per (mode, N) against a held-out uniform grid."""
-    if config.kind != "rmse":
+    if checked("config", config, ExperimentConfig).kind != "rmse":
         raise ValueError("config kind must be rmse")
     basis = PceBasis(Measure.parse(config.measure), config.dim, config.degree)
     if basis.measure.kind != "jacobi":

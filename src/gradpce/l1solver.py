@@ -144,40 +144,26 @@ def solve(spec: SolveSpec) -> RecoveryResult:
     """Minimize ||c||_1 subject to ||A c - b||_2 <= epsilon on the LASSO path.
 
     A converged result satisfies ||A c - b||_2 <= epsilon + opt_tol * ||b||_2
-    and passed the path's optimality check. If ||b||_2 already lies within
-    the path's aim, epsilon + 0.9999 opt_tol ||b||_2, the zero vector is
-    optimal and returned at once. ``iterations`` counts path steps
-    (at most ``max_iters``) and ``curve_trace`` ends at the exit's ||c||_1.
-    An instance whose target residual lies below the least-squares residual,
-    such as an inconsistent system at epsilon = 0, ends at the least-squares
-    solution, unconverged. A tall full-rank system returns that least-squares
-    solution after one Gram or SVD solve (``iterations`` 1) instead of the path.
-    """
-    bnorm = float(np.linalg.norm(spec.rhs))
-    if bnorm <= spec.epsilon + _AIM * spec.opt_tol * bnorm:
-        return RecoveryResult(
-            np.zeros(spec.matrix.shape[1]), bnorm, 0, True, ((0.0, bnorm),)
-        )
-    return _lasso_path(spec)
+    and passed the path's optimality check. The path aims at epsilon + 0.9999
+    opt_tol ||b||_2; if ||b||_2 already lies within the aim, the zero vector
+    is optimal and returned at once. ``iterations`` counts path steps (at most
+    ``max_iters``) and ``curve_trace`` ends at the exit's ||c||_1. An instance
+    whose target residual lies below the least-squares residual, such as an
+    inconsistent system at epsilon = 0, ends at the least-squares solution,
+    unconverged. If the system is also tall and full-rank, it reaches that end
+    in one step (``iterations`` 1), one Gram or SVD solve, without the path.
 
-
-def _lasso_path(spec: SolveSpec) -> RecoveryResult:
-    """Follow the LASSO path from c = 0 until the residual meets the target.
-
-    Takes at most ``spec.max_iters`` path steps. Each step solves the Gram
-    system of the active set for p and d, then moves lam to the next event:
-    the residual crossing (epsilon > 0), the exact exit at lam = 0
-    (epsilon = 0), a column joining or an active coefficient reaching zero,
-    or lam = 0. A column whose join root equals lam joins at once, a step of
-    length zero, so exactly tied columns all join; a drop must lie strictly
-    below lam, or the column that joined last would drop again. The next
-    segment may not undo the change at the same lam, where rounding would put
-    its event: a column that joined may not drop, and one that dropped may not
-    rejoin with its old sign, nor may a copy of it (a column parallel to it)
-    join in its place. A column in the span of the active columns does not
-    join. A tall full-rank system whose target lies below its least-squares
-    residual ends at lam = 0 in one step, the least-squares solution, without
-    walking the path.
+    Each step solves the Gram system of the active set for p and d, then moves
+    lam to the next event: the residual crossing (epsilon > 0), the exact exit
+    at lam = 0 (epsilon = 0), a column joining or an active coefficient
+    reaching zero, or lam = 0. A column whose join root equals lam joins at
+    once, a step of length zero, so exactly tied columns all join; a drop must
+    lie strictly below lam, or the column that joined last would drop again.
+    The next segment may not undo the change at the same lam, where rounding
+    would put its event: a column that joined may not drop, and one that
+    dropped may not rejoin with its old sign, nor may a copy of it (a column
+    parallel to it) join in its place. A column in the span of the active
+    columns does not join.
 
     The Gram column A^T a_j of a column is computed when it joins (read from
     the full Gram on a tall system) and kept while it is active, next to a_j
@@ -191,6 +177,8 @@ def _lasso_path(spec: SolveSpec) -> RecoveryResult:
     exact = spec.epsilon == 0.0
     bnorm = float(np.linalg.norm(b))
     aim = spec.epsilon + _AIM * spec.opt_tol * bnorm
+    if bnorm <= aim:
+        return RecoveryResult(np.zeros(cols), bnorm, 0, True, ((0.0, bnorm),))
     bound = spec.epsilon + spec.opt_tol * bnorm
     atb = a.T @ b
     squares = spec.squares
@@ -253,7 +241,8 @@ def _lasso_path(spec: SolveSpec) -> RecoveryResult:
         roots[0, idx] = drops
         roots[1, idx] = np.nan
         roots[blocked] = np.nan
-        events = _below(roots, lam).max(axis=0)
+        # The events: the roots in [0, lam], with -inf for the rest (and NaN).
+        events = np.where((roots >= 0.0) & (roots <= lam), roots, -np.inf).max(axis=0)
         best = int(np.argmax(events))
         if abs(q[best]) <= _TIE_TOL * lam0 and best not in active:
             # A column in the span of the active columns, such as a duplicate
@@ -339,11 +328,6 @@ def _infeasible_least_squares(a, b, gram, atb, target):
     if np.linalg.norm(b - a @ x) <= target:
         return None
     return x
-
-
-def _below(roots, lam):
-    """The roots in [0, lam], with -inf for the rest (and for NaN)."""
-    return np.where((roots >= 0.0) & (roots <= lam), roots, -np.inf)
 
 
 def _kkt_holds(correlation, c, lam, lam0) -> bool:

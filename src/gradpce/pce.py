@@ -23,7 +23,7 @@ INDEX_CAP = 5_000_000
 
 
 def _all_indices(dim: int, degree: int) -> np.ndarray:
-    """All multi-indices with total degree <= degree, in some fixed order.
+    """All multi-indices with total degree <= degree, in lexicographic order.
 
     Grows the array one dimension at a time: every partial index with budget
     left gets one block of rows per admissible value of the next coordinate.
@@ -51,9 +51,8 @@ def total_degree_set(dim: int, degree: int) -> np.ndarray:
     if size > INDEX_CAP:
         raise ValueError(f"index set of size {size} exceeds the cap {INDEX_CAP}")
     idx = _all_indices(dim, degree)
-    totals = idx.sum(axis=1)
-    order = np.lexsort(tuple(idx[:, j] for j in range(dim - 1, -1, -1)) + (totals,))
-    return np.ascontiguousarray(idx[order])
+    # A stable sort by total degree keeps the lexicographic order within each degree.
+    return idx[np.argsort(idx.sum(axis=1), kind="stable")]
 
 
 @dataclass(frozen=True)

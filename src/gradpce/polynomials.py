@@ -136,7 +136,7 @@ def density_ratio_to_chebyshev(measure: Measure, x) -> np.ndarray:
     closed interval for alpha, beta >= -1/2 even where both densities blow up.
     """
     x = np.asarray(x, dtype=float)
-    if measure == Measure.chebyshev():
+    if checked("measure", measure, Measure) == Measure.chebyshev():
         # Zero exponents: the ratio is identically 1, returned without roundoff.
         return np.ones_like(x)
     scale = measure.normalization() * math.pi
@@ -207,7 +207,7 @@ def derivative_constant(measure: Measure, n: int) -> float:
     """
     if checked("n", n, int) < 0:
         raise ValueError("degree must be nonnegative")
-    if measure.kind == "gaussian":
+    if checked("measure", measure, Measure).kind == "gaussian":
         return math.sqrt(float(n))
     if n == 0:
         return 0.0
@@ -232,9 +232,9 @@ def gauss_rule(measure: Measure, m: int) -> tuple[np.ndarray, np.ndarray]:
     build.  The Christoffel sum has only positive terms and stays relatively
     accurate at every node.
     """
-    if m < 1:
+    if checked("m", m, int) < 1:
         raise ValueError("quadrature needs at least one node")
-    a, sqrt_b = _recurrence(measure, m)
+    a, sqrt_b = _recurrence(checked("measure", measure, Measure), m)
     off = sqrt_b[1:]
     nodes = np.linalg.eigvalsh(np.diag(a) + np.diag(off, 1) + np.diag(off, -1))
     values = _values(nodes, a, sqrt_b, m - 1)
@@ -252,7 +252,7 @@ class PolynomialFamily:
         self.max_degree = checked("max_degree", max_degree, int)
         if self.max_degree < 0:
             raise ValueError("max_degree must be nonnegative")
-        self.measure = measure
+        self.measure = checked("measure", measure, Measure)
         self._rec_a, self._rec_sqrt_b = _recurrence(measure, self.max_degree + 1)
         if measure.kind == "jacobi" and self.max_degree >= 1:
             self._check_derivative_constants()

@@ -54,6 +54,7 @@ class SampleBatch:
     points: np.ndarray = field(repr=False)  # (N, d)
 
     def __post_init__(self):
+        checked("measure", self.measure, Measure)
         # A float64 array is kept as is, without a copy.
         object.__setattr__(self, "points", np.asarray(self.points, dtype=float))
         if self.points.ndim != 2:

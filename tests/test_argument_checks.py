@@ -1,9 +1,10 @@
 """Arguments of the wrong type are refused by name, never converted.
 
 Each call below once ran on a silently converted argument (a float or a
-boolean as an integer, a string as a number) or failed deep inside with an
-AttributeError or TypeError. Each must now raise one ValueError whose message
-starts with the name of the offending argument.
+boolean as an integer, a string as a number), accepted an argument that failed
+only later, or failed deep inside with an AttributeError, IndexError or
+TypeError. Each must now raise one ValueError whose message starts with the
+name of the offending argument.
 """
 
 import re
@@ -21,14 +22,36 @@ from gradpce.adjoint_bvp import (
 )
 from gradpce.design import (
     assemble_gradient_enhanced,
+    coherence_bound,
+    coherence_params,
+    coherence_suprema,
     column_normalizer,
+    design_matrices,
     draw,
+    expected_gram,
+    isotropy_gap,
+    nullspace_containment,
     numeric_nullspace_dim,
     recovery_guarantee,
+    sampling_measure,
 )
-from gradpce.harness import fit_sparse_expansion
+from gradpce.harness import (
+    ExperimentConfig,
+    fit_sparse_expansion,
+    run_mic_sweep,
+    run_recovery_benchmark,
+    run_rmse_benchmark,
+)
 from gradpce.pce import PceBasis
-from gradpce.polynomials import Measure, derivative_constant
+from gradpce.polynomials import (
+    Measure,
+    PolynomialFamily,
+    density_ratio_to_chebyshev,
+    derivative_constant,
+    gauss_rule,
+    tensor_gauss_rule,
+)
+from gradpce.sampling import SampleBatch
 
 BASIS = PceBasis.legendre(2, 3)
 
@@ -64,6 +87,33 @@ CASES = [
     ("model", lambda: solve_bvp("x", [0.1])),
     ("model", lambda: qoi_and_gradient(None, [0.1])),
     ("model", lambda: build_surrogate("x", 2, 5)),
+    ("matrix", lambda: numeric_nullspace_dim([1, 2])),
+    ("phi", lambda: nullspace_containment([1, 2], [1, 2])),
+    ("measure", lambda: derivative_constant("x", 2)),
+    ("measure", lambda: gauss_rule("x", 3)),
+    ("measure", lambda: density_ratio_to_chebyshev("x", 0.1)),
+    ("measure", lambda: PolynomialFamily("x", 3)),
+    ("measure", lambda: coherence_bound("x", 2)),
+    ("basis_measure", lambda: sampling_measure("x")),
+    ("basis", lambda: column_normalizer("x")),
+    ("basis", lambda: expected_gram("x")),
+    ("basis", lambda: isotropy_gap("x")),
+    ("basis", lambda: coherence_suprema("x")),
+    ("basis", lambda: draw("x", 5, 0)),
+    ("basis", lambda: assemble_gradient_enhanced("x", _batch())),
+    ("batch", lambda: assemble_gradient_enhanced(BASIS, _batch().points)),
+    ("batch", lambda: design_matrices(BASIS, "x")),
+    ("measure", lambda: SampleBatch("x", _batch().points)),
+    ("design", lambda: fit_sparse_expansion("x", [1.0])),
+    ("design", lambda: coherence_params("x")),
+    ("config", lambda: run_mic_sweep("x")),
+    ("config", lambda: run_recovery_benchmark("x")),
+    ("config", lambda: run_rmse_benchmark(None)),
+    ("data", lambda: ExperimentConfig.from_dict([])),
+    ("m", lambda: gauss_rule(Measure.uniform(), 2.5)),
+    ("m", lambda: gauss_rule(Measure.uniform(), True)),
+    ("m", lambda: tensor_gauss_rule([Measure.uniform()], 2.5)),
+    ("load", lambda: DiffusionModel(dim=2, cells=64, load=3)),
 ]
 
 IDS = [
@@ -76,6 +126,16 @@ IDS = [
     "recovery_guarantee-mic-str",
     "run_bvp_benchmark-model", "reference_moments-model", "solve_bvp-model",
     "qoi_and_gradient-model", "build_surrogate-model",
+    "numeric_nullspace_dim-1d", "nullspace_containment-1d",
+    "derivative_constant-measure", "gauss_rule-measure", "density_ratio-measure",
+    "PolynomialFamily-measure", "coherence_bound-measure", "sampling_measure-measure",
+    "column_normalizer-basis", "expected_gram-basis", "isotropy_gap-basis",
+    "coherence_suprema-basis", "draw-basis", "assemble-basis",
+    "assemble-points-as-batch", "design_matrices-batch", "SampleBatch-measure",
+    "fit-design", "coherence_params-design",
+    "run_mic_sweep-config", "run_recovery_benchmark-config", "run_rmse_benchmark-config",
+    "from_dict-list", "gauss_rule-m-2.5", "gauss_rule-m-True", "tensor_gauss_rule-m-2.5",
+    "DiffusionModel-load",
 ]
 
 

@@ -323,6 +323,7 @@ class TestPinnedOutputs:
          "recover.csv"),
         ("recover_vs_s_trials10.csv", ["recover"], {"kind": "recovery-vs-s", "trials": 10},
          "recover.csv"),
+        ("rmse_f1_trials3.csv", ["rmse", "--target", "f1"], {"trials": 3}, "rmse.csv"),
         ("rmse_f2_trials3.csv", ["rmse", "--target", "f2"], {"trials": 3}, "rmse.csv"),
         ("rmse_f3_trials3.csv", ["rmse", "--target", "f3"], {"trials": 3}, "rmse.csv"),
         ("bvp.csv", ["bvp"], None, "bvp.csv"),
@@ -330,7 +331,7 @@ class TestPinnedOutputs:
         ("bvp_midpoint_double.csv",
          ["bvp", "--qoi", "midpoint", "--mode", "standard,gradient-enhanced,standard-double"],
          None, "bvp.csv"),
-    ], ids=["recover-N", "recover-s", "rmse-f2", "rmse-f3", "bvp", "bvp-d3",
+    ], ids=["recover-N", "recover-s", "rmse-f1", "rmse-f2", "rmse-f3", "bvp", "bvp-d3",
             "bvp-midpoint-double"])
     def test_table_matches_pinned_output(self, reference, args, config, output, tmp_path):
         if config is not None:

@@ -488,12 +488,19 @@ def test_sampling_measure_pairing():
 
 @pytest.mark.parametrize("measure,paired", [(Measure.uniform(), Measure.chebyshev()),
                                             (Measure.gaussian(), Measure.gaussian())])
-def test_mode_data_draws_from_the_paired_measure(measure, paired):
+def test_fit_modes_draws_from_the_paired_measure(measure, paired, monkeypatch):
     basis = PceBasis(measure, 3, 3)
     n, dirs, seed = 7, (0, 2), 11
-    fits = harness.mode_data(basis, ("standard-double", "gradient-enhanced"), n, dirs, seed,
-                             lambda design: np.zeros(design.w.shape))
-    (double, _), (enhanced, _) = fits
+    designs = []
+
+    def recording_fit(design, data, epsilon, opt_tol):
+        designs.append(design)
+        return np.zeros(basis.size)
+
+    monkeypatch.setattr(harness, "fit_sparse_expansion", recording_fit)
+    harness.fit_modes(basis, ("standard-double", "gradient-enhanced"), n, dirs, seed,
+                      lambda design: np.zeros(design.w.shape), 0.0, 1e-6)
+    double, enhanced = designs
     expected = sample(paired, 3, (1 + len(dirs)) * n, seed)
     drawn = draw(basis, (1 + len(dirs)) * n, seed)
     assert drawn.measure == double.batch.measure == enhanced.batch.measure == paired
