@@ -145,6 +145,18 @@ class GradientDesign:
     p: np.ndarray = field(repr=False)          # diagonal of P
 
     def __post_init__(self):
+        checked("basis", self.basis, PceBasis)
+        rows = len(checked("batch", self.batch, SampleBatch)) * (1 + len(self.directions))
+        shape = (len(self.w), len(self.p))
+        if self.phi_tilde.shape != shape:
+            raise ValueError(f"phi_tilde must have shape (len(w), len(p)) = {shape}, "
+                             f"got {self.phi_tilde.shape}")
+        if len(self.p) != self.basis.size:
+            raise ValueError(f"p must hold one entry per basis function ({self.basis.size}), "
+                             f"got {len(self.p)}")
+        if len(self.w) != rows:
+            raise ValueError(f"w must hold one entry per stacked row, n_samples * "
+                             f"(1 + len(directions)) = {rows}, got {len(self.w)}")
         if not np.all(self.w > 0.0):
             raise ValueError("row weights must be strictly positive")
         if not np.all((self.p > 0.0) & (self.p <= 1.0)):

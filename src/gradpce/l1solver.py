@@ -21,15 +21,16 @@ A tall full-rank system (rows >= columns) whose target lies below its
 least-squares residual has that least-squares solution as the path's end. It
 is returned after one Gram solve, refined once, instead of walking the path
 to lam = 0; a Gram too ill-conditioned for that takes an SVD solve instead.
+Only a tall system builds the full Gram A^T A, for that exit.
 
-Only a tall system builds the full Gram A^T A, for that exit. The path builds
-the Gram column A^T a_j of a column when it joins and keeps it while the
-column is active; a step takes its correlations and its active Gram block
-from those columns, so it costs O(columns * |I|) plus one |I| x |I| solve.
+The path keeps each active column a_j over its Gram column A^T a_j, computed
+when it joins, in one buffer: a step costs one |I| x |I| solve and one product
+with that buffer, O(columns * |I|) in a fixed number of numpy calls.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -114,7 +115,7 @@ class RecoveryResult:
     iterations: int
     converged: bool
     # One (||c||_1, residual norm) entry per breakpoint of the LASSO path,
-    # from (0, ||b||) to the exit point.
+    # from (0, ||b||) to the exit point. perfbench's traced runs read it.
     curve_trace: tuple[tuple[float, float], ...] = ()
 
 
@@ -165,12 +166,12 @@ def solve(spec: SolveSpec) -> RecoveryResult:
     parallel to it) join in its place. A column in the span of the active
     columns does not join.
 
-    The Gram column A^T a_j of a column is computed when it joins (read from
-    the full Gram on a tall system) and kept while it is active, next to a_j
-    and (A^T b)_j with its sign. A step reads its Gram block G from them and
-    its correlations A^T r(lam') = q + lam' v as q = A^T b - A^T A_I p and
-    v = A^T A_I d, one product with the kept columns. Both signs' join roots
-    and the drop roots are found in one pass over a 2 x columns array.
+    Each active column a_j is kept with its Gram column A^T a_j (computed when
+    it joins, read from the full Gram on a tall system) stacked under it in one
+    buffer. A step reads its Gram block G from the lower rows; one product of
+    the buffer with [p, d], against [b; A^T b], gives the segment's residual
+    r_ls + lam' u and correlations q + lam' v. Both signs' join roots and the
+    drop roots are found in one pass over a 2 x columns array.
     """
     a, b = spec.matrix, spec.rhs
     rows, cols = a.shape
@@ -181,30 +182,33 @@ def solve(spec: SolveSpec) -> RecoveryResult:
         return RecoveryResult(np.zeros(cols), bnorm, 0, True, ((0.0, bnorm),))
     bound = spec.epsilon + spec.opt_tol * bnorm
     atb = a.T @ b
+    abs_atb = np.abs(atb)
     squares = spec.squares
     gram = a.T @ a if rows >= cols else None
-    lam0 = float(np.abs(atb).max())
+    lam0 = float(abs_atb.max())
+    tie = _TIE_TOL * lam0
     lam = lam0
     c = np.zeros(cols)
     trace = [(0.0, bnorm)]
     crossed = False
-    # The active columns in join order. Column i of a_active is a[:, active[i]],
-    # column i of cross is A^T a[:, active[i]] and row i of rhs holds
-    # (A^T b, sign) of active[i]. No column joins once |I| = rows.
+    # The active columns in join order. Column i of joint is a[:, active[i]]
+    # over A^T a[:, active[i]], matching stacked = [b; A^T b]; row i of rhs
+    # holds (A^T b, sign) of active[i]. No column joins once |I| = rows.
     active = []
     size = min(rows, cols)
-    a_active = np.empty((rows, size), order="F")
-    cross = np.empty((cols, size), order="F")
+    joint = np.empty((rows + cols, size), order="F")
+    cross = joint[rows:]
+    stacked = np.concatenate((b, atb))
     rhs = np.empty((size, 2))
 
     def join(j, sign):
         k = len(active)
         active.append(j)
-        a_active[:, k] = a[:, j]
+        joint[:rows, k] = a[:, j]
         cross[:, k] = a.T @ a[:, j] if gram is None else gram[j]
         rhs[k] = atb[j], sign
 
-    first = int(np.argmax(np.abs(atb)))
+    first = int(np.argmax(abs_atb))
     join(first, float(np.sign(atb[first])))
     # The root that would undo the last change at the same lam: the drop of
     # the column that joined, or the rejoin of a dropped column with its old
@@ -216,79 +220,82 @@ def solve(spec: SolveSpec) -> RecoveryResult:
         # The path's least-squares end, reached in one step.
         c, lam, steps = least_squares, 0.0, 1
         trace.append((float(np.abs(c).sum()), float(np.linalg.norm(b - a @ c))))
-    while least_squares is None and not crossed and steps < spec.max_iters:
-        k = len(active)
-        idx = np.array(active)
-        try:
-            sol = np.linalg.solve(cross[idx, :k], rhs[:k])
-        except np.linalg.LinAlgError:
-            break  # the active columns are linearly dependent
-        p, d = sol[:, 0], sol[:, 1]
-        # On this segment r(lam') = r_ls + lam' u and A^T r(lam') = q + lam' v.
-        fit = a_active[:, :k] @ sol
-        r_ls, u = b - fit[:, 0], fit[:, 1]
-        correlation = cross[:, :k] @ sol
-        q, v = atb - correlation[:, 0], correlation[:, 1]
-        with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):  # roots of 1 - v = 0 or d = 0
+        while least_squares is None and not crossed and steps < spec.max_iters:
+            k = len(active)
+            idx = np.array(active)
+            try:
+                sol = np.linalg.solve(cross[idx, :k], rhs[:k])
+            except np.linalg.LinAlgError:
+                break  # the active columns are linearly dependent
+            p, d = sol[:, 0], sol[:, 1]
+            # On this segment r(lam') = r_ls + lam' u and A^T r(lam') = q + lam' v,
+            # where [r_ls; q] = stacked - joint p and [u; v] = joint d.
+            product = joint[:, :k] @ sol
+            at_zero = stacked - product[:, 0]
+            r_ls, q, u, v = at_zero[:rows], at_zero[rows:], product[:rows, 1], product[rows:, 1]
             # An inactive column joins where A^T r(lam') = +lam' (row 0) or
             # -lam' (row 1); an active one drops where c_I(lam') = 0 (row 0).
-            roots = _SIGNS * q / (1.0 - _SIGNS * v)
+            roots = q / (_SIGNS - v)
             drops = p / d
-        if k >= rows:
-            roots[:] = np.nan  # as many columns as rows span b: no join
-        # A drop lies strictly below lam; a tied column may join at lam itself.
-        drops[drops >= lam] = np.nan
-        roots[0, idx] = drops
-        roots[1, idx] = np.nan
-        roots[blocked] = np.nan
-        # The events: the roots in [0, lam], with -inf for the rest (and NaN).
-        events = np.where((roots >= 0.0) & (roots <= lam), roots, -np.inf).max(axis=0)
-        best = int(np.argmax(events))
-        if abs(q[best]) <= _TIE_TOL * lam0 and best not in active:
-            # A column in the span of the active columns, such as a duplicate
-            # of one, has q = 0 up to rounding, so its roots are rounding
-            # noise: no such column joins.
-            tied = np.abs(q) <= _TIE_TOL * lam0
-            tied[idx] = False
-            events[tied] = -np.inf
-            best = int(np.argmax(events))
-        lam_next = max(float(events[best]), 0.0)
-        rr, ru, uu = float(r_ls @ r_ls), float(r_ls @ u), float(u @ u)
-        slack = aim * aim - rr
-        if exact:
-            # A segment whose least-squares fit meets the target with the
-            # active signs (near-zero entries of either sign allowed) ends at
-            # its lam -> 0 limit, c_I = p.
-            crossed = slack > 0.0 and bool(np.all(rhs[:k, 1] * p >= -_KKT_TOL * np.abs(p).max()))
-            lam_cross = 0.0
-        elif slack > 0.0:
-            # ||r(lam')||^2 = aim^2 is a quadratic in lam'; its larger root is
-            # the crossing. Beyond reach (||r_ls|| >= aim) the segment has none.
-            lam_cross = min(slack / (ru + np.sqrt(ru * ru + uu * slack)), lam)
-            crossed = lam_cross >= lam_next
-        steps += 1
-        lam = lam_cross if crossed else lam_next
-        c[idx] = p - lam * d
-        rnorm = float(np.linalg.norm(r_ls + lam * u))
-        if not crossed and lam_next > 0.0:
-            if best in active:
-                position = active.index(best)
-                # The dropped column and its copies: the columns parallel to
-                # it, each with the sign its correlation takes from the old one.
-                along = cross[:, position] * rhs[position, 1]
-                copies = np.flatnonzero(along * along >= _PARALLEL * squares * squares[best])
-                blocked = (np.where(along[copies] > 0.0, 0, 1), copies)
-                del active[position]
-                a_active[:, position:k - 1] = a_active[:, position + 1:k]
-                cross[:, position:k - 1] = cross[:, position + 1:k]
-                rhs[position:k - 1] = rhs[position + 1:k]
-                c[best] = 0.0
-            else:
-                join(best, float(np.sign(q[best] + lam * v[best])))
-                blocked = (0, best)
-        trace.append((float(np.abs(c).sum()), rnorm))
-        if lam_next == 0.0 and not crossed:
-            break  # least-squares end of the path
+            if k >= rows:
+                roots[:] = np.nan  # as many columns as rows span b: no join
+            # A drop lies strictly below lam; a tied column may join at lam itself.
+            drops[drops >= lam] = np.nan
+            roots[0, idx] = drops
+            roots[1, idx] = np.nan
+            roots[blocked] = np.nan
+            # The events: the roots up to lam, with -inf for NaN. A negative
+            # root wins only when none lies in [0, lam], and then lam_next is 0.
+            events = np.where(roots <= lam, roots, -np.inf)
+            flat = int(events.argmax())
+            best = flat % cols
+            if abs(q[best]) <= tie and best not in active:
+                # A column in the span of the active columns (a duplicate of one,
+                # say) has q = 0 up to rounding: its roots are noise; it does not join.
+                tied = np.abs(q) <= tie
+                tied[idx] = False
+                events[:, tied] = -np.inf
+                flat = int(events.argmax())
+                best = flat % cols
+            lam_next = max(float(events.flat[flat]), 0.0)
+            slack = aim * aim - float(r_ls @ r_ls)
+            if exact:
+                # A segment whose least-squares fit meets the target with the
+                # active signs (near-zero entries of either sign allowed) ends at
+                # its lam -> 0 limit, c_I = p.
+                crossed = slack > 0.0 and bool(
+                    np.all(rhs[:k, 1] * p >= -_KKT_TOL * np.abs(p).max()))
+                lam_cross = 0.0
+            elif slack > 0.0:
+                # ||r(lam')||^2 = aim^2 is a quadratic in lam'; its larger root is
+                # the crossing. Beyond reach (||r_ls|| >= aim) the segment has none.
+                ru, uu = float(r_ls @ u), float(u @ u)
+                lam_cross = min(slack / (ru + math.sqrt(ru * ru + uu * slack)), lam)
+                crossed = lam_cross >= lam_next
+            steps += 1
+            lam = lam_cross if crossed else lam_next
+            c[idx] = p - lam * d
+            y = r_ls + lam * u
+            rnorm = math.sqrt(y @ y)
+            if not crossed and lam_next > 0.0:
+                if best in active:
+                    position = active.index(best)
+                    # The dropped column and its copies: the columns parallel to
+                    # it, each with the sign its correlation takes from the old one.
+                    along = cross[:, position] * rhs[position, 1]
+                    copies = np.flatnonzero(along * along >= _PARALLEL * squares * squares[best])
+                    blocked = (np.where(along[copies] > 0.0, 0, 1), copies)
+                    del active[position]
+                    joint[:, position:k - 1] = joint[:, position + 1:k]
+                    rhs[position:k - 1] = rhs[position + 1:k]
+                    c[best] = 0.0
+                else:
+                    join(best, 1.0 if float(q[best]) + lam * float(v[best]) > 0.0 else -1.0)
+                    blocked = (0, best)
+            trace.append((float(np.abs(c).sum()), rnorm))
+            if lam_next == 0.0 and not crossed:
+                break  # least-squares end of the path
     r = b - a @ c
     residual = float(np.linalg.norm(r))
     # Only a path that crossed the target can converge, so only it is checked.

@@ -21,6 +21,7 @@ from gradpce.adjoint_bvp import (
     solve_bvp,
 )
 from gradpce.design import (
+    GradientDesign,
     assemble_gradient_enhanced,
     coherence_bound,
     coherence_params,
@@ -114,6 +115,10 @@ CASES = [
     ("m", lambda: gauss_rule(Measure.uniform(), True)),
     ("m", lambda: tensor_gauss_rule([Measure.uniform()], 2.5)),
     ("load", lambda: DiffusionModel(dim=2, cells=64, load=3)),
+    ("basis", lambda: GradientDesign("x", _batch(), (0,), np.ones((20, 10)), np.ones(20),
+                                     np.ones(10))),
+    ("phi_tilde", lambda: GradientDesign(BASIS, _batch(), (0,), np.ones((7, 3)), np.ones(20),
+                                         np.ones(10))),
 ]
 
 IDS = [
@@ -135,7 +140,7 @@ IDS = [
     "fit-design", "coherence_params-design",
     "run_mic_sweep-config", "run_recovery_benchmark-config", "run_rmse_benchmark-config",
     "from_dict-list", "gauss_rule-m-2.5", "gauss_rule-m-True", "tensor_gauss_rule-m-2.5",
-    "DiffusionModel-load",
+    "DiffusionModel-load", "GradientDesign-basis", "GradientDesign-phi_tilde-shape",
 ]
 
 

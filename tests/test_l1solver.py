@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -15,6 +16,38 @@ from gradpce import adjoint_bvp, harness, l1solver
 from gradpce.design import mic, recovery_guarantee
 from gradpce.harness import ExperimentConfig
 from gradpce.l1solver import RecoveryResult, SolveSpec, project_l1_ball, solve
+
+SOLVER_PINS = Path(__file__).resolve().parent / "data" / "solver_pins.json"
+# As the CLI pins: loose enough for a BLAS thread-count difference, tight
+# enough to fail on a change of the solver's arithmetic.
+PIN_RTOL = 1e-12
+
+
+def pinned_runs():
+    """The runs whose solves ``tests/data/solver_pins.json`` pins, in order.
+
+    Two criterion-07 trials (dim 2, degree 20, s = 8, N 20-80, both modes:
+    exact basis pursuit on 20 x 231 up to 240 x 231) and one bvp grid point
+    (dim 3, degree 4, N = 10, both modes: epsilon > 0 on 35 columns).
+    """
+    harness.run_recovery_benchmark(ExperimentConfig(kind="recovery-vs-N", trials=2))
+    adjoint_bvp.run_bvp_benchmark(adjoint_bvp.DiffusionModel(dim=3), 4, (10,))
+
+
+def solve_pin(spec, result) -> dict:
+    """One solve's pinned record: its shape, its telemetry and its nonzeros."""
+    support = np.flatnonzero(result.coefficients)
+    return {"shape": list(spec.matrix.shape), "epsilon_positive": spec.epsilon > 0.0,
+            "iterations": result.iterations, "converged": result.converged,
+            "support": support.tolist(), "values": result.coefficients[support].tolist()}
+
+
+def same_result(x, y) -> bool:
+    """Bitwise equality of two solver results, telemetry included."""
+    return (x.coefficients.tobytes() == y.coefficients.tobytes()
+            and (x.iterations, x.converged) == (y.iterations, y.converged)
+            and np.array([x.residual_norm, *np.ravel(x.curve_trace)]).tobytes()
+            == np.array([y.residual_norm, *np.ravel(y.curve_trace)]).tobytes())
 
 
 def incoherent_instance(rng, s, m=12):
@@ -454,6 +487,25 @@ class TestSolve:
         assert residual <= epsilon + 1e-6 * np.linalg.norm(rhs)
         assert result.residual_norm == pytest.approx(residual, abs=1e-15)
 
+    def test_raising_error_state_changes_nothing(self, monkeypatch):
+        # The path divides by zero on purpose: the join roots of a tied
+        # column (1 - v = 0, as in np.eye(3)) and the drop roots of zero
+        # directions. Run under a caller's np.errstate(all="raise"), the solve
+        # must neither raise nor change a bit, and must leave that state as
+        # it found it.
+        recorded = TestHarnessScale._record(monkeypatch, lambda: harness.run_recovery_benchmark(
+            ExperimentConfig(kind="recovery-vs-N", sample_grid=(20,), trials=1)))
+        specs = [recorded[0][0], SolveSpec(np.eye(3), np.ones(3))]
+        assert specs[0].matrix.shape == (20, 231)
+        for spec in specs:
+            default = solve(spec)
+            with np.errstate(all="raise"):
+                raising = solve(spec)
+                assert np.geterr() == dict.fromkeys(("divide", "over", "under", "invalid"),
+                                                    "raise")
+            assert default.converged
+            assert same_result(raising, default)
+
 
 class TestHarnessScale:
     """The LASSO path on the solves the drivers make."""
@@ -470,6 +522,22 @@ class TestHarnessScale:
         monkeypatch.setattr(harness, "solve", recording_solve)
         run()
         return solves
+
+    def test_solves_match_the_pins(self, monkeypatch):
+        # Every solve of pinned_runs: iterations and converged exactly, the
+        # support exactly and its coefficients to PIN_RTOL. The pins hold the
+        # solve_pin records written at OPENBLAS_NUM_THREADS=1; a change that
+        # moves one past rounding level must say why and rewrite them.
+        solves = self._record(monkeypatch, pinned_runs)
+        pins = json.loads(SOLVER_PINS.read_text())
+        assert len(solves) == len(pins) == 22
+        assert [240, 231] in [pin["shape"] for pin in pins]
+        for (spec, result), pin in zip(solves, pins):
+            got = solve_pin(spec, result)
+            values = got.pop("values")
+            want = dict(pin)
+            np.testing.assert_allclose(values, want.pop("values"), rtol=PIN_RTOL, atol=0)
+            assert got == want
 
     @pytest.mark.parametrize("driver", ["bvp", "rmse"])
     def test_bpdn_solves_certified_by_weak_duality(self, monkeypatch, driver):
