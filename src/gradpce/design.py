@@ -20,7 +20,7 @@ import numpy as np
 
 from .checks import checked, checked_entries
 from .pce import PceBasis
-from .polynomials import Measure, density_ratio_to_chebyshev, derivative_constant, tensor_gauss_rule
+from .polynomials import Measure, density_ratio_to_chebyshev, tensor_gauss_rule
 from .sampling import SampleBatch, sample
 
 # Guard for exact second-moment computation: tensor rules grow as (n+1)^d.
@@ -105,7 +105,7 @@ def column_normalizer(basis: PceBasis, directions=None) -> np.ndarray:
     """
     dirs = _normalize_directions(checked("basis", basis, PceBasis).dim, directions)
     idx = basis.indices
-    consts = np.array([derivative_constant(basis.measure, n) for n in range(basis.degree + 1)])
+    consts = basis.family.derivative_constants
     energy = np.ones(basis.size)
     for axis in dirs:
         energy += consts[idx[:, axis]] ** 2
@@ -133,34 +133,27 @@ def design_matrices(
 class GradientDesign:
     """Weighted gradient-enhanced measurement system of one sample batch.
 
-    It holds no data: :meth:`stack` orders sampled values and gradients to
-    match its rows.
+    A design is the value (basis, batch, directions), ``directions`` None
+    meaning every direction; it derives its stacked raw system, W and P from
+    those fields with one :func:`design_matrices` call. It holds no data:
+    :meth:`stack` orders sampled values and gradients to match its rows.
     """
 
     basis: PceBasis
     batch: SampleBatch
-    directions: tuple[int, ...]
-    phi_tilde: np.ndarray = field(repr=False)  # (N*(1+q), M) stacked raw system
-    w: np.ndarray = field(repr=False)          # stacked diagonal of W
-    p: np.ndarray = field(repr=False)          # diagonal of P
+    directions: tuple[int, ...] | None = None  # normalized to a sorted tuple
+    phi_tilde: np.ndarray = field(init=False, repr=False, compare=False)  # (N*(1+q), M) stacked
+    w: np.ndarray = field(init=False, repr=False, compare=False)  # stacked diagonal of W
+    p: np.ndarray = field(init=False, repr=False, compare=False)  # diagonal of P
 
     def __post_init__(self):
-        checked("basis", self.basis, PceBasis)
-        rows = len(checked("batch", self.batch, SampleBatch)) * (1 + len(self.directions))
-        shape = (len(self.w), len(self.p))
-        if self.phi_tilde.shape != shape:
-            raise ValueError(f"phi_tilde must have shape (len(w), len(p)) = {shape}, "
-                             f"got {self.phi_tilde.shape}")
-        if len(self.p) != self.basis.size:
-            raise ValueError(f"p must hold one entry per basis function ({self.basis.size}), "
-                             f"got {len(self.p)}")
-        if len(self.w) != rows:
-            raise ValueError(f"w must hold one entry per stacked row, n_samples * "
-                             f"(1 + len(directions)) = {rows}, got {len(self.w)}")
-        if not np.all(self.w > 0.0):
-            raise ValueError("row weights must be strictly positive")
-        if not np.all((self.p > 0.0) & (self.p <= 1.0)):
-            raise ValueError("column normalizers must lie in (0, 1]")
+        dirs = _normalize_directions(checked("basis", self.basis, PceBasis).dim, self.directions)
+        _, phi_tilde, w, p = design_matrices(self.basis, self.batch, dirs)
+        self._set(directions=dirs, phi_tilde=phi_tilde, w=w, p=p)
+
+    def _set(self, **fields):
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
 
     @property
     def n_samples(self) -> int:
@@ -200,8 +193,11 @@ class GradientDesign:
     def values_only(self) -> "GradientDesign":
         """The value-only system of the same points: W keeps its value block, P is 1."""
         n = self.n_samples
-        return GradientDesign(self.basis, self.batch, (), self.phi_tilde[:n], self.w[:n],
-                              np.ones(self.basis.size))
+        # A fresh instance, set without a table pass and with no cached phi_hat.
+        cut = object.__new__(GradientDesign)
+        cut._set(basis=self.basis, batch=self.batch, directions=(), phi_tilde=self.phi_tilde[:n],
+                 w=self.w[:n], p=np.ones(self.basis.size))
+        return cut
 
     def unscale(self, scaled_coefficients: np.ndarray) -> np.ndarray:
         """Map coefficients of the P-scaled system back to basis coefficients."""
@@ -217,9 +213,7 @@ def assemble_gradient_enhanced(
     directions this is the value-only system: W keeps its value block and P
     is 1.
     """
-    dirs = _normalize_directions(checked("basis", basis, PceBasis).dim, directions)
-    _, phi_tilde, w, p = design_matrices(basis, batch, dirs)
-    return GradientDesign(basis, batch, dirs, phi_tilde, w, p)
+    return GradientDesign(basis, batch, directions)
 
 
 def assemble_standard(basis: PceBasis, batch: SampleBatch) -> tuple[np.ndarray, np.ndarray]:

@@ -12,10 +12,11 @@ active coefficient that reaches zero. The residual norm falls along the path.
 With epsilon > 0 the solve stops at the lam where the residual crosses the
 target, the root of a scalar quadratic. With epsilon = 0 (exact basis pursuit)
 it stops on the first segment whose least-squares residual ||b - A_I p|| meets
-the target and whose p keeps the active signs, and returns c_I = p, the
-lam -> 0 limit of the path and the basis-pursuit minimizer. A path that
-reaches lam = 0 first ends at the least-squares solution on its support: the
-target is out of reach, and that answer is returned unconverged.
+the target, whose p keeps the active signs and whose dual certificate
+y = A_I d satisfies ||A^T y||_inf <= 1, and returns c_I = p, the lam -> 0
+limit of the path and the basis-pursuit minimizer. A path that reaches
+lam = 0 first ends at the least-squares solution on its support: the target
+is out of reach, and that answer is returned unconverged.
 
 A tall full-rank system (rows >= columns) whose target lies below its
 least-squares residual has that least-squares solution as the path's end. It
@@ -262,9 +263,10 @@ def solve(spec: SolveSpec) -> RecoveryResult:
             slack = aim * aim - float(r_ls @ r_ls)
             if exact:
                 # A segment whose least-squares fit meets the target with the
-                # active signs (near-zero entries of either sign allowed) ends at
-                # its lam -> 0 limit, c_I = p.
-                crossed = slack > 0.0 and bool(
+                # active signs (near-zero entries of either sign allowed) and
+                # whose y = A_I d is dual feasible ends at its lam -> 0 limit,
+                # c_I = p; any other segment is an ordinary step.
+                crossed = slack > 0.0 and _dual_certified(v) and bool(
                     np.all(rhs[:k, 1] * p >= -_KKT_TOL * np.abs(p).max()))
                 lam_cross = 0.0
             elif slack > 0.0:
@@ -299,10 +301,10 @@ def solve(spec: SolveSpec) -> RecoveryResult:
     r = b - a @ c
     residual = float(np.linalg.norm(r))
     # Only a path that crossed the target can converge, so only it is checked.
-    # At lam = 0 the KKT check accepts any interpolant; y = A_I d, with
+    # The exact exit crossed on a dual-certified segment: y = A_I d, with
     # A_I^T y = s and b^T y = s^T p = ||c||_1, certifies the minimum.
     converged = crossed and residual <= bound and (
-        _dual_certified(v) if exact else _kkt_holds(a.T @ r, c, lam, lam0))
+        exact or _kkt_holds(a.T @ r, c, lam, lam0))
     return RecoveryResult(c, residual, steps, bool(converged), tuple(trace))
 
 

@@ -254,6 +254,9 @@ class PolynomialFamily:
             raise ValueError("max_degree must be nonnegative")
         self.measure = checked("measure", measure, Measure)
         self._rec_a, self._rec_sqrt_b = _recurrence(measure, self.max_degree + 1)
+        # c(0) .. c(max_degree) of d/dx p_n = c(n) q_{n-1}.
+        self.derivative_constants = np.array(
+            [derivative_constant(measure, n) for n in range(self.max_degree + 1)])
         if measure.kind == "jacobi" and self.max_degree >= 1:
             self._check_derivative_constants()
 

@@ -115,10 +115,9 @@ CASES = [
     ("m", lambda: gauss_rule(Measure.uniform(), True)),
     ("m", lambda: tensor_gauss_rule([Measure.uniform()], 2.5)),
     ("load", lambda: DiffusionModel(dim=2, cells=64, load=3)),
-    ("basis", lambda: GradientDesign("x", _batch(), (0,), np.ones((20, 10)), np.ones(20),
-                                     np.ones(10))),
-    ("phi_tilde", lambda: GradientDesign(BASIS, _batch(), (0,), np.ones((7, 3)), np.ones(20),
-                                         np.ones(10))),
+    ("basis", lambda: GradientDesign("x", _batch(), (0,))),
+    ("directions", lambda: GradientDesign(BASIS, _batch(), 5)),
+    ("directions", lambda: GradientDesign(BASIS, _batch(), (1.7,))),
 ]
 
 IDS = [
@@ -140,7 +139,8 @@ IDS = [
     "fit-design", "coherence_params-design",
     "run_mic_sweep-config", "run_recovery_benchmark-config", "run_rmse_benchmark-config",
     "from_dict-list", "gauss_rule-m-2.5", "gauss_rule-m-True", "tensor_gauss_rule-m-2.5",
-    "DiffusionModel-load", "GradientDesign-basis", "GradientDesign-phi_tilde-shape",
+    "DiffusionModel-load", "GradientDesign-basis", "GradientDesign-directions-int",
+    "GradientDesign-directions-1.7",
 ]
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from gradpce import design
 from gradpce.design import (
     CoherenceReport,
+    GradientDesign,
     assemble_gradient_enhanced,
     assemble_standard,
     coherence_bound,
@@ -226,6 +227,7 @@ class TestAssembly:
         def no_table_pass(*args):
             raise AssertionError("values_only made a table pass")
 
+        assert full.phi_hat.shape == (36, basis.size)  # cached before the cut
         monkeypatch.setattr(PolynomialFamily, "eval_table", no_table_pass)
         cut = full.values_only()
         monkeypatch.undo()
@@ -234,6 +236,25 @@ class TestAssembly:
         np.testing.assert_array_equal(cut.phi_hat, direct.phi_hat)
         np.testing.assert_array_equal(cut.w, direct.w)
         np.testing.assert_array_equal(cut.p, direct.p)
+        # The cut is the value (basis, batch, ()): the same arrays, bit for bit,
+        # and a phi_hat of its own, not the full design's.
+        value = GradientDesign(basis, batch, ())
+        for name in ("phi_tilde", "w", "p", "phi_hat"):
+            assert getattr(cut, name).tobytes() == getattr(value, name).tobytes()
+        assert cut.phi_hat is not full.phi_hat
+        assert not np.shares_memory(cut.phi_hat, full.phi_hat)
+
+    @pytest.mark.parametrize("measure", ["legendre", "chebyshev", "jacobi(0.5,1.5)", "hermite"])
+    @pytest.mark.parametrize("directions", [None, (), (1,)])
+    def test_design_derives_its_arrays(self, measure, directions):
+        basis = PceBasis(Measure.parse(measure), 2, 5)
+        batch = design.draw(basis, 12, seed=7)
+        value = GradientDesign(basis, batch, directions)
+        _, phi_tilde, w, p = design_matrices(basis, batch, directions)
+        assert value.directions == ((0, 1) if directions is None else directions)
+        for got, want in ((value.phi_tilde, phi_tilde), (value.w, w), (value.p, p)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
     def test_hermite_weights_are_identity(self):
         basis = PceBasis(Measure.gaussian(), 2, 3)
@@ -272,6 +293,8 @@ class TestAssembly:
             assemble_gradient_enhanced(basis, batch, directions=(0, 0))
         with pytest.raises(ValueError, match="out of range"):
             assemble_gradient_enhanced(basis, batch, directions=(2,))
+        with pytest.raises(ValueError, match="gradient direction out of range"):
+            GradientDesign(basis, batch, (7,))
         design = assemble_gradient_enhanced(basis, batch)
         with pytest.raises(ValueError, match="gradient data"):
             design.stack(values)
