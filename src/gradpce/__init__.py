@@ -1,18 +1,16 @@
-"""Gradient-enhanced l1 recovery of sparse polynomial chaos expansions."""
+"""Gradient-enhanced l1 recovery of sparse polynomial chaos expansions.
+
+What only the benchmark's tracer reaches by name stays in its module, unexported."""
 
 from .adjoint_bvp import (
     DiffusionModel,
-    build_surrogate,
     qoi_and_gradient,
     reference_moments,
     run_bvp_benchmark,
-    solve_bvp,
 )
 from .design import (
     CoherenceReport,
     GradientDesign,
-    assemble_gradient_enhanced,
-    assemble_standard,
     coherence_bound,
     coherence_params,
     coherence_suprema,
@@ -31,7 +29,7 @@ from .harness import (
     run_recovery_benchmark,
     run_rmse_benchmark,
 )
-from .l1solver import RecoveryResult, SolveSpec, project_l1_ball, solve
+from .l1solver import RecoveryResult, SolveSpec, solve
 from .pce import PceBasis, total_degree_set
 from .polynomials import Measure
 from .sampling import SampleBatch, sample, split_stream
@@ -49,9 +47,6 @@ __all__ = [
     "ResultTable",
     "SampleBatch",
     "SolveSpec",
-    "assemble_gradient_enhanced",
-    "assemble_standard",
-    "build_surrogate",
     "coherence_bound",
     "coherence_params",
     "coherence_suprema",
@@ -61,7 +56,6 @@ __all__ = [
     "isotropy_gap",
     "mic",
     "nullspace_containment",
-    "project_l1_ball",
     "qoi_and_gradient",
     "recovery_guarantee",
     "reference_moments",
@@ -71,7 +65,6 @@ __all__ = [
     "run_rmse_benchmark",
     "sample",
     "solve",
-    "solve_bvp",
     "split_stream",
     "total_degree_set",
 ]

@@ -248,10 +248,8 @@ def solve_bvp(model: DiffusionModel, xi) -> BvpSolution:
 
 
 def qoi_and_gradient(model: DiffusionModel, xi) -> tuple[float, np.ndarray]:
-    qoi, gradient, _ = _solve_batch(
-        model, np.asarray(xi, dtype=float).reshape(1, -1), gradients=True
-    )
-    return float(qoi[0]), gradient[0]
+    solution = solve_bvp(model, xi)
+    return solution.qoi, solution.gradient
 
 
 @dataclass(frozen=True)

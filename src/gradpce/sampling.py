@@ -46,7 +46,7 @@ def generator(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed & _MASK64))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleBatch:
     """Points drawn i.i.d. from one measure."""
 
@@ -59,6 +59,14 @@ class SampleBatch:
         object.__setattr__(self, "points", np.asarray(self.points, dtype=float))
         if self.points.ndim != 2:
             raise ValueError("points must be a 2-d array")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SampleBatch):
+            return NotImplemented
+        return self.measure == other.measure and np.array_equal(self.points, other.points)
+
+    def __hash__(self) -> int:
+        return hash((self.measure, self.points.shape))  # stays valid if the points are written to
 
     def __len__(self) -> int:
         return self.points.shape[0]

@@ -116,6 +116,13 @@ class TestConfig:
             ExperimentConfig("rmse", trials=0)
         with pytest.raises(ValueError, match="measure"):
             ExperimentConfig("rmse", measure="cosine")
+        with pytest.raises(ValueError, match="^dim must be >= 1$"):
+            ExperimentConfig("mic-sweep", dim=0)
+        with pytest.raises(ValueError, match="^sparsity_grid must be non-empty"):
+            ExperimentConfig("recovery-vs-s", sparsity_grid=())
+        for field, value in (("sparsity", -1), ("sample_count", 0)):
+            with pytest.raises(ValueError, match="^sparsity must be >= 0 and sample_count >= 1$"):
+                ExperimentConfig("rmse", **{field: value})
 
     @pytest.mark.parametrize("field,value", [
         ("epsilon", math.nan), ("epsilon", math.inf), ("epsilon", -1.0),

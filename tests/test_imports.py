@@ -2,6 +2,8 @@
 name that it defines at module level."""
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -87,3 +89,28 @@ def test_finds_an_unread_private_name():
     )
     assert unread_private_names(source) == [
         "_Helper (line 5)", "_UNUSED (line 1)", "_recursive (line 3)"]
+
+
+# Names the benchmark's tracer wraps in their modules, with the signatures it calls.
+UNEXPORTED = {
+    "design.assemble_gradient_enhanced":
+        "(basis: 'PceBasis', batch: 'SampleBatch', directions=None) -> 'GradientDesign'",
+    "design.assemble_standard":
+        "(basis: 'PceBasis', batch: 'SampleBatch') -> 'tuple[np.ndarray, np.ndarray]'",
+    "l1solver.project_l1_ball": "(v: 'np.ndarray', radius: 'float') -> 'np.ndarray'",
+    "adjoint_bvp.solve_bvp": "(model: 'DiffusionModel', xi) -> 'BvpSolution'",
+    "adjoint_bvp.build_surrogate":
+        "(model: 'DiffusionModel', degree: 'int', n_samples: 'int', "
+        "mode: 'str' = 'gradient-enhanced', seed: 'int' = 0) -> 'SurrogateResult'",
+}
+
+
+def test_package_exports_one_name_per_job():
+    package = importlib.import_module("gradpce")
+    assert len(package.__all__) == 30
+    assert all(hasattr(package, name) for name in package.__all__)
+    for qualified, signature in UNEXPORTED.items():
+        module, name = qualified.split(".")
+        assert not hasattr(package, name), name
+        function = getattr(importlib.import_module(f"gradpce.{module}"), name)
+        assert str(inspect.signature(function)) == signature, name

@@ -306,6 +306,24 @@ class TestSolve:
                 floor = np.linalg.norm(a @ least_squares - b)
                 assert abs(result.residual_norm - floor) <= 1e-12 * floor
 
+    def test_probe_declines_a_target_the_svd_solution_meets(self):
+        # cond(A) 1e9, data 0.9e-6 ||Ax|| off the range: the Gram solve misses
+        # the 1e-6 ||b|| target, the Gram is past _MAX_GRAM_COND, and the SVD
+        # least-squares solution meets the target, so the probe declines.
+        rng = np.random.default_rng(26)
+        u = np.linalg.qr(rng.standard_normal((60, 21)))[0]
+        v = np.linalg.qr(rng.standard_normal((21, 21)))[0]
+        a = u @ np.diag(np.logspace(0, -9, 21)) @ v.T
+        ax = a @ rng.standard_normal(21)
+        noise = rng.standard_normal(60)
+        noise -= u @ (u.T @ noise)
+        b = ax + 0.9e-6 * np.linalg.norm(ax) * noise / np.linalg.norm(noise)
+        gram, atb, target = a.T @ a, a.T @ b, 1e-6 * np.linalg.norm(b)
+        assert np.linalg.norm(b - a @ np.linalg.solve(gram, atb)) > target
+        eigenvalues = np.linalg.eigvalsh(gram)
+        assert eigenvalues[0] <= eigenvalues[-1] / l1solver._MAX_GRAM_COND
+        assert l1solver._infeasible_least_squares(a, b, gram, atb, target) is None
+
     def test_numerically_singular_gram_is_left_to_the_path(self):
         # At cond(A) ~ 1e15 and beyond the SVD finds A rank-deficient, so the
         # least-squares exit declines and the path ends the solve.
@@ -393,6 +411,8 @@ class TestSolve:
             SolveSpec(np.array([[1.0, 0.0], [1.0, 0.0]]), np.array([1.0, 1.0]))
         with pytest.raises(ValueError, match="row counts"):
             SolveSpec(np.eye(3), np.ones(2))
+        with pytest.raises(ValueError, match="^matrix must be 2-d$"):
+            SolveSpec(np.ones(3), np.ones(3))
         with pytest.raises(ValueError, match="epsilon"):
             SolveSpec(np.eye(2), np.ones(2), epsilon=-1.0)
 

@@ -129,6 +129,8 @@ class TestDerivatives:
         assert derivative_constant(Measure.chebyshev(), 1) == pytest.approx(
             math.sqrt(2.0), rel=1e-15)
         assert derivative_constant(Measure.gaussian(), 4) == 2.0
+        with pytest.raises(ValueError, match="^degree must be nonnegative$"):
+            derivative_constant(Measure.uniform(), -1)
 
     @pytest.mark.parametrize("alpha,beta", PARAM_GRID)
     def test_derivative_maps_to_raised_family(self, alpha, beta):
@@ -190,6 +192,8 @@ class TestQuadrature:
         nodes, weights = gauss_rule(Measure.uniform(), 1)
         np.testing.assert_array_equal(nodes, [0.0])
         np.testing.assert_array_equal(weights, [1.0])
+        with pytest.raises(ValueError, match="^quadrature needs at least one node$"):
+            gauss_rule(Measure.uniform(), 0)
 
     def test_legendre_integrates_quartic(self):
         nodes, weights = gauss_rule(Measure.uniform(), 5)

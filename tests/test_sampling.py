@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from gradpce.design import assemble_gradient_enhanced
+from gradpce.design import GradientDesign, assemble_gradient_enhanced, draw
 from gradpce.pce import PceBasis
 from gradpce.polynomials import Measure
 from gradpce.sampling import SampleBatch, generator, sample, split_stream
@@ -156,6 +156,24 @@ class TestSample:
         # A float64 array is stored as is.
         points = np.zeros((3, 2))
         assert SampleBatch(Measure.uniform(), points).points is points
+        with pytest.raises(ValueError, match="^points must be a 2-d array$"):
+            SampleBatch(Measure.uniform(), np.zeros(3))
+
+    def test_batches_and_designs_compare_as_values(self):
+        basis = PceBasis.legendre(2, 3)
+        first, second = draw(basis, 5, 0), draw(basis, 5, 0)
+        assert first.points is not second.points
+        assert first == second and hash(first) == hash(second)
+        design = GradientDesign(basis, first)
+        assert design == GradientDesign(basis, second)
+        assert hash(design) == hash(GradientDesign(basis, second))
+        assert first != draw(basis, 5, 1)
+        assert design != GradientDesign(basis, draw(basis, 5, 1))
+        assert design != GradientDesign(basis, first, ())
+        assert first != first.measure
+        key = hash(first)
+        first.points[0, 0] += 0.5
+        assert hash(first) == key and first != second
 
     def test_subset_is_prefix(self):
         batch = sample(Measure.uniform(), 2, 30, seed=3)
