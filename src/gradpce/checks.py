@@ -26,8 +26,10 @@ def checked(name: str, value, cls: type):
 
 
 def checked_entries(name: str, values, cls: type) -> tuple:
-    """``values`` as a tuple of ``cls``; a non-list or an ill-typed entry raises ValueError."""
-    try:
-        return tuple(checked(f"{name} entries", v, cls) for v in values)
-    except TypeError:
-        raise ValueError(f"{name} must be a list, got {values!r}") from None
+    """``values`` as a tuple of ``cls``; a string, a non-list or a bad entry raises ValueError."""
+    if not isinstance(values, str):
+        try:
+            return tuple(checked(f"{name} entries", v, cls) for v in values)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be a list, got {values!r}")

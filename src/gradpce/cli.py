@@ -59,12 +59,16 @@ def _run_experiment(args, command: str) -> int:
     return 0
 
 
+def int_list(text: str) -> tuple[int, ...]:
+    """Comma-separated integers, such as ``10,20,40``; argparse names the flag on error."""
+    return tuple(int(n) for n in text.split(","))
+
+
 def _run_bvp(args) -> int:
     model = DiffusionModel(dim=args.d, cells=args.cells, qoi=args.qoi)
-    grid = tuple(int(n) for n in args.n_grid.split(","))
     modes = tuple(args.mode.split(","))
     table = run_bvp_benchmark(
-        model, args.n, grid, modes=modes, seed=args.seed, trials=args.trials,
+        model, args.n, args.n_grid, modes=modes, seed=args.seed, trials=args.trials,
     )
     _emit(table, args.out, "bvp", args.format)
     return 0
@@ -76,17 +80,13 @@ def _run_diagnose(args) -> int:
     batch = draw(basis, args.samples, args.seed)
     report = coherence_params(assemble_gradient_enhanced(basis, batch),
                               grid_points=args.grid_points)
-    print(f"measure             {measure.label}")
-    print(f"dim                 {args.dim}")
-    print(f"degree              {args.degree}")
-    print(f"terms               {basis.size}")
-    print(f"samples             {args.samples}")
-    print(f"mic                 {report.mic:.6g}")
-    print(f"value_coherence     {report.value_coherence:.6g}")
-    print(f"stacked_coherence   {report.stacked_coherence:.6g}")
-    print(f"coherence_bound     {report.coherence_bound:.6g}")
-    print(f"bound_growth        {report.bound_growth:.6g}")
-    print(f"stacked_bound       {report.stacked_bound:.6g}")
+    rows = [("measure", measure.label), ("dim", args.dim), ("degree", args.degree),
+            ("terms", basis.size), ("samples", args.samples)]
+    rows += [(name, f"{getattr(report, name):.6g}") for name in (
+        "mic", "value_coherence", "stacked_coherence", "coherence_bound", "bound_growth",
+        "stacked_bound")]
+    for label, value in rows:
+        print(f"{label:<20}{value}")
     return 0
 
 
@@ -110,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     bvp = sub.add_parser("bvp", help="diffusion-problem surrogate benchmark")
     bvp.add_argument("--d", type=int, default=2, help="number of random parameters")
     bvp.add_argument("--n", type=int, default=4, help="total polynomial degree")
-    bvp.add_argument("--N-grid", dest="n_grid", default="10,20,40",
+    bvp.add_argument("--N-grid", dest="n_grid", type=int_list, default="10,20,40",
                      help="comma-separated sample counts")
     bvp.add_argument("--mode", default="standard,gradient-enhanced",
                      help="comma-separated benchmark modes")

@@ -67,21 +67,20 @@ def _normalize_directions(dim: int, directions) -> tuple[int, ...]:
 
 def _row_weights(basis: PceBasis, points: np.ndarray, directions: tuple[int, ...]) -> np.ndarray:
     """Stacked diagonal of W: one block for values, one per direction."""
-    n = points.shape[0]
+    n, q = points.shape[0], len(directions)
     measure = basis.measure
     if measure.kind != "jacobi":
-        return np.ones(n * (1 + len(directions)))
+        return np.ones(n * (1 + q))
     # The basis evaluation has rejected points beyond the clamp; clip the rest as it does.
     clipped = np.clip(points, -1.0, 1.0)
-    ratios = density_ratio_to_chebyshev(measure, clipped.T)
-    blocks = [np.sqrt(np.prod(ratios, axis=0))]
-    for axis in directions:
-        # The raised family's ratio enters only the block of its own direction.
-        raised = density_ratio_to_chebyshev(measure.raised(), clipped[:, axis])
-        parts = [raised if j == axis else ratios[j] for j in range(basis.dim)]
-        blocks.append(np.sqrt(np.prod(parts, axis=0)))
-    weights = np.concatenate(blocks)
-    zero = (weights == 0.0).reshape(len(blocks), n).any(axis=0)
+    # Factors (block, dimension, point); the raised family's ratio enters only
+    # the block of its own direction, in that direction's coordinate.
+    factors = np.repeat(density_ratio_to_chebyshev(measure, clipped.T)[None], 1 + q, axis=0)
+    if q:
+        factors[np.arange(1, 1 + q), directions] = density_ratio_to_chebyshev(
+            measure.raised(), clipped[:, directions].T)
+    weights = np.sqrt(np.prod(factors, axis=1))
+    zero = (weights == 0.0).any(axis=0)
     # A zero weight at an interior point is an underflow, not the density's own zero.
     if np.any(zero & (np.abs(clipped).max(axis=1) < 1.0)):
         raise ValueError(
@@ -94,7 +93,7 @@ def _row_weights(basis: PceBasis, points: np.ndarray, directions: tuple[int, ...
             f"row weights must be strictly positive: sample point {i}, {points[i].tolist()}, "
             "has a coordinate on the boundary ±1, where a row weight is 0"
         )
-    return weights
+    return weights.ravel()
 
 
 def column_normalizer(basis: PceBasis, directions=None) -> np.ndarray:
@@ -188,7 +187,7 @@ class GradientDesign:
         gradients = np.asarray(gradients, dtype=float)
         if gradients.shape != (n, self.basis.dim):
             raise ValueError(f"gradients must have shape ({n}, {self.basis.dim})")
-        return np.concatenate([values] + [gradients[:, a] for a in self.directions])
+        return np.concatenate([values, gradients[:, self.directions].T.ravel()])
 
     def values_only(self) -> "GradientDesign":
         """The value-only system of the same points: W keeps its value block, P is 1."""
@@ -341,12 +340,9 @@ def coherence_params(design: GradientDesign, grid_points: int | None = None) -> 
     """
     n = checked("design", design, GradientDesign).n_samples
     weighted = design.w[:, None] * design.phi_tilde  # stack without P
-    value_sq = weighted[:n] ** 2
-    mu = float(value_sq.max())
-    stacked_sq = value_sq.copy()
-    for j in range(1, 1 + len(design.directions)):
-        stacked_sq += weighted[j * n : (j + 1) * n] ** 2
-    beta = float((stacked_sq * design.p[None, :] ** 2).max())
+    squares = (weighted**2).reshape(-1, n, design.basis.size)  # (block, sample, column)
+    mu = float(squares[0].max())
+    beta = float((squares.sum(axis=0) * design.p[None, :] ** 2).max())
     if grid_points is not None:
         g_mu, g_beta = coherence_suprema(design.basis, design.directions, grid_points)
         mu = max(mu, g_mu)

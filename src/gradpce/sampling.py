@@ -63,7 +63,8 @@ class SampleBatch:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SampleBatch):
             return NotImplemented
-        return self.measure == other.measure and np.array_equal(self.points, other.points)
+        return (self.measure == other.measure
+                and np.array_equal(self.points, other.points, equal_nan=True))
 
     def __hash__(self) -> int:
         return hash((self.measure, self.points.shape))  # stays valid if the points are written to

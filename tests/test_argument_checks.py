@@ -7,6 +7,7 @@ TypeError. Each must now raise one ValueError whose message starts with the
 name of the offending argument.
 """
 
+import json
 import re
 
 import numpy as np
@@ -20,6 +21,7 @@ from gradpce.adjoint_bvp import (
     run_bvp_benchmark,
     solve_bvp,
 )
+from gradpce.cli import main
 from gradpce.design import (
     GradientDesign,
     assemble_gradient_enhanced,
@@ -162,3 +164,20 @@ def test_integer_directions_of_any_container_are_accepted(directions):
 
 def test_numeric_nullspace_dim_takes_an_array_like():
     assert numeric_nullspace_dim([[1, 2], [2, 4]]) == 1
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ExperimentConfig("recovery-vs-N", modes="standard"),
+    lambda: run_bvp_benchmark(DiffusionModel(dim=1, cells=64), 2, (5,), modes="standard"),
+], ids=["ExperimentConfig", "run_bvp_benchmark"])
+def test_a_string_is_not_a_list_of_modes(call):
+    # Split into characters, a string once ended in the duplicate-modes message.
+    with pytest.raises(ValueError, match="^modes must be a list, got 'standard'$"):
+        call()
+
+
+def test_a_string_of_modes_in_a_config_file_is_not_a_list(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"kind": "recovery-vs-N", "modes": "standard"}))
+    assert main(["recover", "--config", str(config), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: modes must be a list, got 'standard'\n"

@@ -168,6 +168,13 @@ class TestBvp:
         payload = json.loads((tmp_path / "bvp.json").read_text())
         assert [row[0] for row in payload["rows"]] == ["standard"]
 
+    @pytest.mark.parametrize("flag, value", [("--N-grid", "10,x"), ("--d", "x")])
+    def test_ill_typed_flag_is_named_by_argparse(self, flag, value, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["bvp", flag, value, "--out", str(tmp_path)])
+        assert exit_.value.code == 2
+        assert f"error: argument {flag}: invalid " in capsys.readouterr().err
+
     def test_bad_mode_reported(self, tmp_path, capsys):
         code = main(["bvp", "--d", "1", "--mode", "turbo", "--out", str(tmp_path)])
         assert code == 1

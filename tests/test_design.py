@@ -110,6 +110,10 @@ class TestAssembly:
         # P only accounts for the included direction.
         expected_p = column_normalizer(basis, (1,))
         np.testing.assert_array_equal(design.p, expected_p)
+        np.testing.assert_array_equal(
+            assemble_gradient_enhanced(basis, batch, (2, 0)).stack(values, grads),
+            np.concatenate([values, grads[:, 0], grads[:, 2]]),
+        )
 
     def test_value_only_design_needs_no_gradients(self):
         basis = PceBasis.legendre(2, 2)
@@ -172,9 +176,14 @@ class TestAssembly:
         np.testing.assert_array_equal(hat, expected)
         assert peak < 1.1 * hat.nbytes
 
-    @pytest.mark.parametrize("directions", [(), (1,), (0, 1, 2)])
-    def test_one_table_pass_per_design(self, monkeypatch, directions):
-        basis = PceBasis(Measure.jacobi(1.0, 0.5), 3, 4)
+    @pytest.mark.parametrize("directions, measure", [
+        ((), Measure.jacobi(1.0, 0.5)), ((1,), Measure.jacobi(1.0, 0.5)),
+        ((0, 1, 2), Measure.jacobi(1.0, 0.5)), ((0, 2), Measure.jacobi(1.0, 0.5)),
+        ((), Measure.uniform()), ((0, 2), Measure.uniform()), ((0, 1, 2), Measure.uniform()),
+    ], ids=["directions0", "directions1", "directions2", "directions3",
+            "legendre-none", "legendre-0-2", "legendre-all"])
+    def test_one_table_pass_per_design(self, monkeypatch, directions, measure):
+        basis = PceBasis(measure, 3, 4)
         batch = sample(Measure.chebyshev(), 3, 9, seed=4)
         points = batch.points
         idx = basis.indices
@@ -187,7 +196,6 @@ class TestAssembly:
                 out *= (derivs if j == axis else values)[:, idx[:, j]]
             return out
 
-        measure = basis.measure
         ratios = [density_ratio_to_chebyshev(measure, points[:, j]) for j in range(basis.dim)]
         w_blocks = [np.sqrt(np.prod(ratios, axis=0))]
         for axis in directions:
@@ -210,7 +218,8 @@ class TestAssembly:
         monkeypatch.setattr(design, "density_ratio_to_chebyshev", counting_density)
         phi, phi_tilde, w, _ = design_matrices(basis, batch, directions)
         assert len(tables) == 1
-        assert len(densities) == 1 + len(directions)
+        # One ratio call for the basis measure, one for the raised measure of every direction.
+        assert len(densities) == 1 + bool(directions)
         np.testing.assert_array_equal(phi, block(None))
         np.testing.assert_array_equal(phi_tilde, np.vstack([block(None)] + [block(a) for a in directions]))
         # One stacked buffer: phi is its value block, not a copy.
@@ -456,6 +465,20 @@ class TestCoherence:
         assert stacked_sup <= growth * bound
         # The scan must reach at least the constant function's weighted sup.
         assert value_sup >= math.pi / 2.0 - 1e-12
+
+    def test_stacked_suprema_equal_the_per_block_sums(self):
+        # The block energies summed one block at a time, in stacking order.
+        basis = PceBasis(Measure.jacobi(0.5, 1.5), 3, 5)
+        design_ = assemble_gradient_enhanced(basis, sample(Measure.chebyshev(), 3, 40, seed=8))
+        n = design_.n_samples
+        weighted = design_.w[:, None] * design_.phi_tilde
+        value_sq = weighted[:n] ** 2
+        stacked_sq = value_sq.copy()
+        for j in range(1, 4):
+            stacked_sq += weighted[j * n : (j + 1) * n] ** 2
+        report = coherence_params(design_)
+        assert report.value_coherence == float(value_sq.max())
+        assert report.stacked_coherence == float((stacked_sq * design_.p[None, :] ** 2).max())
 
     def test_hermite_report_has_nan_bounds(self):
         basis = PceBasis(Measure.gaussian(), 2, 3)

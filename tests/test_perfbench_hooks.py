@@ -5,6 +5,7 @@ by name, so deleting or renaming one of them breaks ``perfbench/run.py
 --trace 1``. Installing and removing its hooks here keeps that contract in
 the main test suite. Running each workload's set-up statement and one
 operation does the same for the names and drivers every benchmark run calls.
+Running that operation traced does the same for what the observers read.
 """
 
 import sys
@@ -61,3 +62,25 @@ def test_every_workload_sets_up_and_runs_one_checked_operation(monkeypatch):
         exec(workload.setup, {"gradpce": gradpce})
         table = workload.operation(split_stream(1, 0))
         assert workload.check_table(table) == [], workload.name
+
+
+def test_every_workload_traced_writes_the_untraced_csv(monkeypatch):
+    # The traced run's observers read what the package returns (solve results,
+    # solve specs, the design_matrices tuple); a change that breaks one fails
+    # here rather than only in a benchmark run.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import layers
+    import workloads
+    from tracing import Tracer
+
+    from gradpce.sampling import split_stream
+
+    for workload in workloads.WORKLOADS.values():
+        seed = split_stream(1, 0)
+        untraced = workload.operation(seed).to_csv()
+        tracer = Tracer()
+        with layers.traced(tracer):
+            traced = workload.operation(seed).to_csv()
+        assert traced == untraced, workload.name
+        metrics, _ = layers.summarize(tracer, 0.0)
+        assert metrics["design.assemble_calls"] > 0, workload.name

@@ -175,6 +175,13 @@ class TestSample:
         first.points[0, 0] += 0.5
         assert hash(first) == key and first != second
 
+    def test_batch_with_a_nan_point_equals_itself(self):
+        points = np.array([[math.nan, 0.1], [0.2, 0.3]])
+        batch = SampleBatch(Measure.chebyshev(), points)
+        assert batch == batch
+        assert batch == SampleBatch(Measure.chebyshev(), points.copy())
+        assert batch != SampleBatch(Measure.chebyshev(), [[0.0, 0.1], [0.2, 0.3]])
+
     def test_subset_is_prefix(self):
         batch = sample(Measure.uniform(), 2, 30, seed=3)
         sub = batch.subset(10)
