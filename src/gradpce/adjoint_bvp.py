@@ -28,8 +28,8 @@ from typing import Callable
 import numpy as np
 
 from .checks import checked, checked_entries
-from .harness import (SURROGATE_OPT_TOL, ResultTable, check_modes, checked_grid, fit_grid,
-                      fit_modes, grid_table, trial_streams)
+from .harness import (DEFAULT_MODES, SURROGATE_OPT_TOL, ResultTable, check_modes, checked_grid,
+                      fit_grid, fit_modes, grid_table, trial_streams)
 from .pce import PceBasis
 from .polynomials import Measure, tensor_gauss_rule
 
@@ -314,7 +314,7 @@ def reference_moments(model: DiffusionModel) -> tuple[float, float]:
 
 
 def run_bvp_benchmark(model: DiffusionModel, degree: int, sample_grid,
-                      modes=("standard", "gradient-enhanced"), seed: int = 0,
+                      modes=DEFAULT_MODES, seed: int = 0,
                       trials: int = 1) -> ResultTable:
     """Surrogate moment errors against the quadrature reference per (mode, N)."""
     modes = checked_entries("modes", modes, str)

@@ -7,14 +7,10 @@ import json
 import sys
 from pathlib import Path
 
-from .adjoint_bvp import DiffusionModel, run_bvp_benchmark
+from .adjoint_bvp import QOI_KINDS, DiffusionModel, run_bvp_benchmark
 from .design import assemble_gradient_enhanced, coherence_params, draw
-from .harness import (
-    ExperimentConfig,
-    run_mic_sweep,
-    run_recovery_benchmark,
-    run_rmse_benchmark,
-)
+from .harness import (DEFAULT_MODES, FORMATS, TARGETS, ExperimentConfig, run_mic_sweep,
+                      run_recovery_benchmark, run_rmse_benchmark)
 from .pce import PceBasis
 from .polynomials import Measure
 
@@ -102,9 +98,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=Path, help="JSON experiment configuration")
         p.add_argument("--seed", type=int, help="override the configured seed")
         p.add_argument("--out", type=Path, default=Path("."), help="output directory")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.add_argument("--format", choices=FORMATS, default="csv")
         if command == "rmse":
-            p.add_argument("--target", choices=("f1", "f2", "f3"),
+            p.add_argument("--target", choices=TARGETS,
                            help="override the configured target function")
 
     bvp = sub.add_parser("bvp", help="diffusion-problem surrogate benchmark")
@@ -112,14 +108,14 @@ def build_parser() -> argparse.ArgumentParser:
     bvp.add_argument("--n", type=int, default=4, help="total polynomial degree")
     bvp.add_argument("--N-grid", dest="n_grid", type=int_list, default="10,20,40",
                      help="comma-separated sample counts")
-    bvp.add_argument("--mode", default="standard,gradient-enhanced",
+    bvp.add_argument("--mode", default=",".join(DEFAULT_MODES),
                      help="comma-separated benchmark modes")
     bvp.add_argument("--cells", type=int, default=256, help="mesh cell count")
-    bvp.add_argument("--qoi", choices=("average", "midpoint"), default="average")
+    bvp.add_argument("--qoi", choices=QOI_KINDS, default="average")
     bvp.add_argument("--trials", type=int, default=1)
     bvp.add_argument("--seed", type=int, default=0)
     bvp.add_argument("--out", type=Path, default=Path("."))
-    bvp.add_argument("--format", choices=("csv", "json"), default="csv")
+    bvp.add_argument("--format", choices=FORMATS, default="csv")
 
     diagnose = sub.add_parser("diagnose", help="print coherence diagnostics")
     diagnose.add_argument("--measure", default="legendre")

@@ -22,8 +22,11 @@ from .sampling import generator, sample, split_stream
 
 SUCCESS_TOL = 1e-3
 MODES = ("standard", "gradient-enhanced", "standard-double")
+DEFAULT_MODES = MODES[:2]
 KINDS = ("mic-sweep", "recovery-vs-N", "recovery-vs-s", "rmse")
 MATRIX_IDS = ("values", "stacked", "preconditioned")
+# Each format names a ResultTable.to_<format> rendering.
+FORMATS = ("csv", "json")
 
 _DEFAULT_TRIALS = {"mic-sweep": 10, "recovery-vs-N": 100, "recovery-vs-s": 100, "rmse": 10}
 _RELATIVE_EPSILON = 1e-8
@@ -127,7 +130,7 @@ class ExperimentConfig:
     sample_count: int = 50
     trials: int | None = None
     gradient_fraction: float = 1.0
-    modes: tuple[str, ...] = ("standard", "gradient-enhanced")
+    modes: tuple[str, ...] = DEFAULT_MODES
     target: str = "f1"
     epsilon: float | None = None
     seed: int = 0
@@ -203,12 +206,9 @@ class ResultTable:
         return json.dumps(payload, indent=2) + "\n"
 
     def write(self, path, fmt: str = "csv") -> None:
-        if fmt == "csv":
-            text = self.to_csv()
-        elif fmt == "json":
-            text = self.to_json()
-        else:
+        if fmt not in FORMATS:
             raise ValueError(f"unknown format {fmt!r}")
+        text = getattr(self, f"to_{fmt}")()
         with open(path, "w") as handle:
             handle.write(text)
 

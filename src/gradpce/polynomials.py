@@ -5,10 +5,12 @@ cases) orthonormal under the Beta-type density on [-1, 1], and probabilists'
 Hermite polynomials orthonormal under the standard Gaussian.  A
 :class:`Measure` is one frozen value, its kind and, for a Jacobi measure, the
 exponents alpha and beta, checked when it is built; every layer reads them
-from it.  All evaluation runs through the three-term recurrence of the
-orthonormal family, which also yields derivatives exactly; a family is that
-recurrence tabulated up to one degree.  ``derivative_constant`` is a closed
-form in the measure and the degree, with no family.  A Gauss rule
+from it.  ``MEASURE_IDS`` maps each measure id to one shared named measure
+(Chebyshev, uniform or Gaussian), and a label reads it back.  All evaluation
+runs through the three-term recurrence of the orthonormal family, which also
+yields derivatives exactly; a family is that recurrence tabulated up to one
+degree.  ``derivative_constant`` is a closed form in the measure and the
+degree, with no family.  A Gauss rule
 depends on its measure and node count alone, so ``gauss_rule`` builds it from
 the measure's recurrence with no family: its nodes come from numpy's
 symmetric eigensolver applied to the Jacobi matrix, the tridiagonal matrix of
@@ -64,26 +66,22 @@ class Measure:
 
     @staticmethod
     def chebyshev() -> "Measure":
-        return Measure("jacobi", -0.5, -0.5)
+        return MEASURE_IDS["chebyshev"]
 
     @staticmethod
     def uniform() -> "Measure":
-        return Measure("jacobi", 0.0, 0.0)
+        return MEASURE_IDS["uniform"]
 
     @staticmethod
     def gaussian() -> "Measure":
-        return Measure("gaussian")
+        return MEASURE_IDS["gaussian"]
 
     @staticmethod
     def parse(label: str) -> "Measure":
         """Parse a measure id such as 'chebyshev' or 'jacobi(0.5,1)'."""
         text = label.strip().lower() if isinstance(label, str) else ""
-        if text in ("chebyshev", "arcsine"):
-            return Measure.chebyshev()
-        if text in ("uniform", "legendre"):
-            return Measure.uniform()
-        if text in ("gaussian", "hermite", "normal"):
-            return Measure.gaussian()
+        if text in MEASURE_IDS:
+            return MEASURE_IDS[text]
         if text.startswith("jacobi(") and text.endswith(")"):
             try:
                 alpha, beta = map(float, text[len("jacobi(") : -1].split(","))
@@ -95,13 +93,7 @@ class Measure:
 
     @property
     def label(self) -> str:
-        if self.kind == "gaussian":
-            return "gaussian"
-        if self == Measure.chebyshev():
-            return "chebyshev"
-        if self == Measure.uniform():
-            return "uniform"
-        return f"jacobi({self.alpha:g},{self.beta:g})"
+        return _LABELS.get(self) or f"jacobi({self.alpha:g},{self.beta:g})"
 
     def raised(self) -> "Measure":
         """Measure of the family that derivatives of this measure's family map into."""
@@ -127,6 +119,13 @@ class Measure:
                 "normalization underflows"
             )
         return d
+
+
+# Each measure id and the one shared measure it names; a measure's label is its first id.
+MEASURE_IDS = {**dict.fromkeys(("chebyshev", "arcsine"), Measure("jacobi", -0.5, -0.5)),
+               **dict.fromkeys(("uniform", "legendre"), Measure("jacobi", 0.0, 0.0)),
+               **dict.fromkeys(("gaussian", "hermite", "normal"), Measure("gaussian"))}
+_LABELS = {measure: name for name, measure in reversed(MEASURE_IDS.items())}
 
 
 def density_ratio_to_chebyshev(measure: Measure, x) -> np.ndarray:

@@ -94,17 +94,16 @@ def sample(measure: Measure, dim: int, count: int, seed: int) -> SampleBatch:
     if checked("count", count, int) < 1:
         raise ValueError("sample count must be at least 1")
     rng = generator(checked("seed", seed, int))
-    alpha, beta = measure.alpha, measure.beta
-    if measure.kind == "gaussian":
+    if measure == Measure.gaussian():
         pts = rng.standard_normal((count, dim))
-    elif alpha == -0.5 and beta == -0.5:
+    elif measure == Measure.chebyshev():
         # The arcsine law gives +-1 probability zero, but cos(pi*u) rounds to +-1
         # for u within ~3.4e-9 of 0 or 1. Such a draw moves to the nearest float
         # inside, where a basis density that vanishes at the ends still gives
         # the point a positive row weight.
         pts = np.cos(math.pi * rng.random((count, dim)))
         pts.clip(-_BELOW_ONE, _BELOW_ONE, out=pts)
-    elif alpha == 0.0 and beta == 0.0:
+    elif measure == Measure.uniform():
         pts = 2.0 * rng.random((count, dim)) - 1.0
     else:
         raise ValueError(f"sample draws chebyshev, uniform or gaussian, got {measure.label}")

@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 
 import gradpce
+from gradpce.adjoint_bvp import QOI_KINDS
 from gradpce.cli import build_parser, main
+from gradpce.harness import DEFAULT_MODES, FORMATS, TARGETS, ResultTable
 
 PINNED = Path(__file__).resolve().parent / "data"
 # Loose enough for a BLAS thread-count difference (last digits), tight enough
@@ -316,6 +318,32 @@ class TestPinnedMicSweep:
             outputs.append(tmp_path / threads / "mic_sweep.csv")
             assert_table_matches(outputs[-1], PINNED / "mic_sweep_trials3.csv")
         assert_table_matches(outputs[0], outputs[1])
+
+
+class TestNameTables:
+    """The parser's choices and defaults are the library's own name tables."""
+
+    @staticmethod
+    def _action(command, dest):
+        commands = next(a for a in build_parser()._actions if a.dest == "command").choices
+        return next(a for a in commands[command]._actions if a.dest == dest)
+
+    def test_choices_are_the_library_tables(self):
+        for command in ("mic-sweep", "recover", "rmse", "bvp"):
+            assert tuple(self._action(command, "format").choices) == FORMATS
+        assert tuple(self._action("rmse", "target").choices) == tuple(TARGETS)
+        assert tuple(self._action("bvp", "qoi").choices) == QOI_KINDS
+        assert self._action("bvp", "mode").default == ",".join(DEFAULT_MODES)
+        assert gradpce.ExperimentConfig(kind="rmse").modes == DEFAULT_MODES
+
+    def test_table_writes_only_a_listed_format(self, tmp_path):
+        table = ResultTable(("mode",), (("standard",),))
+        for fmt in FORMATS:
+            table.write(tmp_path / f"table.{fmt}", fmt)
+        assert (tmp_path / "table.csv").read_text() == table.to_csv()
+        assert (tmp_path / "table.json").read_text() == table.to_json()
+        with pytest.raises(ValueError, match="^unknown format 'xml'$"):
+            table.write(tmp_path / "table.xml", "xml")
 
 
 class TestPinnedOutputs:

@@ -50,6 +50,20 @@ def synthesize(basis, batch, coeffs):
 
 
 class TestAssembly:
+    def test_legendre_design_builds_only_its_raised_measure(self, monkeypatch):
+        # The named measures are shared values: pairing, sampling and W
+        # compare against them without building one. What remains is the
+        # raised measure of the gradient blocks' density ratio.
+        basis = PceBasis.legendre(2, 4)
+        batch = design.draw(basis, 10, 3)
+        raised = Measure.jacobi(1.0, 1.0)
+        built = []
+        post_init = Measure.__post_init__
+        monkeypatch.setattr(Measure, "__post_init__",
+                            lambda self: (built.append(self), post_init(self))[1])
+        GradientDesign(basis, batch, (0, 1))
+        assert built == [raised]
+
     def test_single_point_hand_example(self):
         # Legendre in one dimension, degree 1, sampled at the origin.
         basis = PceBasis.legendre(1, 1)

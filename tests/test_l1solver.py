@@ -488,6 +488,22 @@ class TestSolve:
             correlation = a.T @ (b - a @ result.coefficients)
             assert np.abs(correlation).max() <= 1e-9 * np.abs(a.T @ b).max()
 
+    @pytest.mark.xfail(strict=True, reason="known solver defect: the path ends far above the "
+                       "least-squares floor on a rank-deficient, ill-conditioned tall design")
+    def test_repeated_column_of_an_ill_conditioned_design_ends_no_worse_than_zero(self):
+        # A tall design (singular values over 8 decades) whose column 3 repeats
+        # column 4 is rank deficient, so the least-squares exit declines and the
+        # path ends the exact solve. Any least-squares fit on any support, c = 0
+        # included, has a residual at most ||b||. The solve ends unconverged
+        # after 86 steps with coefficients up to 1.1e13 and a residual of 117.7,
+        # against ||b|| = 7.51 and a least-squares floor of 5.944, at 1 and 2
+        # BLAS threads alike.
+        rng = np.random.default_rng(0)
+        a = self._conditioned(rng, 8, cols=21)
+        a[:, 3] = a[:, 4]
+        b = rng.standard_normal(60)
+        assert solve(SolveSpec(a, b)).residual_norm <= np.linalg.norm(b)
+
     @pytest.mark.parametrize("matrix, rhs, epsilon, l1", [
         (np.eye(3), np.ones(3), 0.0, 3.0),
         (np.eye(3), np.ones(3), 0.1, 3.0 - 0.1 * np.sqrt(3.0)),
@@ -559,28 +575,46 @@ class TestHarnessScale:
             np.testing.assert_allclose(values, want.pop("values"), rtol=PIN_RTOL, atol=0)
             assert got == want
 
-    @pytest.mark.parametrize("driver", ["bvp", "rmse"])
-    def test_bpdn_solves_certified_by_weak_duality(self, monkeypatch, driver):
-        # One bvp-adjoint operation (dim 3, degree 4: 35 columns, 10-160 rows)
-        # and the default rmse config (f2, 3 trials: 231 columns). For a
-        # feasible instance, y = r / ||A^T r||_inf is dual feasible for
-        # min ||c||_1 s.t. ||A c - b|| <= t, so b^T y - t ||y|| bounds the
-        # optimum from below, independently of the solver. The gap measured
-        # up to 4.1e-7 ||c||_1 (bvp) and 1.5e-7 ||c||_1 (rmse), from rounding
-        # in A^T r at the small lam of the crossing. An instance whose
-        # least-squares residual exceeds t is tall and full rank: it must take
-        # the least-squares exit and end at that residual (measured to 5.9e-11
-        # relative).
-        if driver == "bvp":
-            solves = self._record(monkeypatch, lambda: adjoint_bvp.run_bvp_benchmark(
-                adjoint_bvp.DiffusionModel(dim=3), 4, (10, 20, 40), seed=7))
-            assert {spec.matrix.shape for spec, _ in solves} == {
-                (n, 35) for n in (10, 20, 40, 80, 160)}
-        else:
-            solves = self._record(monkeypatch, lambda: harness.run_rmse_benchmark(
-                ExperimentConfig(kind="rmse", trials=3, target="f2")))
-            assert len(solves) == 30
-            assert {spec.matrix.shape[1] for spec, _ in solves} == {231}
+    @staticmethod
+    def _rmse(target):
+        return lambda: harness.run_rmse_benchmark(
+            ExperimentConfig(kind="rmse", trials=3, target=target))
+
+    @staticmethod
+    def _bvp(dim, seed=0, qoi="average", modes=harness.DEFAULT_MODES):
+        return lambda: adjoint_bvp.run_bvp_benchmark(
+            adjoint_bvp.DiffusionModel(dim=dim, qoi=qoi), 4, (10, 20, 40), modes=modes, seed=seed)
+
+    _RMSE_SHAPES = {(k * n, 231) for n in range(20, 81, 15) for k in (1, 3)}
+
+    # Each run, its solves' shapes, how many solves it makes and how many are
+    # feasible: N in (10, 20, 40) for bvp, (20, ..., 80) for rmse, each with
+    # (1 + dim) N stacked rows.
+    @pytest.mark.parametrize("run, shapes, solve_count, least_feasible", [
+        (_bvp(3, seed=7), {(k * n, 35) for n in (10, 20, 40) for k in (1, 4)}, 6, 2),
+        (_rmse("f2"), _RMSE_SHAPES, 30, 30),
+        (_rmse("f1"), _RMSE_SHAPES, 30, 30),
+        (_rmse("f3"), _RMSE_SHAPES, 30, 30),
+        (_bvp(2), {(k * n, 15) for n in (10, 20, 40) for k in (1, 3)}, 6, 1),
+        (_bvp(2, qoi="midpoint", modes=harness.MODES),
+         {(k * n, 15) for n in (10, 20, 40) for k in (1, 3)}, 9, 1),
+    ], ids=["bvp", "rmse", "rmse-f1", "rmse-f3", "bvp-d2", "bvp-d2-midpoint-double"])
+    def test_bpdn_solves_certified_by_weak_duality(self, monkeypatch, run, shapes, solve_count,
+                                                   least_feasible):
+        # Every epsilon > 0 config behind a pinned CLI output in tests/data
+        # (rmse f1-f3 with 3 trials; bvp at dim 2 with both QoIs, the midpoint
+        # one with all three modes) and one bvp-adjoint operation (dim 3,
+        # seed 7). For a feasible instance, y = r / ||A^T r||_inf is dual
+        # feasible for min ||c||_1 s.t. ||A c - b|| <= t, so b^T y - t ||y||
+        # bounds the optimum from below, independently of the solver. Over
+        # the 111 solves, the 94 feasible ones have a gap of at most
+        # 1.9e-7 ||c||_1, from rounding in A^T r at the small lam of the
+        # crossing. An instance whose least-squares residual exceeds t is
+        # tall and full rank: it must take the least-squares exit and end at
+        # that residual (the 17 such exits measured to 4.1e-11 relative).
+        solves = self._record(monkeypatch, run)
+        assert len(solves) == solve_count
+        assert {spec.matrix.shape for spec, _ in solves} == shapes
         feasible = 0
         for spec, result in solves:
             a, b = spec.matrix, spec.rhs
@@ -600,7 +634,7 @@ class TestHarnessScale:
                 assert not result.converged
                 assert result.iterations == 1
                 assert abs(result.residual_norm - floor) <= 1e-9 * floor
-        assert feasible >= (2 if driver == "bvp" else 30)
+        assert feasible >= least_feasible
 
     def test_bpdn_solves_meet_the_lasso_optimality_conditions(self, monkeypatch):
         # Every solve of the rmse driver (f2, 3 trials: 231 columns) and of a

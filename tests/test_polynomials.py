@@ -11,6 +11,7 @@ from gradpce.adjoint_bvp import DiffusionModel, reference_moments
 from gradpce.design import isotropy_gap
 from gradpce.pce import PceBasis
 from gradpce.polynomials import (
+    MEASURE_IDS,
     Measure,
     PolynomialFamily,
     _recurrence,
@@ -366,6 +367,26 @@ class TestMeasure:
     def test_parse_aliases(self):
         assert Measure.parse("legendre") == Measure.uniform()
         assert Measure.parse("hermite") == Measure.gaussian()
+
+    @pytest.mark.parametrize("name, named", [
+        ("chebyshev", Measure.chebyshev), ("arcsine", Measure.chebyshev),
+        ("uniform", Measure.uniform), ("legendre", Measure.uniform),
+        ("gaussian", Measure.gaussian), ("hermite", Measure.gaussian),
+        ("normal", Measure.gaussian),
+    ])
+    def test_every_id_parses_to_its_named_measure(self, name, named):
+        assert Measure.parse(name) is named() is named()
+        assert Measure.parse(f" {name.upper()} ") is named()
+        assert MEASURE_IDS[name] is named()
+
+    def test_id_table_holds_the_three_named_measures(self):
+        chebyshev, uniform = Measure.jacobi(-0.5, -0.5), Measure.jacobi(0.0, 0.0)
+        gaussian = Measure("gaussian")
+        assert MEASURE_IDS == {"chebyshev": chebyshev, "arcsine": chebyshev,
+                               "uniform": uniform, "legendre": uniform, "gaussian": gaussian,
+                               "hermite": gaussian, "normal": gaussian}
+        assert [m.label for m in (chebyshev, uniform, gaussian)] == [
+            "chebyshev", "uniform", "gaussian"]
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
