@@ -1,7 +1,10 @@
 """Tensor-product polynomial chaos bases over total-degree multi-index sets.
 
 A basis is the value (measure, dim, degree); its univariate family table and
-its multi-indices are details it derives from those three fields.
+its multi-indices are details it derives from those three fields.  They are
+built once per value in a process, after the fields are checked, and every
+equal basis shares them read-only.  A design's blocks are gathered row by row
+from degree-major tables.
 
 Multi-indices are ordered graded-lexicographically (by total degree, then by
 lexicographic comparison of the index tuple), so the zero index always comes
@@ -10,6 +13,7 @@ first and the ordering is reproducible across runs and platforms.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -55,6 +59,14 @@ def total_degree_set(dim: int, degree: int) -> np.ndarray:
     return idx[np.argsort(idx.sum(axis=1), kind="stable")]
 
 
+@functools.lru_cache(maxsize=32)
+def _derived(measure: Measure, dim: int, degree: int) -> tuple[np.ndarray, PolynomialFamily]:
+    """The read-only index set and the family of a basis, built once per value in a process."""
+    indices = total_degree_set(dim, degree)
+    indices.flags.writeable = False
+    return indices, PolynomialFamily(measure, degree)
+
+
 @dataclass(frozen=True)
 class PceBasis:
     """Tensor-product orthonormal basis over a total-degree index set.
@@ -63,7 +75,7 @@ class PceBasis:
     those three fields.  Every dimension uses the measure's univariate
     family, tabulated up to ``degree``; ``indices`` holds the multi-indices
     of the columns, one row each, from :func:`total_degree_set`.  Both are
-    derived from the fields.
+    derived from the fields, once per value in a process, and are read-only.
     """
 
     measure: Measure
@@ -73,9 +85,12 @@ class PceBasis:
     family: PolynomialFamily = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        checked("measure", self.measure, Measure)
-        object.__setattr__(self, "indices", total_degree_set(self.dim, self.degree))
-        object.__setattr__(self, "family", PolynomialFamily(self.measure, self.degree))
+        # Check the fields before the cache lookup: True == 1 and 2.0 == 2 hash alike.
+        key = (checked("measure", self.measure, Measure), checked("dim", self.dim, int),
+               checked("degree", self.degree, int))
+        indices, family = _derived(*key)
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "family", family)
 
     # -- constructors ------------------------------------------------------
 
@@ -116,18 +131,25 @@ class PceBasis:
             if axis is not None and not 0 <= checked("axis", axis, int) < self.dim:
                 raise ValueError(f"axis {axis} out of range for dimension {self.dim}")
         pts = self._point_array(points)
-        # Tables of shape (dim, N, degree + 1) from one call: the recurrence acts
-        # on each coordinate alone, so they equal one call per dimension bitwise.
+        n = pts.shape[0]
+        # Degree-major tables from one call, row k * dim + j holding p_k (or p_k') at
+        # coordinate j of every point: the recurrence acts on each coordinate alone,
+        # so they equal one call per dimension bitwise.
         values, derivs = self.family.eval_table(pts.T.ravel())
-        shape = (self.dim, pts.shape[0], self.degree + 1)
-        values, derivs = values.reshape(shape), derivs.reshape(shape)
-        idx = self.indices
-        blocks = np.empty((len(axes), pts.shape[0], self.size))
+        shape = ((self.degree + 1) * self.dim, n)
+        values, derivs = values.T.reshape(shape), derivs.T.reshape(shape)
+        rows = self.indices.T * self.dim + np.arange(self.dim)[:, None]
+        blocks = np.empty((len(axes), n, self.size))
+        product = np.empty((self.size, n))
         for block, axis in zip(blocks, axes):
-            tables = [derivs[j] if j == axis else values[j] for j in range(self.dim)]
-            np.take(tables[0], idx[:, 0], axis=1, out=block)
+            # Each factor is gathered by rows into the block's own buffer, seen as
+            # (size, N), and multiplied into ``product`` in dimension order.
+            factor = block.reshape(self.size, n)
+            np.take(derivs if axis == 0 else values, rows[0], axis=0, out=product, mode="clip")
             for j in range(1, self.dim):
-                block *= tables[j][:, idx[:, j]]
+                np.take(derivs if j == axis else values, rows[j], axis=0, out=factor, mode="clip")
+                product *= factor
+            block[...] = product.T
         return blocks
 
     def matrix(self, points) -> np.ndarray:

@@ -9,9 +9,11 @@ from it.  ``MEASURE_IDS`` maps each measure id to one shared named measure
 (Chebyshev, uniform or Gaussian), and a label reads it back.  All evaluation
 runs through the three-term recurrence of the orthonormal family, which also
 yields derivatives exactly; a family is that recurrence tabulated up to one
-degree.  ``derivative_constant`` is a closed form in the measure and the
-degree, with no family.  A Gauss rule
-depends on its measure and node count alone, so ``gauss_rule`` builds it from
+degree, with read-only coefficients.  ``eval_table`` runs the recurrence once
+for values and derivatives together, into degree-major buffers, and returns
+their transposed views.  ``derivative_constant`` is a closed form in the
+measure and the degree, with no family.  A Gauss rule depends on its measure
+and node count alone, so ``gauss_rule`` builds it from
 the measure's recurrence with no family: its nodes come from numpy's
 symmetric eigensolver applied to the Jacobi matrix, the tridiagonal matrix of
 the recurrence coefficients, and its weights from the Christoffel function of
@@ -198,6 +200,21 @@ def _values(x: np.ndarray, a: np.ndarray, sqrt_b: np.ndarray, deg: int) -> np.nd
     return values
 
 
+def _tables(x: np.ndarray, a: np.ndarray, sqrt_b: np.ndarray, deg: int):
+    """Orthonormal p_0 .. p_deg and their derivatives at the points x, both of
+    shape (deg + 1, len(x)): one recurrence pass, differentiated term by term."""
+    values = np.empty((deg + 1, x.shape[0]))
+    derivs = np.empty_like(values)
+    values[0] = 1.0
+    derivs[0] = 0.0
+    for n in range(deg):
+        shifted = x - a[n]
+        prev, dprev = (values[n - 1], derivs[n - 1]) if n > 0 else (0.0, 0.0)
+        values[n + 1] = (shifted * values[n] - sqrt_b[n] * prev) / sqrt_b[n + 1]
+        derivs[n + 1] = (values[n] + shifted * derivs[n] - sqrt_b[n] * dprev) / sqrt_b[n + 1]
+    return values, derivs
+
+
 def derivative_constant(measure: Measure, n: int) -> float:
     """Factor c(n) in d/dx p_n = c(n) q_{n-1}, q from the raised family.
 
@@ -256,6 +273,9 @@ class PolynomialFamily:
         # c(0) .. c(max_degree) of d/dx p_n = c(n) q_{n-1}.
         self.derivative_constants = np.array(
             [derivative_constant(measure, n) for n in range(self.max_degree + 1)])
+        # A family is shared by every equal basis in a process, so its tables are read-only.
+        for table in (self._rec_a, self._rec_sqrt_b, self.derivative_constants):
+            table.flags.writeable = False
         if measure.kind == "jacobi" and self.max_degree >= 1:
             self._check_derivative_constants()
 
@@ -273,17 +293,14 @@ class PolynomialFamily:
     def eval_table(self, x) -> tuple[np.ndarray, np.ndarray]:
         """Values and derivatives of p_0 .. p_K at the given points.
 
-        Returns arrays of shape (len(x), K+1), K the family's tabulated maximum.
+        Returns tables of shape (len(x), K+1), K the family's tabulated maximum.
+        They are the transposed views of the degree-major buffers that one
+        recurrence pass fills, so they are not C-contiguous: ``table.T`` holds
+        p_n (or p_n') at every point in its row n.
         """
-        x = self._prepare_points(x)
-        a, sb, deg = self._rec_a, self._rec_sqrt_b, self.max_degree
-        values = _values(x, a, sb, deg)
-        # The recurrence differentiated term by term.
-        derivs = np.zeros_like(values)
-        for n in range(deg):
-            prev = derivs[:, n - 1] if n > 0 else 0.0
-            derivs[:, n + 1] = (values[:, n] + (x - a[n]) * derivs[:, n] - sb[n] * prev) / sb[n + 1]
-        return values, derivs
+        values, derivs = _tables(self._prepare_points(x), self._rec_a, self._rec_sqrt_b,
+                                 self.max_degree)
+        return values.T, derivs.T
 
     # -- validation --------------------------------------------------------
 
@@ -296,10 +313,11 @@ class PolynomialFamily:
         raised = self.measure.raised()
         m = self.max_degree + 1
         nodes, weights = gauss_rule(raised, m)
-        _, derivs = self.eval_table(nodes)
+        # The nodes lie inside (-1, 1), so they need no clipping.
+        _, derivs = _tables(nodes, self._rec_a, self._rec_sqrt_b, self.max_degree)
         raised_vals = _values(nodes, *_recurrence(raised, m), self.max_degree)
         for n in range(1, self.max_degree + 1):
-            projected = float(np.sum(weights * derivs[:, n] * raised_vals[:, n - 1]))
+            projected = float(np.sum(weights * derivs[n] * raised_vals[:, n - 1]))
             closed = derivative_constant(self.measure, n)
             if abs(projected - closed) > _DERIVATIVE_CHECK_TOL * max(1.0, abs(closed)):
                 raise ValueError(

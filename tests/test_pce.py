@@ -154,6 +154,27 @@ class TestPceBasis:
         with pytest.raises(ValueError, match=field):
             PceBasis.legendre(*args)
 
+    def test_sizes_checked_before_the_cache(self):
+        # True == 1 and 2.0 == 2 hash alike, so a lookup before the checks
+        # would hand these the cached bases of the first two.
+        PceBasis.legendre(1, 2)
+        PceBasis(Measure.uniform(), 2, 3)
+        for field, build in [("dim", lambda: PceBasis.legendre(True, 2)),
+                             ("dim", lambda: PceBasis(Measure.uniform(), 2.0, 3)),
+                             ("degree", lambda: PceBasis(Measure.uniform(), 2, 3.0))]:
+            with pytest.raises(ValueError, match=field):
+                build()
+
+    def test_equal_bases_share_read_only_parts(self):
+        basis = PceBasis(Measure.jacobi(0.5, 1.5), 2, 3)
+        equal = PceBasis(Measure.jacobi(0.5, 1.5), 2, 3)
+        assert equal.indices is basis.indices and equal.family is basis.family
+        family = basis.family
+        for shared in (basis.indices, family.derivative_constants, family._rec_a,
+                       family._rec_sqrt_b):
+            with pytest.raises(ValueError, match="read-only"):
+                shared[0] = 7
+
     def test_numpy_integer_sizes_accepted(self):
         basis = PceBasis.legendre(np.int64(2), np.int32(3))
         np.testing.assert_array_equal(basis.indices, total_degree_set(2, 3))

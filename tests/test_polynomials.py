@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradpce import polynomials
+from gradpce import pce, polynomials
 from gradpce.adjoint_bvp import DiffusionModel, reference_moments
 from gradpce.design import isotropy_gap
 from gradpce.pce import PceBasis
@@ -290,7 +290,7 @@ class TestQuadrature:
 
 
 def test_rules_build_no_family(monkeypatch):
-    """A basis builds its one family; rules for isotropy and the reference build none."""
+    """A basis value builds one family per process; rules for isotropy and the reference build none."""
     calls = []
     init = PolynomialFamily.__init__
 
@@ -299,7 +299,11 @@ def test_rules_build_no_family(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(PolynomialFamily, "__init__", counting_init)
+    pce._derived.cache_clear()
     basis = PceBasis(Measure.jacobi(0.5, 1.5), 2, 3)
+    assert len(calls) == 1
+    # An equal basis shares the family built for the first.
+    PceBasis(Measure.jacobi(0.5, 1.5), 2, 3)
     assert len(calls) == 1
     isotropy_gap(basis)
     # The cache's wrapped function: the model's moments are computed afresh.
