@@ -2,13 +2,17 @@
 
 Every run is reproducible: ``trial_streams`` splits the seed into one stream
 per trial and one per grid point within it, so results depend neither on trial
-order nor on which grid points run together. ``fit_modes`` is the one fit site.
+order, nor on which grid points run together, nor on which thread runs a grid
+point. ``fit_modes`` is the one fit site.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import threading
+from collections import deque
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -360,15 +364,82 @@ def _mics(basis: PceBasis, n: int, seed: int, dirs) -> tuple[float, float, float
     return values, unweighted, mic(stacked)
 
 
+def _blas_threads(cpus: int) -> int:
+    """The thread count OpenBLAS takes from the environment when it loads.
+
+    The first positive integer among OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and
+    OMP_NUM_THREADS, else ``cpus``.
+    """
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            count = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if count > 0:
+            return count
+    return cpus
+
+
+def _sweep_workers(tasks: int) -> int:
+    """Threads for ``tasks`` grid points: the CPUs over the BLAS thread count, 1 to ``tasks``."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(tasks, cpus // _blas_threads(cpus)))
+
+
 def run_mic_sweep(config: ExperimentConfig) -> ResultTable:
-    """Average mutual coherence of the value, stacked, and weighted systems."""
+    """Average mutual coherence of the value, stacked, and weighted systems.
+
+    The grid points run on ``_sweep_workers`` threads, the caller's among them,
+    largest N first; each result goes to its own slot, so the table does not
+    depend on which thread ran a grid point or when.
+    """
     if checked("config", config, ExperimentConfig).kind != "mic-sweep":
         raise ValueError("config kind must be mic-sweep")
     basis = PceBasis(Measure.parse(config.measure), config.dim, config.degree)
     trials = trial_streams(config.seed, config.effective_trials, config.dim,
                            config.gradient_fraction, len(config.sample_grid))
-    per_trial = [[_mics(basis, n, seed, dirs) for n, seed in zip(config.sample_grid, seeds)]
-                 for _, dirs, seeds in trials]
+    tasks = [(n, seed, dirs) for _, dirs, seeds in trials
+             for n, seed in zip(config.sample_grid, seeds)]
+    workers = _sweep_workers(len(tasks))
+    if workers == 1:
+        results = [_mics(basis, *task) for task in tasks]
+    else:
+        results = [None] * len(tasks)
+        errors = {}
+        # Sorting is stable: grid points of equal N keep (trial, grid point) order.
+        pending = deque(sorted(range(len(tasks)), key=lambda i: -tasks[i][0]))
+
+        def work():
+            # deque.popleft is atomic, so no two threads take one task.
+            while True:
+                try:
+                    i = pending.popleft()
+                except IndexError:
+                    return
+                try:
+                    results[i] = _mics(basis, *tasks[i])
+                except Exception as error:  # raised below, once every thread is joined
+                    errors[i] = error
+
+        threads = []
+        try:
+            for _ in range(workers - 1):
+                thread = threading.Thread(target=work)
+                thread.start()
+                threads.append(thread)
+            work()
+        finally:
+            pending.clear()  # on an interrupt, the other threads stop after their task
+            for thread in threads:
+                thread.join()
+        if errors:
+            # The sequential loop raises at the first failing grid point.
+            raise errors[min(errors)]
+    points = len(config.sample_grid)
+    per_trial = [results[t:t + points] for t in range(0, len(results), points)]
     return grid_table(("matrix_id", "N", "mic"), MATRIX_IDS, config.sample_grid, per_trial,
                       lambda mics: (sum(mics) / len(mics),))
 

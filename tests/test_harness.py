@@ -1,6 +1,9 @@
 import dataclasses
 import math
+import os
+import threading
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -422,22 +425,23 @@ class TestMicSweep:
         # The coherence-sweep benchmark's config; the sweep never forms phi_hat itself.
         config = ExperimentConfig("mic-sweep", dim=3, degree=10, sample_grid=(50, 100, 200, 400),
                                   trials=1, seed=11)
-        expected = []
+        expected = {}
 
         def recording(*args):
-            # Read before the sweep weights the design's stacked buffer in place.
+            # Read before the sweep weights the design's stacked buffer in place. Keyed by
+            # N: the grid points may run on several threads, in any order.
             design = assemble_gradient_enhanced(*args)
-            expected.append(mic(design.phi_hat))
+            expected[len(args[1])] = mic(design.phi_hat)
             return design
 
         monkeypatch.setattr(harness, "assemble_gradient_enhanced", recording)
         # With one trial each table entry is that trial's coherence itself.
         table = run_mic_sweep(config)
-        preconditioned = [value for matrix_id, _, value in table.rows
-                          if matrix_id == "preconditioned"]
+        preconditioned = {n: value for matrix_id, n, value in table.rows
+                          if matrix_id == "preconditioned"}
         assert len(preconditioned) == len(expected) == 4
-        for value, phi_hat_mic in zip(preconditioned, expected):
-            assert value == pytest.approx(phi_hat_mic, rel=0, abs=1e-14)
+        for n, value in preconditioned.items():
+            assert value == pytest.approx(expected[n], rel=0, abs=1e-14)
 
     def test_grid_point_holds_one_stacked_buffer(self):
         # The coherence-sweep benchmark's largest grid point: N=400, all directions.
@@ -456,6 +460,107 @@ class TestMicSweep:
     def test_kind_guard(self):
         with pytest.raises(ValueError, match="kind"):
             run_mic_sweep(ExperimentConfig("rmse"))
+
+
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+# The coherence-sweep benchmark's config, at three trials.
+_COHERENCE = ExperimentConfig("mic-sweep", dim=3, degree=10, sample_grid=(50, 100, 200, 400),
+                              trials=3, seed=11)
+
+
+def _host(monkeypatch, cpus, **blas):
+    """A host of ``cpus`` CPUs whose BLAS variables are exactly ``blas``.
+
+    BLAS read its variables when it loaded, so only the worker rule sees them.
+    """
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    for var in _BLAS_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in blas.items():
+        monkeypatch.setenv(var, value)
+
+
+class _CountingThread(threading.Thread):
+    started = 0
+
+    def start(self):
+        type(self).started += 1
+        super().start()
+
+
+class TestSweepWorkers:
+    """The sweep runs its grid points on the CPUs that BLAS's own threads leave idle."""
+
+    @pytest.mark.parametrize("blas, tasks, workers", [
+        ({"OPENBLAS_NUM_THREADS": "1"}, 4, 2),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 1, 1),  # capped at the task count
+        ({"OPENBLAS_NUM_THREADS": "2"}, 4, 1),
+        ({"OPENBLAS_NUM_THREADS": "4"}, 4, 1),
+        ({}, 4, 1),  # unset: BLAS takes every CPU
+        ({"OPENBLAS_NUM_THREADS": "one"}, 4, 1),
+        ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "1"}, 4, 2),
+        ({"OPENBLAS_NUM_THREADS": "1", "GOTO_NUM_THREADS": "2"}, 4, 2),
+        ({"OPENBLAS_NUM_THREADS": "2", "GOTO_NUM_THREADS": "1"}, 4, 1),
+        ({"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 4, 2),
+        ({"GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4, 1),
+        ({"OMP_NUM_THREADS": "1"}, 4, 2),
+    ])
+    def test_worker_rule(self, monkeypatch, blas, tasks, workers):
+        _host(monkeypatch, 2, **blas)
+        assert harness._sweep_workers(tasks) == workers
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        _host(monkeypatch, 2, OPENBLAS_NUM_THREADS="1")
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert harness._sweep_workers(8) == 3
+
+    @pytest.mark.parametrize("config", [ExperimentConfig("mic-sweep", trials=3), _COHERENCE],
+                             ids=["trials3", "coherence-sweep"])
+    def test_bytes_do_not_depend_on_the_worker_count(self, monkeypatch, config):
+        monkeypatch.setattr(harness, "threading", SimpleNamespace(Thread=_CountingThread))
+        csv = {}
+        for cpus in (1, 2):
+            _host(monkeypatch, cpus, OPENBLAS_NUM_THREADS="1")
+            _CountingThread.started = 0
+            csv[cpus] = run_mic_sweep(config).to_csv()
+            assert _CountingThread.started == cpus - 1
+        assert csv[1] == csv[2]
+
+    def test_one_worker_starts_no_thread(self, monkeypatch):
+        _host(monkeypatch, 2, OPENBLAS_NUM_THREADS="2")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("one worker started a thread")
+
+        monkeypatch.setattr(harness, "threading", SimpleNamespace(Thread=refuse))
+        callers = set()
+
+        def recording(basis, count, stream):
+            callers.add(threading.get_ident())
+            return draw(basis, count, stream)
+
+        monkeypatch.setattr(harness, "draw", recording)
+        run_mic_sweep(_COHERENCE)
+        assert callers == {threading.get_ident()}
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_failing_grid_points_raise_the_sequential_exception(self, monkeypatch, cpus):
+        _host(monkeypatch, cpus, OPENBLAS_NUM_THREADS="1")
+        baseline = threading.active_count()
+        # Trial 0's N=100 is the first failure in (trial, grid point) order; every N=400,
+        # which the threads take first, fails too.
+        first = split_stream(split_stream(_COHERENCE.seed, 0), 2)
+
+        def failing(basis, count, stream):
+            if count == 400 or stream == first:
+                raise ValueError(f"grid point N={count} on stream {stream}")
+            return draw(basis, count, stream)
+
+        monkeypatch.setattr(harness, "draw", failing)
+        with pytest.raises(ValueError, match=f"^grid point N=100 on stream {first}$"):
+            run_mic_sweep(_COHERENCE)
+        assert threading.active_count() == baseline
 
 
 class TestRmseBenchmark:
@@ -555,5 +660,7 @@ class TestStreamRule:
 
         monkeypatch.setattr(harness, "draw", recording)
         run(seed)
-        assert draws == [(counts[gi], split_stream(split_stream(seed, t), gi + 1))
-                         for t in range(2) for gi in range(2)]
+        # The sweep may draw on several threads, in any order: compare the pairs sorted.
+        assert len(draws) == 4
+        assert sorted(draws) == sorted((counts[gi], split_stream(split_stream(seed, t), gi + 1))
+                                       for t in range(2) for gi in range(2))

@@ -1,9 +1,13 @@
 """Every module of the package uses each name that it imports and each private
-name that it defines at module level."""
+name that it defines at module level; importing the package loads neither a
+thread pool nor logging."""
 
 import ast
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -114,3 +118,14 @@ def test_package_exports_one_name_per_job():
         assert not hasattr(package, name), name
         function = getattr(importlib.import_module(f"gradpce.{module}"), name)
         assert str(inspect.signature(function)) == signature, name
+
+
+def test_import_loads_no_thread_pool_or_logging():
+    # concurrent.futures imports logging, which costs the package's import time.
+    code = ("import sys, gradpce\n"
+            "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))")
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          timeout=60, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
