@@ -394,7 +394,9 @@ def run_mic_sweep(config: ExperimentConfig) -> ResultTable:
 
     The grid points run on ``_sweep_workers`` threads, the caller's among them,
     largest N first; each result goes to its own slot, so the table does not
-    depend on which thread ran a grid point or when.
+    depend on which thread ran a grid point or when. One worker starts no thread.
+    When grid points raise, every grid point still runs, then the exception of
+    the first failing one in (trial, grid point) order is raised.
     """
     if checked("config", config, ExperimentConfig).kind != "mic-sweep":
         raise ValueError("config kind must be mic-sweep")
@@ -404,40 +406,37 @@ def run_mic_sweep(config: ExperimentConfig) -> ResultTable:
     tasks = [(n, seed, dirs) for _, dirs, seeds in trials
              for n, seed in zip(config.sample_grid, seeds)]
     workers = _sweep_workers(len(tasks))
-    if workers == 1:
-        results = [_mics(basis, *task) for task in tasks]
-    else:
-        results = [None] * len(tasks)
-        errors = {}
-        # Sorting is stable: grid points of equal N keep (trial, grid point) order.
-        pending = deque(sorted(range(len(tasks)), key=lambda i: -tasks[i][0]))
+    results = [None] * len(tasks)
+    errors = {}
+    # Sorting is stable: grid points of equal N keep (trial, grid point) order.
+    pending = deque(sorted(range(len(tasks)), key=lambda i: -tasks[i][0]))
 
-        def work():
-            # deque.popleft is atomic, so no two threads take one task.
-            while True:
-                try:
-                    i = pending.popleft()
-                except IndexError:
-                    return
-                try:
-                    results[i] = _mics(basis, *tasks[i])
-                except Exception as error:  # raised below, once every thread is joined
-                    errors[i] = error
+    def work():
+        # deque.popleft is atomic, so no two threads take one task.
+        while True:
+            try:
+                i = pending.popleft()
+            except IndexError:
+                return
+            try:
+                results[i] = _mics(basis, *tasks[i])
+            except Exception as error:  # raised below, once every thread is joined
+                errors[i] = error
 
-        threads = []
-        try:
-            for _ in range(workers - 1):
-                thread = threading.Thread(target=work)
-                thread.start()
-                threads.append(thread)
-            work()
-        finally:
-            pending.clear()  # on an interrupt, the other threads stop after their task
-            for thread in threads:
-                thread.join()
-        if errors:
-            # The sequential loop raises at the first failing grid point.
-            raise errors[min(errors)]
+    threads = []
+    try:
+        for _ in range(workers - 1):
+            thread = threading.Thread(target=work)
+            thread.start()
+            threads.append(thread)
+        work()
+    finally:
+        pending.clear()  # on an interrupt, the other threads stop after their task
+        for thread in threads:
+            thread.join()
+    if errors:
+        # The lowest index is the first failure in (trial, grid point) order.
+        raise errors[min(errors)]
     points = len(config.sample_grid)
     per_trial = [results[t:t + points] for t in range(0, len(results), points)]
     return grid_table(("matrix_id", "N", "mic"), MATRIX_IDS, config.sample_grid, per_trial,
