@@ -9,16 +9,18 @@ from it.  ``MEASURE_IDS`` maps each measure id to one shared named measure
 (Chebyshev, uniform or Gaussian), and a label reads it back.  All evaluation
 runs through the three-term recurrence of the orthonormal family, which also
 yields derivatives exactly; a family is that recurrence tabulated up to one
-degree, with read-only coefficients.  ``eval_table`` runs the recurrence once
-for values and derivatives together, into degree-major buffers, and returns
-their transposed views.  ``derivative_constant`` is a closed form in the
-measure and the degree, with no family.  A Gauss rule depends on its measure
-and node count alone, so ``gauss_rule`` builds it from
-the measure's recurrence with no family: its nodes come from numpy's
-symmetric eigensolver applied to the Jacobi matrix, the tridiagonal matrix of
-the recurrence coefficients, and its weights from the Christoffel function of
-the orthonormal values, which keeps the tiny tail weights of the Hermite and
-large-parameter Jacobi rules accurate to relative precision.
+degree, with read-only coefficients.  One kernel, ``_tables``, runs the
+recurrence once for values and derivatives together, into degree-major
+buffers: ``eval_table`` returns their transposed views, and Gauss rules and
+the family's derivative self-check read their values from the same kernel.
+``derivative_constant`` is a closed form in the measure and the degree, with
+no family.  A Gauss rule depends on its measure and node count alone, so
+``gauss_rule`` builds it from the measure's recurrence with no family: its
+nodes come from numpy's symmetric eigensolver applied to the Jacobi matrix,
+the tridiagonal matrix of the recurrence coefficients, and its weights from
+the Christoffel function of the orthonormal values, which keeps the tiny tail
+weights of the Hermite and large-parameter Jacobi rules accurate to relative
+precision.
 """
 
 from __future__ import annotations
@@ -95,7 +97,11 @@ class Measure:
 
     @property
     def label(self) -> str:
-        return _LABELS.get(self) or f"jacobi({self.alpha:g},{self.beta:g})"
+        if self in _LABELS:
+            return _LABELS[self]
+        # repr is the shortest text that parses back to the same float, so parse(label) == self.
+        alpha, beta = (repr(float(v)).removesuffix(".0") for v in (self.alpha, self.beta))
+        return f"jacobi({alpha},{beta})"
 
     def raised(self) -> "Measure":
         """Measure of the family that derivatives of this measure's family map into."""
@@ -190,16 +196,6 @@ def _recurrence(measure: Measure, count: int) -> tuple[np.ndarray, np.ndarray]:
     return rec_a, np.sqrt(rec_b)
 
 
-def _values(x: np.ndarray, a: np.ndarray, sqrt_b: np.ndarray, deg: int) -> np.ndarray:
-    """Orthonormal p_0 .. p_deg at the points x, shape (len(x), deg + 1)."""
-    values = np.zeros((x.shape[0], deg + 1))
-    values[:, 0] = 1.0
-    for n in range(deg):
-        prev = values[:, n - 1] if n > 0 else 0.0
-        values[:, n + 1] = ((x - a[n]) * values[:, n] - sqrt_b[n] * prev) / sqrt_b[n + 1]
-    return values
-
-
 def _tables(x: np.ndarray, a: np.ndarray, sqrt_b: np.ndarray, deg: int):
     """Orthonormal p_0 .. p_deg and their derivatives at the points x, both of
     shape (deg + 1, len(x)): one recurrence pass, differentiated term by term."""
@@ -253,7 +249,8 @@ def gauss_rule(measure: Measure, m: int) -> tuple[np.ndarray, np.ndarray]:
     a, sqrt_b = _recurrence(checked("measure", measure, Measure), m)
     off = sqrt_b[1:]
     nodes = np.linalg.eigvalsh(np.diag(a) + np.diag(off, 1) + np.diag(off, -1))
-    values = _values(nodes, a, sqrt_b, m - 1)
+    # Node-major rows: summing the degree-major table over axis 0 rounds differently.
+    values = np.ascontiguousarray(_tables(nodes, a, sqrt_b, m - 1)[0].T)
     return nodes, 1.0 / np.sum(values * values, axis=1)
 
 
@@ -315,9 +312,9 @@ class PolynomialFamily:
         nodes, weights = gauss_rule(raised, m)
         # The nodes lie inside (-1, 1), so they need no clipping.
         _, derivs = _tables(nodes, self._rec_a, self._rec_sqrt_b, self.max_degree)
-        raised_vals = _values(nodes, *_recurrence(raised, m), self.max_degree)
+        raised_vals, _ = _tables(nodes, *_recurrence(raised, m), self.max_degree)
         for n in range(1, self.max_degree + 1):
-            projected = float(np.sum(weights * derivs[n] * raised_vals[:, n - 1]))
+            projected = float(np.sum(weights * derivs[n] * raised_vals[n - 1]))
             closed = derivative_constant(self.measure, n)
             if abs(projected - closed) > _DERIVATIVE_CHECK_TOL * max(1.0, abs(closed)):
                 raise ValueError(

@@ -18,8 +18,18 @@ from scipy.special import roots_hermitenorm, roots_jacobi
 
 
 def jacobi_rule(alpha, beta, m):
-    """Gauss rule for the normalized Jacobi weight, via scipy."""
-    nodes, weights = roots_jacobi(m, alpha, beta)
+    """Gauss rule for the normalized Jacobi weight, via scipy.
+
+    scipy routes equal parameters to ``roots_gegenbauer(m, alpha + 0.5)``,
+    whose recurrence divides 0 by 0 when alpha + 0.5 is below the double
+    epsilon. There beta moves up one ulp, onto scipy's general Jacobi path,
+    which changes the exact rule by about 1e-16.
+    """
+    if alpha == beta and 0.0 < alpha + 0.5 < 1e-15:
+        beta = np.nextafter(beta, 1.0)
+    # Near alpha + beta = -1 the general path divides by 0 in a branch np.where discards.
+    with np.errstate(divide="ignore"):
+        nodes, weights = roots_jacobi(m, alpha, beta)
     return nodes, weights / weights.sum()
 
 
