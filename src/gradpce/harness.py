@@ -3,7 +3,8 @@
 Every run is reproducible: ``trial_streams`` splits the seed into one stream
 per trial and one per grid point within it, so results depend neither on trial
 order, nor on which grid points run together, nor on which thread runs a grid
-point. ``fit_modes`` is the one fit site.
+point. The coherence sweep runs its grid points on the standard library's
+thread pool; the fits run one after another. ``fit_modes`` is the one fit site.
 """
 
 from __future__ import annotations
@@ -11,8 +12,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import threading
-from collections import deque
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -392,12 +391,18 @@ def _sweep_workers(tasks: int) -> int:
 def run_mic_sweep(config: ExperimentConfig) -> ResultTable:
     """Average mutual coherence of the value, stacked, and weighted systems.
 
-    The grid points run on ``_sweep_workers`` threads, the caller's among them,
-    largest N first; each result goes to its own slot, so the table does not
-    depend on which thread ran a grid point or when. One worker starts no thread.
-    When grid points raise, every grid point still runs, then the exception of
-    the first failing one in (trial, grid point) order is raised.
+    The grid points run largest N first on a thread pool of ``_sweep_workers``
+    threads, one pool thread when there is one worker, while the caller waits.
+    Each result goes to its own slot, so the table does not depend on which
+    thread ran a grid point or when. When grid points raise, whatever the
+    exception, the sweep waits for the grid points before the first failing
+    one in (trial, grid point) order, drops those not yet started and raises
+    its exception. The thread-pool module is imported on the first call, not
+    with the package.
     """
+    # Imported here: concurrent.futures loads logging, which would slow `import gradpce`.
+    from concurrent.futures import ThreadPoolExecutor
+
     if checked("config", config, ExperimentConfig).kind != "mic-sweep":
         raise ValueError("config kind must be mic-sweep")
     basis = PceBasis(Measure.parse(config.measure), config.dim, config.degree)
@@ -405,38 +410,16 @@ def run_mic_sweep(config: ExperimentConfig) -> ResultTable:
                            config.gradient_fraction, len(config.sample_grid))
     tasks = [(n, seed, dirs) for _, dirs, seeds in trials
              for n, seed in zip(config.sample_grid, seeds)]
-    workers = _sweep_workers(len(tasks))
-    results = [None] * len(tasks)
-    errors = {}
-    # Sorting is stable: grid points of equal N keep (trial, grid point) order.
-    pending = deque(sorted(range(len(tasks)), key=lambda i: -tasks[i][0]))
-
-    def work():
-        # deque.popleft is atomic, so no two threads take one task.
-        while True:
-            try:
-                i = pending.popleft()
-            except IndexError:
-                return
-            try:
-                results[i] = _mics(basis, *tasks[i])
-            except Exception as error:  # raised below, once every thread is joined
-                errors[i] = error
-
-    threads = []
-    try:
-        for _ in range(workers - 1):
-            thread = threading.Thread(target=work)
-            thread.start()
-            threads.append(thread)
-        work()
-    finally:
-        pending.clear()  # on an interrupt, the other threads stop after their task
-        for thread in threads:
-            thread.join()
-    if errors:
-        # The lowest index is the first failure in (trial, grid point) order.
-        raise errors[min(errors)]
+    futures = [None] * len(tasks)
+    with ThreadPoolExecutor(_sweep_workers(len(tasks))) as pool:
+        try:
+            # Sorting is stable: grid points of equal N keep (trial, grid point) order.
+            for i in sorted(range(len(tasks)), key=lambda i: -tasks[i][0]):
+                futures[i] = pool.submit(_mics, basis, *tasks[i])
+            results = [future.result() for future in futures]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
     points = len(config.sample_grid)
     per_trial = [results[t:t + points] for t in range(0, len(results), points)]
     return grid_table(("matrix_id", "N", "mic"), MATRIX_IDS, config.sample_grid, per_trial,

@@ -379,6 +379,12 @@ class TestMic:
             m = rng.standard_normal((5, 8))
             assert 0.0 <= mic(m) <= 1.0 + 1e-12
 
+    def test_parallel_columns_give_exactly_one(self):
+        # Unclipped, rounding gives 1.0000000000000002 here, outside recovery_guarantee's range.
+        value = mic(np.array([[0.1, 0.3], [0.7, 2.1]]))
+        assert value == 1.0
+        assert recovery_guarantee(value, 1) is False
+
     @pytest.mark.parametrize("n", [50, 400])
     def test_matches_pairwise_oracle_on_each_sweep_matrix(self, n):
         # The three matrices one coherence-sweep grid point passes to mic.

@@ -1,9 +1,9 @@
+import concurrent.futures
 import dataclasses
 import math
 import os
 import threading
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -480,12 +480,17 @@ def _host(monkeypatch, cpus, **blas):
         monkeypatch.setenv(var, value)
 
 
-class _CountingThread(threading.Thread):
-    started = 0
+def _pool_sizes(monkeypatch) -> list[int]:
+    """The worker count of each thread pool opened from now on, in order."""
+    sizes = []
 
-    def start(self):
-        type(self).started += 1
-        super().start()
+    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+    return sizes
 
 
 class TestSweepWorkers:
@@ -518,22 +523,17 @@ class TestSweepWorkers:
     @pytest.mark.parametrize("config", [ExperimentConfig("mic-sweep", trials=3), _COHERENCE],
                              ids=["trials3", "coherence-sweep"])
     def test_bytes_do_not_depend_on_the_worker_count(self, monkeypatch, config):
-        monkeypatch.setattr(harness, "threading", SimpleNamespace(Thread=_CountingThread))
+        sizes = _pool_sizes(monkeypatch)
         csv = {}
         for cpus in (1, 2):
             _host(monkeypatch, cpus, OPENBLAS_NUM_THREADS="1")
-            _CountingThread.started = 0
             csv[cpus] = run_mic_sweep(config).to_csv()
-            assert _CountingThread.started == cpus - 1
+        assert sizes == [1, 2]
         assert csv[1] == csv[2]
 
-    def test_one_worker_starts_no_thread(self, monkeypatch):
+    def test_one_worker_runs_every_grid_point_on_one_thread(self, monkeypatch):
         _host(monkeypatch, 2, OPENBLAS_NUM_THREADS="2")
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("one worker started a thread")
-
-        monkeypatch.setattr(harness, "threading", SimpleNamespace(Thread=refuse))
+        sizes = _pool_sizes(monkeypatch)
         callers = set()
 
         def recording(basis, count, stream):
@@ -542,7 +542,15 @@ class TestSweepWorkers:
 
         monkeypatch.setattr(harness, "draw", recording)
         run_mic_sweep(_COHERENCE)
-        assert callers == {threading.get_ident()}
+        assert sizes == [1]
+        # One pool thread, while the caller waits.
+        assert len(callers) == 1 and threading.get_ident() not in callers
+
+    def test_threads_end_with_the_sweep(self, monkeypatch):
+        _host(monkeypatch, 2, OPENBLAS_NUM_THREADS="1")
+        baseline = threading.active_count()
+        run_mic_sweep(_COHERENCE)
+        assert threading.active_count() == baseline
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_failing_grid_points_raise_the_sequential_exception(self, monkeypatch, cpus):
@@ -561,6 +569,53 @@ class TestSweepWorkers:
         with pytest.raises(ValueError, match=f"^grid point N=100 on stream {first}$"):
             run_mic_sweep(_COHERENCE)
         assert threading.active_count() == baseline
+
+    def test_base_exception_on_a_worker_thread_reaches_the_caller(self, monkeypatch):
+        _host(monkeypatch, 2, OPENBLAS_NUM_THREADS="1")
+        baseline = threading.active_count()
+        caller = threading.get_ident()
+        first = split_stream(split_stream(_COHERENCE.seed, 0), 1)
+
+        def exiting(basis, count, stream):
+            if threading.get_ident() != caller:
+                raise SystemExit(f"grid point N={count} on stream {stream}")
+            return draw(basis, count, stream)
+
+        monkeypatch.setattr(harness, "draw", exiting)
+        with pytest.raises(SystemExit, match=f"^grid point N=50 on stream {first}$"):
+            run_mic_sweep(_COHERENCE)
+        assert threading.active_count() == baseline
+
+    def test_grid_points_not_started_are_dropped_after_a_failure(self, monkeypatch):
+        _host(monkeypatch, 2, OPENBLAS_NUM_THREADS="1")
+        baseline = threading.active_count()
+        # Six grid points of equal N: the pool takes them in trial order.
+        config = ExperimentConfig("mic-sweep", dim=2, degree=3, sample_grid=(20,), trials=6)
+        trial_of = {split_stream(split_stream(config.seed, t), 1): t for t in range(6)}
+        release = threading.Event()
+        started = []
+
+        class ReleasingPool(concurrent.futures.ThreadPoolExecutor):
+            # Held grid points go on once the pool has dropped those not yet started.
+            def shutdown(self, wait=True, *, cancel_futures=False):
+                super().shutdown(wait=False, cancel_futures=cancel_futures)
+                release.set()
+                super().shutdown(wait=wait)
+
+        def held(basis, count, stream):
+            started.append(trial_of[stream])
+            if trial_of[stream] == 0:
+                raise ValueError("trial 0 fails")
+            release.wait(timeout=10)
+            return draw(basis, count, stream)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", ReleasingPool)
+        monkeypatch.setattr(harness, "draw", held)
+        with pytest.raises(ValueError, match="^trial 0 fails$"):
+            run_mic_sweep(config)
+        # Trial 0, and at most the one grid point each of the two workers took next.
+        assert 0 in started and set(started) <= {0, 1, 2}
+        assert release.is_set() and threading.active_count() == baseline
 
 
 class TestRmseBenchmark:
