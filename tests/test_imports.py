@@ -1,6 +1,7 @@
 """Every module of the package uses each name that it imports and each private
 name that it defines at module level; importing the package loads neither a
-thread pool nor logging."""
+thread pool nor logging; every source file parses with the oldest supported
+grammar."""
 
 import ast
 import importlib
@@ -12,7 +13,11 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "gradpce"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "gradpce"
+# The package, its tests and the benchmark, which this module only reads.
+SOURCES = sorted(path for part in ("src", "tests", "perfbench")
+                 for path in (ROOT / part).rglob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -129,3 +134,15 @@ def test_import_loads_no_thread_pool_or_logging():
                           timeout=60, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_sources_parse_with_the_python_3_10_grammar(path):
+    # pyproject.toml requires Python >= 3.10. This checks the grammar only:
+    # it does not show that the code runs on 3.10.
+    ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
+def test_the_3_10_grammar_refuses_a_3_11_construct():
+    with pytest.raises(SyntaxError, match="3.11"):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
