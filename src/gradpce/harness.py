@@ -9,7 +9,6 @@ thread pool; the fits run one after another. ``fit_modes`` is the one fit site.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass, fields
@@ -201,6 +200,9 @@ class ResultTable:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
+        # Imported here: only a JSON table needs it, and the drivers load this module.
+        import json
+
         payload = {
             "columns": list(self.columns),
             "rows": [[v if isinstance(v, str) else _json_value(v) for v in row]
@@ -398,9 +400,9 @@ def run_mic_sweep(config: ExperimentConfig) -> ResultTable:
     exception, the sweep waits for the grid points before the first failing
     one in (trial, grid point) order, drops those not yet started and raises
     its exception. The thread-pool module is imported on the first call, not
-    with the package.
+    with this module.
     """
-    # Imported here: concurrent.futures loads logging, which would slow `import gradpce`.
+    # Imported here: concurrent.futures loads logging, which would slow importing the drivers.
     from concurrent.futures import ThreadPoolExecutor
 
     if checked("config", config, ExperimentConfig).kind != "mic-sweep":

@@ -1,7 +1,8 @@
 """Every module of the package uses each name that it imports and each private
-name that it defines at module level; importing the package loads neither a
-thread pool nor logging; every source file parses with the oldest supported
-grammar."""
+name that it defines at module level; importing the package loads none of its
+modules, and an exported name loads only its own; importing the drivers loads
+neither a thread pool, logging nor json; every source file parses with the
+oldest supported grammar."""
 
 import ast
 import importlib
@@ -125,15 +126,71 @@ def test_package_exports_one_name_per_job():
         assert str(inspect.signature(function)) == signature, name
 
 
-def test_import_loads_no_thread_pool_or_logging():
-    # concurrent.futures imports logging, which costs the package's import time.
-    code = ("import sys, gradpce\n"
-            "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))")
+def _fresh_interpreter(code: str) -> str:
+    """What ``code`` prints in a fresh interpreter that imports the package from src."""
     path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
                           timeout=60, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def _loaded_modules(statements: str) -> list[str]:
+    """The package's modules loaded after ``import gradpce`` and ``statements``."""
+    return ast.literal_eval(_fresh_interpreter(
+        f"import sys, gradpce\n{statements}\n"
+        "print(sorted(m for m in sys.modules if m.startswith('gradpce.')))"))
+
+
+def test_import_loads_no_module_of_the_package():
+    assert _loaded_modules("") == []
+
+
+@pytest.mark.parametrize("workload", ["recovery-bp", "coherence-sweep"])
+def test_basis_setup_loads_only_the_basis_modules(monkeypatch, workload):
+    # The benchmark times this statement after `import gradpce` in a fresh interpreter.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+
+    assert _loaded_modules(workloads.WORKLOADS[workload].setup) == [
+        "gradpce.checks", "gradpce.pce", "gradpce.polynomials"]
+
+
+def test_import_loads_no_thread_pool_or_logging():
+    # concurrent.futures imports logging; both, and json, cost the drivers' import time.
+    assert _fresh_interpreter(
+        "import sys, gradpce.harness\n"
+        "print(sorted({'concurrent.futures', 'logging', 'json'} & set(sys.modules)))") == "[]"
+
+
+def test_each_export_is_its_home_modules_name_on_every_use(monkeypatch):
+    package = importlib.import_module("gradpce")
+    homes = {name: module for module, names in package._EXPORTS.items() for name in names}
+    assert sorted(homes) == sorted(package.__all__)
+    assert sum(map(len, package._EXPORTS.values())) == len(package.__all__)
+    for name, module in homes.items():
+        assert getattr(package, name) is getattr(
+            importlib.import_module(f"gradpce.{module}"), name), name
+        assert name not in vars(package), name
+    harness = importlib.import_module("gradpce.harness")
+    monkeypatch.setattr(harness, "fit_sparse_expansion", object())
+    assert package.fit_sparse_expansion is harness.fit_sparse_expansion
+    assert set(package.__all__) <= set(dir(package))
+
+
+def test_star_import_binds_exactly_the_exports():
+    namespace = {}
+    exec("from gradpce import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(importlib.import_module("gradpce").__all__)
+
+
+@pytest.mark.parametrize("name", ["solve_bvp", "no_such_name", "harness"])
+def test_a_name_the_package_does_not_export_raises_attribute_error(name):
+    # A submodule's name raises too, so `from gradpce import harness` imports it.
+    package = importlib.import_module("gradpce")
+    with pytest.raises(AttributeError, match=f"^module 'gradpce' has no attribute '{name}'$"):
+        package.__getattr__(name)
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))

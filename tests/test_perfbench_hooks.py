@@ -8,20 +8,22 @@ operation does the same for the names and drivers every benchmark run calls.
 Running that operation traced does the same for what the observers read.
 """
 
-import sys
+import importlib
+import pkgutil
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def _namespaces():
-    import gradpce  # noqa: F401  (loads every module of the package)
+    # `import gradpce` loads no module, so every one is imported here.
+    import gradpce
     from gradpce.pce import PceBasis
     from gradpce.polynomials import PolynomialFamily
 
-    modules = [m for key, m in sys.modules.items()
-               if key == "gradpce" or key.startswith("gradpce.")]
-    return modules + [PceBasis, PolynomialFamily]
+    modules = [importlib.import_module(f"gradpce.{info.name}")
+               for info in pkgutil.iter_modules(gradpce.__path__)]
+    return [gradpce, *modules, PceBasis, PolynomialFamily]
 
 
 def _snapshot():
