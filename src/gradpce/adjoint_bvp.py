@@ -23,15 +23,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .checks import checked, checked_entries
-from .harness import (DEFAULT_MODES, SURROGATE_OPT_TOL, ResultTable, check_modes, checked_grid,
-                      fit_grid, fit_modes, grid_table, trial_streams)
+from .checks import DEFAULT_MODES, check_modes, checked, checked_entries
 from .pce import PceBasis
 from .polynomials import Measure, tensor_gauss_rule
+
+if TYPE_CHECKING:
+    from .harness import ResultTable
 
 _MAX_MESH_WIDTH = 1.0 / 64.0
 _RESIDUAL_TOL = 1e-12
@@ -286,6 +287,10 @@ def build_surrogate(model: DiffusionModel, degree: int, n_samples: int,
     ``standard-double`` spends the gradient budget on extra value samples:
     (1 + dim) times as many solves without adjoint data.
     """
+    # The drivers are imported on the first fit, so that building a model
+    # loads neither them nor the solver.
+    from .harness import SURROGATE_OPT_TOL, fit_modes
+
     checked("model", model, DiffusionModel)
     checked("n_samples", n_samples, int)
     (coeffs,) = fit_modes(PceBasis.legendre(model.dim, degree), (mode,), n_samples,
@@ -317,6 +322,8 @@ def run_bvp_benchmark(model: DiffusionModel, degree: int, sample_grid,
                       modes=DEFAULT_MODES, seed: int = 0,
                       trials: int = 1) -> ResultTable:
     """Surrogate moment errors against the quadrature reference per (mode, N)."""
+    from .harness import SURROGATE_OPT_TOL, checked_grid, fit_grid, grid_table, trial_streams
+
     modes = checked_entries("modes", modes, str)
     check_modes(modes)
     sample_grid = checked_grid(sample_grid, trials, degree, seed)

@@ -1,12 +1,18 @@
-"""Type checks of library inputs, shared by every layer.
+"""Type checks of library inputs, shared by every layer, and the fit modes.
 
-Each check raises one ValueError that names the field, before any work.
+Each check raises one ValueError that names the field, before any work. The
+mode table lives here, not in the drivers, so that a module can take its
+default without importing them.
 """
 
 from __future__ import annotations
 
 import numbers
 
+
+# The fit modes of the drivers, and those they run unless told otherwise.
+MODES = ("standard", "gradient-enhanced", "standard-double")
+DEFAULT_MODES = MODES[:2]
 
 # The abstract type each checked class accepts, and its name in messages.
 _ACCEPTS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number"),
@@ -33,3 +39,12 @@ def checked_entries(name: str, values, cls: type) -> tuple:
         except TypeError:
             pass
     raise ValueError(f"{name} must be a list, got {values!r}")
+
+
+def check_modes(modes: tuple[str, ...]) -> None:
+    """Reject an empty mode list, unknown modes and duplicates."""
+    if not modes or len(set(modes)) != len(modes):
+        raise ValueError("modes must be non-empty and free of duplicates")
+    for mode in modes:
+        if mode not in MODES:
+            raise ValueError(f"unknown mode {mode!r}")

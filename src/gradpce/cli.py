@@ -8,9 +8,10 @@ import sys
 from pathlib import Path
 
 from .adjoint_bvp import QOI_KINDS, DiffusionModel, run_bvp_benchmark
+from .checks import DEFAULT_MODES
 from .design import assemble_gradient_enhanced, coherence_params, draw
-from .harness import (DEFAULT_MODES, FORMATS, TARGETS, ExperimentConfig, run_mic_sweep,
-                      run_recovery_benchmark, run_rmse_benchmark)
+from .harness import (FORMATS, TARGETS, ExperimentConfig, run_mic_sweep, run_recovery_benchmark,
+                      run_rmse_benchmark)
 from .pce import PceBasis
 from .polynomials import Measure
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .checks import checked, checked_entries
+from .checks import DEFAULT_MODES, check_modes, checked, checked_entries
 from .design import GradientDesign, assemble_gradient_enhanced, draw, mic
 from .l1solver import SolveSpec, solve
 from .pce import PceBasis
@@ -23,8 +23,6 @@ from .polynomials import Measure
 from .sampling import generator, sample, split_stream
 
 SUCCESS_TOL = 1e-3
-MODES = ("standard", "gradient-enhanced", "standard-double")
-DEFAULT_MODES = MODES[:2]
 KINDS = ("mic-sweep", "recovery-vs-N", "recovery-vs-s", "rmse")
 MATRIX_IDS = ("values", "stacked", "preconditioned")
 # Each format names a ResultTable.to_<format> rendering.
@@ -71,15 +69,6 @@ TARGETS = {"f1": _sum_of_squares, "f2": _gaussian_bump, "f3": _sinusoids}
 
 
 # -- configuration -----------------------------------------------------------
-
-
-def check_modes(modes: tuple[str, ...]) -> None:
-    """Reject an empty mode list, unknown modes and duplicates."""
-    if not modes or len(set(modes)) != len(modes):
-        raise ValueError("modes must be non-empty and free of duplicates")
-    for mode in modes:
-        if mode not in MODES:
-            raise ValueError(f"unknown mode {mode!r}")
 
 
 def direction_count(fraction: float, dim: int) -> int:

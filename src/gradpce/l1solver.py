@@ -32,7 +32,8 @@ y = r = b - A c, whose dual value c^T A^T r bounds it at epsilon = ||r||.
 
 The path keeps each active column a_j over its Gram column A^T a_j, computed
 when it joins, in one buffer: a step costs one |I| x |I| solve and one product
-with that buffer, O(columns * |I|) in a fixed number of numpy calls.
+with that buffer, O(columns * |I|) in a fixed number of numpy calls. The
+coefficients are written once, at the exit, from the last segment's p, d, lam.
 """
 
 from __future__ import annotations
@@ -117,8 +118,8 @@ class RecoveryResult:
     residual_norm: float
     iterations: int
     converged: bool
-    # One (||c||_1, residual norm) entry per breakpoint of the LASSO path,
-    # from (0, ||b||) to the exit point. perfbench's traced runs read it.
+    # The path's start (0, ||b||) and its exit (||c||_1, residual_norm); the
+    # zero answer has only the start. perfbench's traced runs count entries.
     curve_trace: tuple[tuple[float, float], ...] = ()
 
 
@@ -150,8 +151,8 @@ def solve(spec: SolveSpec) -> RecoveryResult:
     A converged result satisfies ||A c - b||_2 <= epsilon + opt_tol * ||b||_2
     and has a weak-duality gap of at most 1e-6 ||c||_1. The path aims at
     epsilon + 0.9999 opt_tol ||b||_2; if ||b||_2 already lies within the aim,
-    the zero vector is optimal and returned at once. ``iterations`` counts path steps (at most
-    ``max_iters``) and ``curve_trace`` ends at the exit's ||c||_1. An instance
+    the zero vector is optimal and returned at once. ``iterations`` counts path
+    steps (at most ``max_iters``), and ``curve_trace`` the path's ends. An instance
     whose target residual lies below the least-squares residual, such as an
     inconsistent system at epsilon = 0, ends at the least-squares solution,
     unconverged. If the system is also tall and full-rank, it reaches that end
@@ -192,7 +193,6 @@ def solve(spec: SolveSpec) -> RecoveryResult:
     tie = _TIE_TOL * lam0
     lam = lam0
     c = np.zeros(cols)
-    trace = [(0.0, bnorm)]
     crossed = False
     # The active columns in join order. Column i of joint is a[:, active[i]]
     # over A^T a[:, active[i]], matching stacked = [b; A^T b]; row i of rhs
@@ -217,12 +217,11 @@ def solve(spec: SolveSpec) -> RecoveryResult:
     # the column that joined, or the rejoin of a dropped column with its old
     # sign, or of a copy of it.
     blocked = (0, first)
-    steps = 0
+    steps, segment = 0, None  # segment: the last step's active columns, p and d
     least_squares = None if gram is None else _infeasible_least_squares(a, b, gram, atb, bound)
     if least_squares is not None:
         # The path's least-squares end, reached in one step.
-        c, lam, steps = least_squares, 0.0, 1
-        trace.append((float(np.abs(c).sum()), float(np.linalg.norm(b - a @ c))))
+        c, steps = least_squares, 1
     with np.errstate(divide="ignore", invalid="ignore"):  # roots of 1 - v = 0 or d = 0
         while least_squares is None and not crossed and steps < spec.max_iters:
             k = len(active)
@@ -277,9 +276,7 @@ def solve(spec: SolveSpec) -> RecoveryResult:
                 crossed = lam_cross >= lam_next
             steps += 1
             lam = lam_cross if crossed else lam_next
-            c[idx] = p - lam * d
-            y = r_ls + lam * u
-            rnorm = math.sqrt(y @ y)
+            segment = idx, p, d
             if not crossed and lam_next > 0.0:
                 if best in active:
                     position = active.index(best)
@@ -291,13 +288,15 @@ def solve(spec: SolveSpec) -> RecoveryResult:
                     del active[position]
                     joint[:, position:k - 1] = joint[:, position + 1:k]
                     rhs[position:k - 1] = rhs[position + 1:k]
-                    c[best] = 0.0
+                    p[position] = d[position] = 0.0  # c_best is 0 at lam
                 else:
                     join(best, 1.0 if float(q[best]) + lam * float(v[best]) > 0.0 else -1.0)
                     blocked = (0, best)
-            trace.append((float(np.abs(c).sum()), rnorm))
             if lam_next == 0.0 and not crossed:
                 break  # least-squares end of the path
+    if segment is not None:
+        idx, p, d = segment
+        c[idx] = p - lam * d
     r = b - a @ c
     residual = float(np.linalg.norm(r))
     # Only a path that crossed the target can converge, so only it is checked;
@@ -306,7 +305,8 @@ def solve(spec: SolveSpec) -> RecoveryResult:
     if converged and not exact:
         correlation = a.T @ r
         converged = _certified(c, c @ correlation, correlation)
-    return RecoveryResult(c, residual, steps, bool(converged), tuple(trace))
+    return RecoveryResult(c, residual, steps, bool(converged),
+                          ((0.0, bnorm), (float(np.abs(c).sum()), residual)))
 
 
 def _infeasible_least_squares(a, b, gram, atb, target):

@@ -16,7 +16,7 @@ from gradpce.adjoint_bvp import (
     run_bvp_benchmark,
     solve_bvp,
 )
-from gradpce.harness import MODES
+from gradpce.checks import MODES
 from gradpce.polynomials import Measure, tensor_gauss_rule
 from gradpce.sampling import generator, split_stream
 

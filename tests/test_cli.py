@@ -14,7 +14,8 @@ import pytest
 import gradpce
 from gradpce.adjoint_bvp import QOI_KINDS
 from gradpce.cli import build_parser, main
-from gradpce.harness import DEFAULT_MODES, FORMATS, TARGETS, ResultTable
+from gradpce.checks import DEFAULT_MODES
+from gradpce.harness import FORMATS, TARGETS, ResultTable
 
 PINNED = Path(__file__).resolve().parent / "data"
 # Loose enough for a BLAS thread-count difference (last digits), tight enough

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import gradpce
 from gradpce import adjoint_bvp, harness, l1solver
+from gradpce.checks import DEFAULT_MODES, MODES
 from gradpce.design import mic, recovery_guarantee
 from gradpce.harness import ExperimentConfig
 from gradpce.l1solver import RecoveryResult, SolveSpec, project_l1_ball, solve
@@ -167,17 +168,26 @@ class TestSolve:
     def test_pareto_trace_monotone(self):
         # A positive epsilon keeps the instance on the LASSO path, which
         # traces the Pareto curve: over its breakpoints ||c||_1 never falls
-        # and the residual never rises.
+        # and the residual never rises. A solve with a budget of k steps ends
+        # at the k-th breakpoint, so replaying the budgets 1 ... iterations
+        # visits every breakpoint; the last replay is the full solve. A column
+        # that drops at a breakpoint is exactly 0 there, not a rounding residue.
         rng = np.random.default_rng(11)
         for _ in range(10):
             a = rng.standard_normal((10, 25))
             b = rng.standard_normal(10)
-            result = solve(SolveSpec(a, b, epsilon=1e-6 * np.linalg.norm(b), opt_tol=1e-8))
+            spec = dict(epsilon=1e-6 * np.linalg.norm(b), opt_tol=1e-8)
+            result = solve(SolveSpec(a, b, **spec))
             assert result.converged
-            assert len(result.curve_trace) == result.iterations + 1
-            taus = [t for t, _ in result.curve_trace]
-            phis = [p for _, p in result.curve_trace]
-            assert taus == sorted(taus)
+            replays = [solve(SolveSpec(a, b, max_iters=k, **spec))
+                       for k in range(1, result.iterations + 1)]
+            assert [r.iterations for r in replays] == list(range(1, result.iterations + 1))
+            assert same_result(replays[-1], result)
+            for replay in replays:
+                c = np.abs(replay.coefficients)
+                assert c[c > 0].min() > 1e-12 * c.max()
+            taus, phis = zip(result.curve_trace[0], *(r.curve_trace[-1] for r in replays))
+            assert list(taus) == sorted(taus)
             assert all(p1 >= p2 - 1e-12 for p1, p2 in zip(phis, phis[1:]))
             assert taus[-1] == np.abs(result.coefficients).sum()
 
@@ -201,8 +211,8 @@ class TestSolve:
         assert result.iterations <= 3
 
     def test_exact_instance_reports_path_telemetry(self):
-        # An exact solve traces the path from (0, ||b||) to its exit at
-        # (||c||_1, residual), one entry per step.
+        # An exact solve reports the path's two ends: its start (0, ||b||) and
+        # its exit (||c||_1, residual).
         rng = np.random.default_rng(31)
         a = rng.standard_normal((15, 40))
         b = a @ project_l1_ball(rng.standard_normal(40), 2.0)
@@ -211,10 +221,56 @@ class TestSolve:
         bnorm = float(np.linalg.norm(b))
         assert result.converged
         assert 0 < result.iterations <= 10_000
-        assert len(result.curve_trace) == result.iterations + 1
-        assert result.curve_trace[0] == (0.0, bnorm)
-        assert result.curve_trace[-1][0] == l1
-        assert result.curve_trace[-1][1] == pytest.approx(result.residual_norm, abs=1e-14 * bnorm)
+        assert result.curve_trace == ((0.0, bnorm), (l1, result.residual_norm))
+
+    def test_every_exit_reports_the_paths_two_ends(self, monkeypatch):
+        # The zero answer reports the start (0, ||b||) alone. Every other exit
+        # adds its end (||c||_1, residual_norm), with residual_norm = ||b - A c||:
+        # the exact stop, the residual crossing (epsilon > 0), the least-squares
+        # exit of a tall system, the step budget, and the break where the
+        # active columns turn linearly dependent.
+        breaks = []
+        linalg_solve = np.linalg.solve
+
+        def recording(matrix, rhs):
+            try:
+                return linalg_solve(matrix, rhs)
+            except np.linalg.LinAlgError:
+                breaks.append(np.ndim(rhs))  # the path solves for [p, d], the probe for x
+                raise
+
+        monkeypatch.setattr(np.linalg, "solve", recording)
+        rng = np.random.default_rng(43)
+        wide = rng.standard_normal((10, 30))
+        sparse = np.zeros(30)
+        sparse[[3, 11, 24]] = [1.0, -0.5, 2.0]
+        # Dyadic entries: the path's third Gram block is exactly singular.
+        dependent = np.array([[-1.0, 0.25, -1.0, -0.99993896484375],
+                              [-0.25, -0.75, 0.25, -0.25018310546875],
+                              [0.25, 0.5, 0.0, 0.2501220703125],
+                              [1.0, 1.0, 0.0, 1.000244140625]])
+        b = rng.standard_normal(10)
+        exits = {  # spec, iterations (None: any), converged, path breaks
+            "zero": (SolveSpec(wide, b, epsilon=np.linalg.norm(b)), 0, True, False),
+            "exact": (SolveSpec(wide, wide @ sparse), None, True, False),
+            "crossing": (SolveSpec(wide, b, epsilon=1e-3), None, True, False),
+            "least squares": (SolveSpec(rng.standard_normal((40, 10)), rng.standard_normal(40)),
+                              1, False, False),
+            "budget": (SolveSpec(wide, b, epsilon=1e-3, max_iters=2), 2, False, False),
+            "dependent columns": (SolveSpec(dependent, np.array([-1.0, -3.0, 0.0, -2.0])),
+                                  3, False, True),
+        }
+        for name, (spec, iterations, converged, breaks_path) in exits.items():
+            breaks.clear()
+            result = solve(spec)
+            c = result.coefficients
+            residual = float(np.linalg.norm(spec.rhs - spec.matrix @ c))
+            end = ((float(np.abs(c).sum()), residual),) if name != "zero" else ()
+            assert result.curve_trace == ((0.0, float(np.linalg.norm(spec.rhs))), *end), name
+            assert result.residual_norm == residual, name
+            assert iterations in (None, result.iterations), name
+            assert result.converged == converged, name
+            assert (2 in breaks) == breaks_path, name
 
     def test_unreachable_exact_bound_reports_unconverged(self):
         # converged follows the measured residual: no floating-point residual
@@ -585,7 +641,7 @@ class TestHarnessScale:
             ExperimentConfig(kind="rmse", trials=3, target=target))
 
     @staticmethod
-    def _bvp(dim, seed=0, qoi="average", modes=harness.DEFAULT_MODES):
+    def _bvp(dim, seed=0, qoi="average", modes=DEFAULT_MODES):
         return lambda: adjoint_bvp.run_bvp_benchmark(
             adjoint_bvp.DiffusionModel(dim=dim, qoi=qoi), 4, (10, 20, 40), modes=modes, seed=seed)
 
@@ -600,7 +656,7 @@ class TestHarnessScale:
         (_rmse("f1"), _RMSE_SHAPES, 30, 30),
         (_rmse("f3"), _RMSE_SHAPES, 30, 30),
         (_bvp(2), {(k * n, 15) for n in (10, 20, 40) for k in (1, 3)}, 6, 1),
-        (_bvp(2, qoi="midpoint", modes=harness.MODES),
+        (_bvp(2, qoi="midpoint", modes=MODES),
          {(k * n, 15) for n in (10, 20, 40) for k in (1, 3)}, 9, 1),
     ], ids=["bvp", "rmse", "rmse-f1", "rmse-f3", "bvp-d2", "bvp-d2-midpoint-double"])
     def test_bpdn_solves_certified_by_weak_duality(self, monkeypatch, run, shapes, solve_count,
